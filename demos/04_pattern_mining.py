@@ -1,9 +1,9 @@
 """Mine letter sequences for repeats and scoring motifs.
 
 Pattern mining enumerates every substring in a length band and counts
-non-overlapping occurrences; tandem detection finds back-to-back runs
-of the same pattern.  Motifs are short templates ('x' = any action
-letter) that tend to precede goals or threats.
+its occurrences, overlapping ones included; tandem detection finds
+back-to-back runs of the same pattern.  Motifs are short templates
+('x' = any action letter) that tend to precede goals or threats.
 """
 
 from matchdna import (
@@ -30,7 +30,7 @@ def main():
     for pattern, count, _seq in report.rows:
         totals[pattern] = totals.get(pattern, 0) + count
     top = sorted(totals.items(), key=lambda kv: (-kv[1], kv[0]))[:8]
-    print("most frequent patterns (3..5 letters, non-overlapping counts):")
+    print("most frequent patterns (3..5 letters, overlapping counts):")
     for pattern, count in top:
         print(f"  {pattern:<6} x{count}")
 

@@ -64,7 +64,6 @@ from .mining import (
 from .attractor_tree import (
     FmacaTree,
     GaConfig,
-    basin_of,
     basin_purity,
     build_tree,
     ca_feedback,

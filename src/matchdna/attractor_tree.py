@@ -96,23 +96,10 @@ class FeedbackDecision:
     label: int | None = None
 
 
-def quantize_terminal(terminal: np.ndarray) -> tuple:
-    return tuple(np.round(np.asarray(terminal) / BASIN_QUANTUM).astype(np.int64))
-
-
-def basin_of(pattern, rules, max_steps: int = TERMINAL_MAX_STEPS):
-    """Basin identifier of one pattern: ('ok'|'overflow', quantized terminal).
-
-    Overflow marks trajectories that neither fixed nor revealed a short
-    cycle within the step budget; they keep their last state as the id.
-    """
-    terms, conv = terminal_states(np.atleast_2d(np.asarray(pattern, dtype=float)),
-                                  rules, max_steps=max_steps)
-    tag = "ok" if conv[0] else "overflow"
-    return (tag, quantize_terminal(terms[0]))
-
-
 def _basin_ids(terminals, converged):
+    """Basin key per row: ('ok'|'overflow', terminal on the BASIN_QUANTUM
+    grid).  Overflow marks trajectories that neither fixed nor revealed a
+    short cycle within the step budget; they keep their last state."""
     q = np.round(terminals / BASIN_QUANTUM).astype(np.int64)
     return [("ok" if converged[i] else "overflow", tuple(q[i]))
             for i in range(len(q))]

@@ -103,31 +103,42 @@ def mutual_information(p1, p2) -> float:
     b = np.asarray(p2).ravel()
     if a.shape != b.shape:
         raise ValueError("patterns must have equal lengths")
-    n = a.size
-    if n == 0:
+    if a.size == 0:
         raise ValueError("patterns must be non-empty")
-    pa = a.mean()
-    pb = b.mean()
-    h_a = float(_h_bernoulli(pa))
-    h_b = float(_h_bernoulli(pb))
-    if h_a == 0.0 or h_b == 0.0:
-        return 0.0
-    mi = 0.0
+    return float(_normalized_mi(a, b))
+
+
+def _normalized_mi(a, b) -> np.ndarray:
+    """Normalized MI between bit patterns along the last axis, for every
+    leading index at once (see mutual_information)."""
+    a = np.asarray(a, dtype=np.float64)
+    b = np.asarray(b, dtype=np.float64)
+    n = a.shape[-1]
+    pa = a.mean(axis=-1)
+    pb = b.mean(axis=-1)
+    h_a = _h_bernoulli(pa)
+    h_b = _h_bernoulli(pb)
+    mi = np.zeros_like(h_a)
     for x in (0, 1):
         px = pa if x else 1.0 - pa
         for y in (0, 1):
             py = pb if y else 1.0 - pb
-            pxy = np.mean((a == x) & (b == y))
-            if pxy > 0.0:
-                mi += pxy * np.log2(pxy / (px * py))
-    return float(np.clip(mi / min(h_a, h_b), 0.0, 1.0))
+            pxy = ((a == x) & (b == y)).sum(axis=-1) / n
+            good = pxy > 0.0
+            with np.errstate(divide="ignore", invalid="ignore"):
+                term = pxy * np.log2(pxy / (px * py))
+            mi += np.where(good, np.nan_to_num(term), 0.0)
+    h_min = np.minimum(h_a, h_b)
+    return np.where(h_min > 0.0, np.clip(mi / np.where(h_min > 0, h_min, 1.0),
+                                         0.0, 1.0), 0.0)
 
 
 def _trial_bit_series(rules, config: DiagnosticsConfig) -> np.ndarray:
-    """Binarized trajectories, shape (run_steps + 1, trials, n).
+    """Binarized trajectories after the transient, shape (T, trials, n).
 
     Each trial starts from its own seeded uniform state; all trials step
-    together as one batch.
+    together as one batch.  Up to `window` leading steps are dropped,
+    keeping at least one window's worth of samples.
     """
     rs = RuleSet.coerce(rules)
     seqs = np.random.SeedSequence(config.rng_seed).spawn(config.trials)
@@ -137,20 +148,12 @@ def _trial_bit_series(rules, config: DiagnosticsConfig) -> np.ndarray:
     for t in range(1, config.run_steps + 1):
         cur = rs.apply(cur)
         bits[t] = cur >= config.binarize_threshold
-    return bits
+    return bits[min(config.window, bits.shape[0] - config.window):]
 
 
-def _analysis_slice(bits, window):
-    """Drop a transient of up to `window` steps, keeping at least one
-    window's worth of samples."""
-    start = min(window, bits.shape[0] - window)
-    return bits[start:]
-
-
-def measure_entropy(rules, config: DiagnosticsConfig = DiagnosticsConfig()) -> EntropyReport:
-    """Moving-window site entropy, averaged within trials, mean/std across."""
-    w = config.window
-    series = _analysis_slice(_trial_bit_series(rules, config), w)
+def _entropy_report(series, w: int) -> EntropyReport:
+    """Moving-window site entropy of a trial series, averaged within
+    trials, mean/std across."""
     # rolling per-cell one-counts via cumulative sums
     csum = np.cumsum(series, axis=0, dtype=np.int64)
     pad = np.zeros((1,) + csum.shape[1:], dtype=np.int64)
@@ -163,42 +166,32 @@ def measure_entropy(rules, config: DiagnosticsConfig = DiagnosticsConfig()) -> E
                          per_trial=[float(v) for v in per_trial])
 
 
-def measure_mi(rules, config: DiagnosticsConfig = DiagnosticsConfig()) -> MiReport:
-    """Mean normalized MI between states at lag mi_lag, per trial."""
-    lag = config.mi_lag
-    series = _analysis_slice(_trial_bit_series(rules, config), config.window)
+def _mi_report(series, lag: int) -> MiReport:
+    """Mean normalized MI between states `lag` steps apart, per trial."""
     if series.shape[0] <= lag:
         raise ValueError("run too short for the requested mi_lag")
-    a = series[:-lag].astype(np.float64)   # (T, trials, n)
-    b = series[lag:].astype(np.float64)
-    n = a.shape[2]
-    pa = a.mean(axis=2)                    # (T, trials)
-    pb = b.mean(axis=2)
-    h_a = _h_bernoulli(pa)
-    h_b = _h_bernoulli(pb)
-    mi = np.zeros_like(pa)
-    for x in (0, 1):
-        px = pa if x else 1.0 - pa
-        for y in (0, 1):
-            py = pb if y else 1.0 - pb
-            pxy = ((a == x) & (b == y)).sum(axis=2) / n
-            good = pxy > 0.0
-            with np.errstate(divide="ignore", invalid="ignore"):
-                term = pxy * np.log2(pxy / (px * py))
-            mi += np.where(good, np.nan_to_num(term), 0.0)
-    h_min = np.minimum(h_a, h_b)
-    norm = np.where(h_min > 0.0, np.clip(mi / np.where(h_min > 0, h_min, 1.0),
-                                         0.0, 1.0), 0.0)
-    per_trial = norm.mean(axis=0)
+    per_trial = _normalized_mi(series[:-lag], series[lag:]).mean(axis=0)
     return MiReport(mean_mi=float(per_trial.mean()),
                     per_trial=[float(v) for v in per_trial])
+
+
+def measure_entropy(rules, config: DiagnosticsConfig = DiagnosticsConfig()) -> EntropyReport:
+    """Moving-window site entropy, averaged within trials, mean/std across."""
+    return _entropy_report(_trial_bit_series(rules, config), config.window)
+
+
+def measure_mi(rules, config: DiagnosticsConfig = DiagnosticsConfig()) -> MiReport:
+    """Mean normalized MI between states at lag mi_lag, per trial."""
+    return _mi_report(_trial_bit_series(rules, config), config.mi_lag)
 
 
 # ----- per-generation GA diagnostics ------------------------------------------
 
 def rule_vector_diagnostics(rules, config: DiagnosticsConfig, generation: int = 0) -> dict:
-    ent = measure_entropy(rules, config)
-    mi = measure_mi(rules, config)
+    """One CSV row: entropy and MI of a single simulated trial series."""
+    series = _trial_bit_series(rules, config)
+    ent = _entropy_report(series, config.window)
+    mi = _mi_report(series, config.mi_lag)
     return {"generation": generation, "n": len(RuleSet.coerce(rules)),
             "mean_entropy": ent.mean_entropy, "std_entropy": ent.std_dev,
             "mean_mi": mi.mean_mi}

@@ -39,8 +39,6 @@ _BASE_OF = {c: b for b, c in COMPLEMENT_OF.items()}
 SUPPORTED_RULES = frozenset(_RULE_TERMS) | frozenset(_BASE_OF)
 
 DEFAULT_TOLERANCE = 1e-9
-# grid used to hash states when looking for revisits (cycle detection)
-CYCLE_QUANTUM = 1e-6
 
 
 def _rule_terms(rule: int) -> tuple[bool, bool, bool, bool]:
@@ -165,9 +163,8 @@ class Trajectory:
         if self.terminal.kind == "fixed_point":
             return self.states[self.terminal.index]
         if self.terminal.kind == "cycle":
-            seg = self.states[self.terminal.start:self.terminal.start + self.terminal.period]
-            order = min(range(len(seg)), key=lambda i: tuple(seg[i]))
-            return seg[order]
+            start = self.terminal.start
+            return _lexmin(self.states[start:start + self.terminal.period])
         return self.states[-1]
 
     @property
@@ -175,18 +172,21 @@ class Trajectory:
         return self.terminal.kind != "truncated"
 
 
-def _quantize_key(state: np.ndarray) -> bytes:
-    return np.round(state / CYCLE_QUANTUM).astype(np.int64).tobytes()
+def _lexmin(states):
+    """Cycle representative: the lexicographically smallest of `states`,
+    compared as raw floats."""
+    return min(states, key=tuple)
 
 
 def evolve(state, rules, max_steps: int = 1000,
            tolerance: float = DEFAULT_TOLERANCE) -> Trajectory:
     """Iterate a state until it fixes, revisits a prior state, or runs out.
 
-    A fixed point is declared when one more update moves no cell by more
-    than `tolerance` (sup norm); a cycle when the new state lands on the
-    1e-6 quantization of an earlier one.  Otherwise the trajectory is
-    truncated after `max_steps` updates.
+    A new state revisits a recorded one when no cell differs by more than
+    `tolerance` (sup norm), the test terminal_states uses.  Revisiting the
+    latest state is a fixed point; revisiting an earlier one closes a
+    cycle starting at the earliest such state.  Otherwise the trajectory
+    is truncated after `max_steps` updates.
     """
     if max_steps < 1:
         raise ValueError("max_steps must be >= 1")
@@ -199,26 +199,19 @@ def evolve(state, rules, max_steps: int = 1000,
     if np.any(cur < 0.0) or np.any(cur > 1.0):
         raise ValueError("state values must lie in [0, 1]")
 
-    states = [cur]
-    seen = {_quantize_key(cur): 0}
-    for _ in range(max_steps):
-        nxt = rs.apply(cur)
-        if np.max(np.abs(nxt - cur)) <= tolerance:
-            return Trajectory(np.array(states), Terminal("fixed_point", index=len(states) - 1))
-        key = _quantize_key(nxt)
-        if key in seen:
-            start = seen[key]
-            return Trajectory(np.array(states),
-                              Terminal("cycle", start=start, period=len(states) - start))
-        seen[key] = len(states)
-        states.append(nxt)
-        cur = nxt
-    return Trajectory(np.array(states), Terminal("truncated", steps=max_steps))
-
-
-def _lexmin_rows(stack, row):
-    """Lexicographically smallest state among stack[k][row] over k."""
-    return min((tuple(s[row]) for s in stack))
+    states = np.array([cur])  # rows [0, t) are recorded
+    for t in range(1, max_steps + 1):
+        nxt = rs.apply(states[t - 1])
+        near = np.abs(states[:t] - nxt).max(axis=1) <= tolerance
+        if near[t - 1]:
+            return Trajectory(states[:t], Terminal("fixed_point", index=t - 1))
+        if near.any():
+            start = int(np.argmax(near))
+            return Trajectory(states[:t], Terminal("cycle", start=start, period=t - start))
+        if t == len(states):  # grow by doubling, not max_steps up front
+            states = np.concatenate([states, np.empty_like(states)])
+        states[t] = nxt
+    return Trajectory(states[:max_steps + 1], Terminal("truncated", steps=max_steps))
 
 
 def terminal_states(patterns: np.ndarray, rules, max_steps: int = 200,
@@ -253,7 +246,7 @@ def terminal_states(patterns: np.ndarray, rules, max_steps: int = 200,
             # s(t+1) == s(t-1) means a 2-cycle through s(t)
             cyc2 = act & ~fixed & (np.abs(nxt - prev).max(axis=1) <= tolerance)
             for i in np.flatnonzero(cyc2):
-                out[i] = _lexmin_rows([cur, nxt], i)
+                out[i] = _lexmin([cur[i], nxt[i]])
             done |= cyc2
             converged |= cyc2
         out[fixed] = nxt[fixed]
@@ -270,7 +263,7 @@ def terminal_states(patterns: np.ndarray, rules, max_steps: int = 200,
             s = rs.apply(s)
             hit = ~found & (np.abs(s - base).max(axis=1) <= tolerance)
             for j in np.flatnonzero(hit):
-                out[live[j]] = _lexmin_rows(stack, j)
+                out[live[j]] = _lexmin([st[j] for st in stack])
                 converged[live[j]] = True
             found |= hit
             if found.all():

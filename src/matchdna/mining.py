@@ -82,14 +82,20 @@ class AnnotatedSequence:
     events: list = field(default_factory=list)  # (window_index, label)
 
 
+def _occurrence_index(sequence: str, query: PatternQuery) -> dict:
+    """One sliding pass: every substring with length in the query band,
+    mapped to its ascending (possibly overlapping) start positions."""
+    index = {}
+    n = len(sequence)
+    for i in range(n):
+        for length in range(query.min_len, min(query.max_len, n - i) + 1):
+            index.setdefault(sequence[i:i + length], []).append(i)
+    return index
+
+
 def enumerate_unique(sequence: str, query: PatternQuery) -> set:
     """All distinct substrings of `sequence` with length in the query band."""
-    n = len(sequence)
-    out = set()
-    for length in range(query.min_len, min(query.max_len, n) + 1):
-        for i in range(n - length + 1):
-            out.add(sequence[i:i + length])
-    return out
+    return set(_occurrence_index(sequence, query))
 
 
 def count_occurrences(sequence: str, pattern: str) -> tuple[int, list[int]]:
@@ -104,6 +110,25 @@ def count_occurrences(sequence: str, pattern: str) -> tuple[int, list[int]]:
     return len(starts), starts
 
 
+def _runs(starts, k: int) -> list[tuple[int, int]]:
+    """Tandem runs among the ascending occurrence starts of a length-k
+    pattern: scanning left to right, a start followed by copies at +k,
+    +2k, ... opens a run of >= 2 copies, and the scan resumes after it."""
+    present = set(starts)
+    runs = []
+    resume = 0
+    for start in starts:
+        if start < resume:
+            continue
+        copies = 1
+        while start + copies * k in present:
+            copies += 1
+        if copies >= 2:
+            runs.append((start, copies))
+            resume = start + copies * k
+    return runs
+
+
 def find_tandem_repeats(sequence: str, pattern: str) -> list[tuple[int, int]]:
     """Maximal runs of >= 2 adjacent back-to-back copies of `pattern`.
 
@@ -111,22 +136,7 @@ def find_tandem_repeats(sequence: str, pattern: str) -> list[tuple[int, int]]:
     (start_index, copy_count) and cannot be extended by another copy on
     either side.
     """
-    if not pattern:
-        raise ValueError("pattern must be non-empty")
-    runs = []
-    k = len(pattern)
-    i = 0
-    n = len(sequence)
-    while i + 2 * k <= n:
-        copies = 0
-        while sequence.startswith(pattern, i + copies * k):
-            copies += 1
-        if copies >= 2:
-            runs.append((i, copies))
-            i += copies * k
-        else:
-            i += 1
-    return runs
+    return _runs(count_occurrences(sequence, pattern)[1], len(pattern))
 
 
 def match_motif(window: str, motif: Motif, wildcard_matches_idle: bool = False) -> bool:
@@ -188,9 +198,8 @@ def mine_report(sequences, query: PatternQuery) -> PatternReport:
     every enumerated pattern plus all tandem runs per sequence."""
     report = PatternReport()
     for sequence_id, letters in sequences:
-        for pattern in sorted(enumerate_unique(letters, query)):
-            count, _ = count_occurrences(letters, pattern)
-            report.rows.append((pattern, count, sequence_id))
-            for start, copies in find_tandem_repeats(letters, pattern):
+        for pattern, starts in sorted(_occurrence_index(letters, query).items()):
+            report.rows.append((pattern, len(starts), sequence_id))
+            for start, copies in _runs(starts, len(pattern)):
                 report.tandem_runs.append((pattern, sequence_id, start, copies))
     return report

@@ -198,12 +198,3 @@ class ShootingPolicy:
         proceed = getattr(result, "proceed", True)
         return not proceed
 
-
-def run_shooting_behavior(agent_id, world, policy: ShootingPolicy) -> Command | None:
-    """One cycle of the scripted behavior against live world state."""
-    perceptions = world.deliver_perceptions()[agent_id]
-    cmds = policy.act(agent_id, perceptions, world.cycle)
-    if cmds is None:
-        return None
-    movement = [c for c in cmds] if isinstance(cmds, list) else [cmds]
-    return movement[-1]

@@ -195,9 +195,6 @@ class MatchLog:
     outcome: str = "draw"
     valid: bool = True
 
-    def events_at(self, cycle):
-        return [e for e in self.events if e.cycle == cycle]
-
 
 def _nearest_holder(agents, ball, kickable):
     """Agent id in possession: nearest within kickable range, ties by id."""

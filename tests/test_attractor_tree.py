@@ -13,15 +13,16 @@ from matchdna.attractor_tree import (
     FmacaTree,
     GaConfig,
     Leaf,
-    basin_of,
     basin_purity,
     build_tree,
     ca_feedback,
     classify,
     classify_batch,
     fit_window_classifier,
+    fitness,
     group_basins,
 )
+from matchdna.fuzzy_ca import terminal_states
 
 REFERENCE_RULES = [238, 254, 238, 252]
 
@@ -49,20 +50,22 @@ def make_motif_corpus(rng, n_per_class=60):
 
 
 class TestBasinOf:
+    """Which basin a pattern lands in, through terminal_states and the
+    basin keys that fitness scores."""
+
     def test_reference_pattern_reaches_all_ones(self):
-        tag, q = basin_of([0.8, 0.2, 0.2, 0.0], REFERENCE_RULES)
-        assert tag == "ok"
-        assert q == tuple(round(1.0 / at.BASIN_QUANTUM) for _ in range(4))
+        terms, conv = terminal_states([[0.8, 0.2, 0.2, 0.0]], REFERENCE_RULES,
+                                      max_steps=at.TERMINAL_MAX_STEPS)
+        assert conv[0]
+        np.testing.assert_allclose(terms[0], [1.0, 1.0, 1.0, 1.0], atol=1e-9)
 
     def test_identity_rules_keep_patterns_apart(self):
-        a = basin_of([0.1, 0.2], [204, 204])
-        b = basin_of([0.3, 0.4], [204, 204])
-        assert a != b and a[0] == b[0] == "ok"
+        patterns = np.array([[0.1, 0.2], [0.3, 0.4]])
+        assert fitness([204, 204], patterns, [1, 2]) == 1.0
 
     def test_constant_zero_rules_collapse_everything(self):
-        a = basin_of([0.1, 0.9], [0, 0])
-        b = basin_of([0.7, 0.3], [0, 0])
-        assert a == b == ("ok", (0, 0))
+        patterns = np.array([[0.1, 0.9], [0.7, 0.3]])
+        assert fitness([0, 0], patterns, [1, 2]) == 0.5
 
 
 class TestPurity:

@@ -155,6 +155,19 @@ class TestMeasureMi:
         assert 0.0 <= a.mean_mi <= 1.0
 
 
+class TestRuleVectorDiagnostics:
+    @pytest.mark.parametrize("rules", [[0] * 6, [204] * 6, [51] * 6,
+                                       [254, 85, 238, 51, 240, 170]])
+    def test_row_equals_separate_measurements(self, rules):
+        cfg = DiagnosticsConfig(window=6, run_steps=150, trials=4, rng_seed=9,
+                                mi_lag=2)
+        ent = measure_entropy(rules, cfg)
+        mi = measure_mi(rules, cfg)
+        assert diag.rule_vector_diagnostics(rules, cfg, generation=3) == {
+            "generation": 3, "n": 6, "mean_entropy": ent.mean_entropy,
+            "std_entropy": ent.std_dev, "mean_mi": mi.mean_mi}
+
+
 class TestConfigValidation:
     @pytest.mark.parametrize("kw", [dict(window=1), dict(run_steps=5, window=10),
                                     dict(trials=0), dict(binarize_threshold=0.0),

@@ -148,6 +148,21 @@ class TestEvolve:
         np.testing.assert_allclose(traj.attractor, [0.2, 0.8])
         assert traj.converged
 
+    def test_cycles_longer_than_two_agree_with_terminal_states(self):
+        for rules, period in (([5, 240], 4), ([1, 240], 3)):
+            traj = evolve([0.2, 0.7], rules, max_steps=50)
+            assert traj.terminal.kind == "cycle"
+            assert (traj.terminal.start, traj.terminal.period) == (0, period)
+            terms, conv = fuzzy_ca.terminal_states([[0.2, 0.7]], rules)
+            assert conv[0]
+            np.testing.assert_allclose(terms[0], traj.attractor, atol=1e-9)
+        np.testing.assert_allclose(evolve([0.2, 0.7], [5, 240]).attractor, [0.2, 0.7])
+
+    def test_cycle_entered_after_transient(self):
+        traj = evolve([0.2, 0.7, 0.4], [1, 240, 1], max_steps=50)
+        assert traj.terminal.kind == "cycle"
+        assert (traj.terminal.start, traj.terminal.period) == (1, 6)
+
     def test_truncated(self):
         # cell 1 climbs by 1e-3 per step: never fixed, never revisits
         traj = evolve([1e-3, 0.0], [204, 252], max_steps=5)

@@ -229,3 +229,25 @@ class TestMineReport:
         assert ("CA", "g1", 0, 3) in report.tandem_runs
         for _, occurrences, _ in report.rows:
             assert occurrences >= 1
+
+    def test_matches_brute_force_oracle_fuzz(self):
+        # counts by slicing at every start, tandem runs by the regex oracle;
+        # small alphabets make repeats common, and each band sees empty
+        # sequences and ones shorter than min_len
+        rng = np.random.default_rng(29)
+        for lo, hi in [(1, 1), (1, 3), (2, 5), (3, 3), (4, 9)]:
+            sequences = [("empty", ""), ("short", "ACGT"[:lo - 1])]
+            for i in range(40):
+                letters = list(ALPHABET[:int(rng.integers(1, 6))])
+                size = int(rng.integers(0, 60))
+                sequences.append((f"s{i}", "".join(rng.choice(letters, size=size))))
+            rows, runs = [], []
+            for sid, s in sequences:
+                for pattern in sorted(oracle_unique(s, lo, hi)):
+                    count = sum(s[i:i + len(pattern)] == pattern for i in range(len(s)))
+                    rows.append((pattern, count, sid))
+                    runs.extend((pattern, sid, start, copies)
+                                for start, copies in oracle_tandem(s, pattern))
+            report = mining.mine_report(sequences, PatternQuery(lo, hi))
+            assert report.rows == rows
+            assert report.tandem_runs == runs

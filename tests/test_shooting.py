@@ -3,7 +3,7 @@ feedback veto path, and an end-to-end scripted goal."""
 
 import pytest
 
-from matchdna.simulator import FieldConfig, Perception, World, run_match
+from matchdna.simulator import FieldConfig, Perception, run_match
 from matchdna import shooting
 from matchdna.shooting import ShootingPolicy
 
@@ -126,11 +126,3 @@ class TestScriptedGoal:
         goals = [e for e in log.events if e.kind == "goal" and e.team == "home"]
         assert goals, "scripted shooter should score within 500 cycles"
         assert log.score[0] >= 1
-
-    def test_run_shooting_behavior_helper(self):
-        cfg = FieldConfig(cycle_count=10, rng_seed=0, players_per_team=1,
-                          perception_jitter=False)
-        world = World(cfg, positions={"a": (40.0, 0.0, 0.0)}, ball=(43.0, 0.0))
-        policy = ShootingPolicy(cfg)
-        cmd = shooting.run_shooting_behavior("a", world, policy)
-        assert cmd is not None and cmd.kind in ("turn", "dash", "kick")
