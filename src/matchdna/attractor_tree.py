@@ -101,8 +101,8 @@ def _basin_ids(terminals, converged):
     grid).  Overflow marks trajectories that neither fixed nor revealed a
     short cycle within the step budget; they keep their last state."""
     q = np.round(terminals / BASIN_QUANTUM).astype(np.int64)
-    return [("ok" if converged[i] else "overflow", tuple(q[i]))
-            for i in range(len(q))]
+    return [("ok" if ok else "overflow", tuple(row))
+            for ok, row in zip(converged.tolist(), q.tolist())]
 
 
 def basin_purity(basin_ids, labels) -> float:
@@ -122,10 +122,25 @@ def basin_purity(basin_ids, labels) -> float:
     return total / len(basin_ids)
 
 
-def fitness(rules, patterns, labels, max_steps: int = TERMINAL_MAX_STEPS) -> float:
-    """Purity of the attractor-basin distribution induced by a rule vector."""
-    terms, conv = terminal_states(patterns, rules, max_steps=max_steps)
-    return basin_purity(_basin_ids(terms, conv), labels)
+def fitness(rules, patterns, labels, max_steps: int = TERMINAL_MAX_STEPS):
+    """Purity of the attractor-basin distribution induced by a rule vector.
+
+    A (P, n) rule matrix scores P rule vectors on the same subset in one
+    terminal_states call and returns an array of P purities; a single
+    rule vector (n,) is its one-row case and returns a float.
+    """
+    patterns = np.asarray(patterns, dtype=float)
+    if patterns.ndim != 2:
+        raise ValueError("fitness expects a 2-D pattern batch")
+    rule_rows = np.atleast_2d(rules)
+    m = len(patterns)
+    terms, conv = terminal_states(np.tile(patterns, (len(rule_rows), 1)),
+                                  np.repeat(rule_rows, m, axis=0),
+                                  max_steps=max_steps)
+    ids = _basin_ids(terms, conv)
+    purities = [basin_purity(ids[i * m:(i + 1) * m], labels)
+                for i in range(len(rule_rows))]
+    return np.array(purities) if np.ndim(rules) == 2 else purities[0]
 
 
 def group_basins(terminals, k: int, seed=0):
@@ -165,12 +180,21 @@ def group_basins(terminals, k: int, seed=0):
 
 
 def _evolve_rules(patterns, labels, ga: GaConfig, rng, on_generation=None) -> list:
-    """GA search for a rule vector maximizing basin purity on the subset."""
+    """GA search for a rule vector maximizing basin purity on the subset.
+
+    Each generation scores the rule vectors it has not seen yet in one
+    fitness call; the subset is fixed, so earlier scores are reused.
+    """
     n = patterns.shape[1]
     pop = rng.choice(_RULE_POOL, size=(ga.population_size, n))
     best_rules, best_fit = None, -1.0
+    scores = {}  # rule vector -> purity on this subset
     for gen in range(ga.generations):
-        fits = np.array([fitness(row, patterns, labels) for row in pop])
+        keys = [tuple(row) for row in pop.tolist()]
+        unseen = list(dict.fromkeys(k for k in keys if k not in scores))
+        if unseen:
+            scores.update(zip(unseen, fitness(np.array(unseen), patterns, labels)))
+        fits = np.array([scores[k] for k in keys])
         top = int(np.argmax(fits))
         if fits[top] > best_fit:
             best_fit, best_rules = float(fits[top]), pop[top].copy()

@@ -51,28 +51,57 @@ def _rule_terms(rule: int) -> tuple[bool, bool, bool, bool]:
                      f"{sorted(SUPPORTED_RULES)}")
 
 
-class RuleSet:
-    """A per-cell rule assignment, precompiled to neighbor masks.
+# rule number -> (left, self, right, complemented) masks, one row per
+# number so a whole rule matrix compiles with one lookup
+_MASK_TABLE = np.zeros((256, 4))
+_SUPPORTED_TABLE = np.zeros(256, dtype=bool)
+for _rule in SUPPORTED_RULES:
+    _MASK_TABLE[_rule] = _rule_terms(_rule)
+    _SUPPORTED_TABLE[_rule] = True
 
-    Wraps a sequence of rule numbers (one per cell) so that repeated
-    stepping is a handful of vectorized array operations.
+
+class RuleSet:
+    """A rule assignment, precompiled to neighbor masks.
+
+    Wraps a rule vector (n,), one rule number per cell, or a rule matrix
+    (m, n) whose row i is the rule vector of state row i; a matrix steps
+    an (m, n) batch only.  Either way repeated stepping is a handful of
+    vectorized array operations.
     """
 
     def __init__(self, rules):
-        rules = [int(r) for r in rules]
-        if not rules:
+        numbers = np.asarray(rules, dtype=np.int64)
+        if numbers.ndim not in (1, 2) or numbers.shape[-1] == 0:
             raise ValueError("rule vector must have at least one cell")
-        terms = [_rule_terms(r) for r in rules]
-        self.rules = rules
-        self.n = len(rules)
-        self._left = np.array([t[0] for t in terms], dtype=float)
-        self._self = np.array([t[1] for t in terms], dtype=float)
-        self._right = np.array([t[2] for t in terms], dtype=float)
-        self._comp = np.array([t[3] for t in terms], dtype=bool)
+        in_range = (numbers >= 0) & (numbers < len(_MASK_TABLE))
+        bad = ~in_range | ~_SUPPORTED_TABLE[np.where(in_range, numbers, 0)]
+        if bad.any():
+            _rule_terms(int(numbers[bad][0]))  # raises, naming the number
+        masks = _MASK_TABLE[numbers]
+        self._numbers = numbers
+        self.n = numbers.shape[-1]
+        self._left = masks[..., 0]
+        self._self = masks[..., 1]
+        self._right = masks[..., 2]
+        self._comp = masks[..., 3].astype(bool)
 
     @classmethod
     def coerce(cls, rules) -> "RuleSet":
         return rules if isinstance(rules, RuleSet) else cls(rules)
+
+    @property
+    def rules(self) -> list:
+        """The rule numbers: a list per cell, or a list of rows."""
+        return self._numbers.tolist()
+
+    @property
+    def is_matrix(self) -> bool:
+        return self._numbers.ndim == 2
+
+    def take(self, rows) -> "RuleSet":
+        """The rule rows that step the selected state rows; a rule vector
+        steps every row, so it is returned as is."""
+        return RuleSet(self._numbers[rows]) if self.is_matrix else self
 
     def __len__(self):
         return self.n
@@ -82,18 +111,23 @@ class RuleSet:
 
     def apply(self, state: np.ndarray) -> np.ndarray:
         """One synchronous update. Accepts a 1-D state or a 2-D batch
-        (rows are independent states)."""
+        (rows are independent states); a rule matrix needs a batch with
+        one row per rule row."""
         state = np.asarray(state, dtype=float)
         batch = state.ndim == 2
         s = state if batch else state[np.newaxis, :]
         if s.shape[1] != self.n:
             raise ValueError(f"state has {s.shape[1]} cells, rule vector has {self.n}")
-        left = np.zeros_like(s)
+        if self.is_matrix and (not batch or len(s) != len(self._numbers)):
+            raise ValueError(f"a {len(self._numbers)}-row rule matrix needs a "
+                             f"batch of {len(self._numbers)} states, got "
+                             f"shape {state.shape}")
+        left = np.zeros(s.shape)
         left[:, 1:] = s[:, :-1]
-        right = np.zeros_like(s)
+        right = np.zeros(s.shape)
         right[:, :-1] = s[:, 1:]
         nxt = np.minimum(1.0, left * self._left + s * self._self + right * self._right)
-        nxt[:, self._comp] = 1.0 - nxt[:, self._comp]
+        nxt = np.where(self._comp, 1.0 - nxt, nxt)
         return nxt if batch else nxt[0]
 
     def dependency_matrix(self) -> np.ndarray:
@@ -102,6 +136,8 @@ class RuleSet:
         Complemented rules read the same neighbors as their base rule.
         Neighbors beyond the array ends are dropped (null boundary).
         """
+        if self.is_matrix:
+            raise ValueError("dependency_matrix needs a single rule vector")
         n = self.n
         dep = np.zeros((n, n), dtype=bool)
         idx = np.arange(n)
@@ -164,7 +200,7 @@ class Trajectory:
             return self.states[self.terminal.index]
         if self.terminal.kind == "cycle":
             start = self.terminal.start
-            return _lexmin(self.states[start:start + self.terminal.period])
+            return _lexmin(self.states[start:start + self.terminal.period, None])[0]
         return self.states[-1]
 
     @property
@@ -172,10 +208,18 @@ class Trajectory:
         return self.terminal.kind != "truncated"
 
 
-def _lexmin(states):
-    """Cycle representative: the lexicographically smallest of `states`,
-    compared as raw floats."""
-    return min(states, key=tuple)
+def _lexmin(stack):
+    """Cycle representative of every row: the lexicographically smallest
+    of the k states stacked in a (k, m, n) array, compared as raw floats.
+    Ties keep the earliest, as min(states, key=tuple) does."""
+    best = stack[0]
+    rows = np.arange(best.shape[0])
+    for s in stack[1:]:
+        differ = best != s
+        col = differ.argmax(axis=1)  # first differing cell, 0 if none
+        smaller = differ[rows, col] & (s[rows, col] < best[rows, col])
+        best = np.where(smaller[:, None], s, best)
+    return best
 
 
 def evolve(state, rules, max_steps: int = 1000,
@@ -219,9 +263,12 @@ def terminal_states(patterns: np.ndarray, rules, max_steps: int = 200,
                     max_period: int = 32) -> tuple[np.ndarray, np.ndarray]:
     """Terminal representative for every row of a pattern batch.
 
-    Whole-batch stepping: fixed points and period-2 cycles are detected
-    as they occur; rows still live after max_steps are probed for cycles
-    up to max_period.  Anything longer counts as truncated.  Returns
+    `rules` is one rule vector (n,) for every row, or an (m, n) rule
+    matrix with one rule vector per pattern row, so many rule vectors
+    step together as one batch.  Whole-batch stepping: fixed points and
+    period-2 cycles are detected as they occur and their rows leave the
+    batch; rows still live after max_steps are probed for cycles up to
+    max_period.  Anything longer counts as truncated.  Returns
     (terminals, converged); cycle rows are represented by the
     lexicographically smallest state of the cycle, truncated rows by
     their last state.
@@ -230,47 +277,43 @@ def terminal_states(patterns: np.ndarray, rules, max_steps: int = 200,
     cur = np.array(patterns, dtype=float)
     if cur.ndim != 2:
         raise ValueError("terminal_states expects a 2-D pattern batch")
-    m = cur.shape[0]
-    done = np.zeros(m, dtype=bool)
-    converged = np.zeros(m, dtype=bool)
     out = cur.copy()
+    converged = np.zeros(cur.shape[0], dtype=bool)
+    live = np.arange(cur.shape[0])  # pattern row of each batch row
     prev = None
     for _ in range(max_steps):
-        act = ~done
-        if not act.any():
+        if not live.size:
             break
-        nxt = cur.copy()
-        nxt[act] = rs.apply(cur[act])
-        fixed = act & (np.abs(nxt - cur).max(axis=1) <= tolerance)
+        nxt = rs.apply(cur)
+        fixed = np.abs(nxt - cur).max(axis=1) <= tolerance
+        out[live[fixed]] = nxt[fixed]
+        done = fixed
         if prev is not None:
             # s(t+1) == s(t-1) means a 2-cycle through s(t)
-            cyc2 = act & ~fixed & (np.abs(nxt - prev).max(axis=1) <= tolerance)
-            for i in np.flatnonzero(cyc2):
-                out[i] = _lexmin([cur[i], nxt[i]])
-            done |= cyc2
-            converged |= cyc2
-        out[fixed] = nxt[fixed]
-        done |= fixed
-        converged |= fixed
+            cyc2 = ~fixed & (np.abs(nxt - prev).max(axis=1) <= tolerance)
+            if cyc2.any():
+                out[live[cyc2]] = _lexmin(np.stack([cur[cyc2], nxt[cyc2]]))
+                done = fixed | cyc2
         prev, cur = cur, nxt
-    live = np.flatnonzero(~done)
+        if done.any():
+            converged[live[done]] = True
+            keep = ~done
+            live, prev, cur, rs = live[keep], prev[keep], cur[keep], rs.take(keep)
     if live.size:
-        base = cur[live]
-        stack = [base]
+        stack = [cur]
         found = np.zeros(live.size, dtype=bool)
-        s = base
+        s = cur
         for _ in range(max_period):
             s = rs.apply(s)
-            hit = ~found & (np.abs(s - base).max(axis=1) <= tolerance)
-            for j in np.flatnonzero(hit):
-                out[live[j]] = _lexmin([st[j] for st in stack])
-                converged[live[j]] = True
-            found |= hit
+            hit = ~found & (np.abs(s - cur).max(axis=1) <= tolerance)
+            if hit.any():
+                out[live[hit]] = _lexmin(np.stack(stack)[:, hit])
+                converged[live[hit]] = True
+                found |= hit
             if found.all():
                 break
             stack.append(s)
-        for j in np.flatnonzero(~found):
-            out[live[j]] = base[j]  # truncated: keep the last state reached
+        out[live[~found]] = cur[~found]  # truncated: keep the last state reached
     return out, converged
 
 

@@ -248,7 +248,9 @@ def stage_simulate(config: dict, out_dir: Path) -> Path:
         away = ShootingPolicy(field_config, team=AWAY)
         match_log = run_match(home, away, field_config)
         if not match_log.valid:
-            raise RuntimeError(f"match {match_id} aborted mid-run")
+            error = match_log.error
+            raise RuntimeError(f"match {match_id} aborted at cycle {error['cycle']}: "
+                               f"{error['type']}: {error['message']}")
         rel = f"logs/{match_id}.jsonl"
         save_match_log(match_log, out_dir / rel)
         manifest.entries.append(ManifestEntry(match_id=match_id, log_path=rel))
@@ -316,6 +318,19 @@ def stage_encode(config: dict, out_dir: Path) -> Path:
     return manifest_path
 
 
+def _encoded_manifest(config: dict, out_dir: Path) -> CorpusManifest:
+    """The manifest of the encoded corpus.  Annotation window indices only
+    mean something at the window size they were encoded with, so the
+    manifest's window_cycles must equal the config's."""
+    manifest = load_manifest(out_dir / "manifest.json")
+    wanted = int(config["encode"]["window_cycles"])
+    if manifest.window_cycles != wanted:
+        raise ValueError(f"manifest window_cycles {manifest.window_cycles!r} does "
+                         f"not match config encode.window_cycles {wanted}; "
+                         "run the encode stage with this config")
+    return manifest
+
+
 def _load_corpus(out_dir: Path, manifest: CorpusManifest):
     """(game AnnotatedSequences, player AnnotatedSequences); players carry
     their game's events since window indices align."""
@@ -344,7 +359,7 @@ def stage_mine(config: dict, out_dir: Path) -> Path:
     """Mine player sequences for frequent patterns and tandem runs and
     score the motif tables against the annotated corpus."""
     params = config["mine"]
-    manifest = load_manifest(out_dir / "manifest.json")
+    manifest = _encoded_manifest(config, out_dir)
     manifest.validate(out_dir)
     games, players = _load_corpus(out_dir, manifest)
 
@@ -422,7 +437,7 @@ def stage_train_fmaca(config: dict, out_dir: Path) -> Path:
     from the corpus plus the motif-table exemplars."""
     params = config["train_fmaca"]
     window = int(params["window"])
-    manifest = load_manifest(out_dir / "manifest.json")
+    manifest = _encoded_manifest(config, out_dir)
     _games, players = _load_corpus(out_dir, manifest)
 
     samples = _motif_windows(window) + _corpus_windows(players, window)
@@ -492,7 +507,7 @@ def stage_train_lcs(config: dict, out_dir: Path) -> Path:
     if env_name == "oracle":
         environment = SuffixOracleEnvironment(lcs_config)
     elif env_name == "match":
-        manifest = load_manifest(out_dir / "manifest.json")
+        manifest = _encoded_manifest(config, out_dir)
         _games, players = _load_corpus(out_dir, manifest)
         stats = _miner_stats_from_report(out_dir / "mining" / "report.json")
         try:

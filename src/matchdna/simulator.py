@@ -194,6 +194,7 @@ class MatchLog:
     score: tuple = (0, 0)
     outcome: str = "draw"
     valid: bool = True
+    error: dict | None = None  # why an invalid log stopped: type, message, cycle
 
 
 def _nearest_holder(agents, ball, kickable):
@@ -417,7 +418,8 @@ def run_match(home_policy, away_policy, config: FieldConfig,
 
     Policies expose act(agent_id, perceptions, cycle) returning a Command,
     a list of Commands, or None; a policy of None idles its team.  If a
-    policy raises, the partial log is returned flagged invalid.
+    cycle raises, the partial log is returned flagged invalid, with the
+    exception's type and message and the cycle in `error`.
     """
     world = World(config, positions=positions, ball=ball)
     log = MatchLog(config=config)
@@ -439,8 +441,10 @@ def run_match(home_policy, away_policy, config: FieldConfig,
                     world.submit_command(aid, cmd, cycle)
             log.events.extend(world.step())
             log.per_cycle_states.append(world.snapshot())
-    except Exception:
+    except Exception as err:
         log.valid = False
+        log.error = {"type": type(err).__name__, "message": str(err),
+                     "cycle": world.cycle}
     log.score = (world.score[HOME], world.score[AWAY])
     if log.score[0] > log.score[1]:
         log.outcome = "home_win"
@@ -486,9 +490,10 @@ def log_to_jsonl(log: MatchLog) -> str:
                         "vx": _r6(ball.vx), "vy": _r6(ball.vy)},
                "events": events_by_cycle.get(cycle, [])}
         lines.append(_dumps(row))
-    lines.append(_dumps({"outcome": log.outcome,
-                         "score": list(log.score),
-                         "valid": log.valid}))
+    tail = {"outcome": log.outcome, "score": list(log.score), "valid": log.valid}
+    if not log.valid:
+        tail["error"] = log.error
+    lines.append(_dumps(tail))
     return "\n".join(lines) + "\n"
 
 
@@ -511,6 +516,7 @@ def load_match_log(path) -> MatchLog:
     log.outcome = tail["outcome"]
     log.score = tuple(tail["score"])
     log.valid = tail.get("valid", True)
+    log.error = tail.get("error")
     for row in lines[1:-1]:
         agents = [AgentState(d["id"], d["team"], d["x"], d["y"],
                              d["heading"], d.get("speed", 0.0))

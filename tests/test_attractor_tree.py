@@ -21,8 +21,10 @@ from matchdna.attractor_tree import (
     fit_window_classifier,
     fitness,
     group_basins,
+    tree_to_dict,
 )
-from matchdna.fuzzy_ca import terminal_states
+from matchdna.diagnostics import DiagnosticsConfig, ga_diagnostics
+from matchdna.fuzzy_ca import SUPPORTED_RULES, terminal_states
 
 REFERENCE_RULES = [238, 254, 238, 252]
 
@@ -66,6 +68,72 @@ class TestBasinOf:
     def test_constant_zero_rules_collapse_everything(self):
         patterns = np.array([[0.1, 0.9], [0.7, 0.3]])
         assert fitness([0, 0], patterns, [1, 2]) == 0.5
+
+
+def make_contradictory_dataset():
+    """Twelve 3-cell patterns on the 0.2 grid; the first two appear again
+    under the other label, so no tree can classify every row."""
+    rng = np.random.default_rng(2024)
+    levels = np.array([0.0, 0.2, 0.4, 0.6, 0.8])
+    patterns = levels[rng.integers(0, 5, size=(10, 3))]
+    labels = (patterns.sum(axis=1) > 1.0).astype(int) + 1
+    return (np.vstack([patterns, patterns[:2]]),
+            np.concatenate([labels, 3 - labels[:2]]))
+
+
+class TestGaPinned:
+    """GA outputs recorded before fitness was batched and memoized; the
+    batch must not move the GA's trajectory."""
+
+    def test_tree(self):
+        patterns, labels = make_contradictory_dataset()
+        tree = build_tree(patterns, labels, K=2,
+                          ga=GaConfig(population_size=8, generations=5, rng_seed=3))
+        assert tree_to_dict(tree)["root"] == {
+            "kind": "internal", "rules": [15, 15, 3], "k": 2,
+            "centroids": [[1.0, 0.0, 0.0], [1.0, 0.0, 0.26666666666666666]],
+            "children": {
+                "0": {"kind": "internal", "rules": [1, 17, 238], "k": 2,
+                      "centroids": [[0.0, 0.0, 0.30000000000000004],
+                                    [0.0, 0.22857142857142856, 0.05714285714285715]],
+                      "children": {
+                          "0": {"kind": "leaf", "label": 1, "pure": True, "size": 2},
+                          "1": {"kind": "internal", "rules": [250, 5, 15], "k": 1,
+                                "centroids": [[0.0, 0.0, 1.0]],
+                                "children": {"0": {"kind": "leaf", "label": 1,
+                                                   "pure": False, "size": 7}}}}},
+                "1": {"kind": "leaf", "label": 2, "pure": True, "size": 3}}}
+
+    def test_generation_bests(self):
+        patterns, labels = make_contradictory_dataset()
+        bests = []
+        rules = at._evolve_rules(patterns, labels,
+                                 GaConfig(population_size=8, generations=6, rng_seed=3),
+                                 np.random.default_rng(11),
+                                 on_generation=lambda g, r, f: bests.append((g, r, f)))
+        assert rules == [170, 1, 204]
+        assert bests == [(0, [85, 204, 204], 0.75)] + \
+            [(g, [170, 1, 204], 0.8333333333333334) for g in range(1, 6)]
+
+    def test_ga_diagnostics_rows(self):
+        # the pipeline's default diagnose settings at seed 0
+        rows = ga_diagnostics(8, GaConfig(population_size=30, generations=12, rng_seed=3),
+                              DiagnosticsConfig(window=10, run_steps=400, trials=5,
+                                                rng_seed=3))
+        assert rows == [{"generation": 0, "n": 8,
+                         "mean_entropy": 0.5754128037676634,
+                         "std_entropy": 5.1093920761763045e-05,
+                         "mean_mi": 0.14388449474169213}]
+
+    def test_fitness_of_rule_matrix_is_per_row_fitness(self):
+        patterns, labels = make_contradictory_dataset()
+        rng = np.random.default_rng(8)
+        rules = rng.choice(sorted(SUPPORTED_RULES), size=(16, 3))
+        rules[5] = rules[2]  # a repeated vector scores the same
+        scores = fitness(rules, patterns, labels)
+        assert isinstance(scores, np.ndarray) and scores.shape == (16,)
+        assert scores.tolist() == [fitness(r, patterns, labels) for r in rules]
+        assert isinstance(fitness(rules[0], patterns, labels), float)
 
 
 class TestPurity:

@@ -212,6 +212,76 @@ class TestTerminalStates:
         np.testing.assert_allclose(terms[1], [0.0, 0.0])
 
 
+class TestRuleMatrix:
+    """terminal_states with an (m, n) rule matrix: row i steps under its
+    own rule vector, exactly as a per-vector call would step it."""
+
+    # (rules, pattern, converged): a fixed point, a 2-cycle, a period-4
+    # cycle only the probe finds, and a climb that never settles
+    PLANTED = [([204, 204], [0.2, 0.6], True),
+               ([51, 51], [0.2, 0.8], True),
+               ([5, 240], [0.2, 0.7], True),
+               ([204, 252], [1e-3, 0.0], False)]
+
+    @staticmethod
+    def assert_rows_match(patterns, rule_rows, **kw):
+        terms, conv = fuzzy_ca.terminal_states(patterns, rule_rows, **kw)
+        for i, (pattern, rules) in enumerate(zip(patterns, rule_rows)):
+            t1, c1 = fuzzy_ca.terminal_states([pattern], rules, **kw)
+            assert np.array_equal(terms[i], t1[0]), (i, rules)
+            assert conv[i] == c1[0], (i, rules)
+        return terms, conv
+
+    def test_planted_terminal_kinds(self):
+        rules = np.array([r for r, _p, _c in self.PLANTED])
+        patterns = np.array([p for _r, p, _c in self.PLANTED])
+        terms, conv = self.assert_rows_match(patterns, rules, max_steps=20,
+                                             max_period=8)
+        assert conv.tolist() == [c for _r, _p, c in self.PLANTED]
+        np.testing.assert_allclose(terms[1], [0.2, 0.8])
+        np.testing.assert_allclose(terms[2], [0.2, 0.7])
+
+    def test_rows_match_per_vector_calls(self):
+        rng = np.random.default_rng(314)
+        pool = np.array(sorted(SUPPORTED_RULES))
+        seen = set()
+        for trial in range(120):
+            n = int(rng.integers(1, 8))
+            m = int(rng.integers(1, 12))
+            if trial % 2:
+                patterns = rng.integers(0, 6, size=(m, n)) * 0.2
+            else:
+                patterns = rng.random((m, n))
+            rules = rng.choice(pool, size=(m, n))
+            max_steps = int(rng.choice([3, 20, 80]))
+            max_period = int(rng.choice([2, 8, 32]))
+            _terms, conv = self.assert_rows_match(
+                patterns, rules, max_steps=max_steps, max_period=max_period)
+            seen.update(conv.tolist())
+        assert seen == {True, False}
+
+    def test_one_rule_vector_per_pattern_row(self):
+        with pytest.raises(ValueError):
+            fuzzy_ca.terminal_states(np.zeros((3, 2)), [[204, 204], [51, 51]])
+
+    def test_unsupported_rule_inside_matrix_raises(self):
+        batch = np.zeros((2, 3))
+        for bad in (30, 256, -1):
+            with pytest.raises(ValueError, match="unsupported rule"):
+                fuzzy_ca.terminal_states(batch, [[204, 204, 204], [204, bad, 204]])
+
+    def test_lexmin_matches_tuple_min(self):
+        # grid values make ties within rows and whole equal states common
+        rng = np.random.default_rng(5)
+        for _ in range(200):
+            k, m, n = (int(v) for v in rng.integers(1, 6, size=3))
+            stack = rng.integers(0, 3, size=(k, m, n)) * 0.5
+            best = fuzzy_ca._lexmin(stack)
+            for j in range(m):
+                want = min(list(stack[:, j]), key=tuple)
+                assert np.array_equal(best[j], want)
+
+
 class TestRuleVectorText:
     def test_round_trip(self):
         text = "238, 254,238,252"

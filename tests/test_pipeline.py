@@ -247,6 +247,37 @@ class TestPipelineRun:
             run_stage("mine", config, tmp_path)  # encode never ran
         assert (tmp_path / "logs/m000.jsonl").read_bytes() == log_bytes
 
+    def test_aborted_match_names_cause_and_cycle(self, tmp_path, monkeypatch):
+        class FailsAtCycle:
+            def __init__(self, field_config, team):
+                pass
+
+            def act(self, agent_id, perceptions, cycle):
+                if cycle == 12:
+                    raise ValueError("policy lost the ball")
+                return None
+        monkeypatch.setattr(pipeline, "ShootingPolicy", FailsAtCycle)
+        with pytest.raises(StageError) as err:
+            run_stage("simulate", smoke_config(tmp_path), tmp_path)
+        assert isinstance(err.value.cause, RuntimeError)
+        assert str(err.value.cause) == ("match m000 aborted at cycle 12: "
+                                        "ValueError: policy lost the ball")
+
+    def test_window_cycles_checked_against_manifest(self, tmp_path):
+        config = smoke_config(tmp_path)
+        for stage in ("simulate", "encode"):
+            run_stage(stage, config, tmp_path)
+        path = tmp_path / "manifest.json"
+        doc = json.loads(path.read_text())
+        doc["window_cycles"] = 20
+        path.write_text(json.dumps(doc))
+        for stage in ("mine", "train-fmaca", "train-lcs"):
+            with pytest.raises(StageError) as err:
+                run_stage(stage, config, tmp_path)
+            assert isinstance(err.value.cause, ValueError)
+            assert "window_cycles 20" in str(err.value)
+            assert "window_cycles 10" in str(err.value)
+
     def test_mining_report_contents(self, pipeline_dir):
         out, _config, _artifacts = pipeline_dir
         doc = json.loads((out / "mining/report.json").read_text())

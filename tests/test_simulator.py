@@ -254,6 +254,26 @@ class TestRunMatch:
         log = run_match(Boom(), None, small_config(cycle_count=20))
         assert not log.valid
 
+    def test_abort_records_cause_and_cycle(self, tmp_path):
+        class FailsAtSeven:
+            def act(self, agent_id, perceptions, cycle):
+                if cycle == 7:
+                    raise KeyError("no such agent")
+                return None
+        log = run_match(None, FailsAtSeven(), small_config(cycle_count=20))
+        assert not log.valid
+        assert log.error == {"type": "KeyError", "message": "'no such agent'",
+                             "cycle": 7}
+        assert len(log.per_cycle_states) == 7
+        path = tmp_path / "aborted.jsonl"
+        sim.save_match_log(log, path)
+        assert load_match_log(path).error == log.error
+
+    def test_valid_log_tail_has_no_error_field(self):
+        log = run_match(None, None, small_config(cycle_count=5))
+        tail = log_to_jsonl(log).splitlines()[-1]
+        assert tail == '{"outcome":"draw","score":[0,0],"valid":true}'
+
     def test_replay_determinism(self):
         cfg = small_config(cycle_count=60, perception_jitter=True, rng_seed=9)
         a = run_match(Barrage(1), Barrage(2), cfg)
