@@ -2,13 +2,15 @@
 
 Every subcommand is a thin wrapper over one library call, reading and
 writing the artifact files the pipeline stages exchange.  Global flags:
---config (JSON run config), --seed, --out-dir, --verbose.
+--config (JSON run config), --seed, --out-dir, --verbose.  The six stage
+subcommands share one handler: their flags override keys of the stage's
+config section (_STAGE_FLAGS), and a per-stage printer summarizes the
+artifact the stage wrote.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import logging
 import sys
 from pathlib import Path
@@ -109,42 +111,58 @@ def _resolve(args, stage_overrides: dict | None = None) -> dict:
     return pipeline.resolve_config(file_config, overrides)
 
 
-def _section(name: str, pairs) -> dict:
-    values = {key: value for key, value in pairs if value is not None}
-    return {name: values} if values else {}
-
-
-def _print_rates(report_path: Path) -> None:
-    with open(report_path) as fh:
-        doc = json.load(fh)
+def _print_rates(report_path) -> None:
+    doc = pipeline._read_json(report_path, pipeline.REPORT_SCHEMA_VERSION,
+                              "mining report")
     for row in doc["motif_rates"]:
         rate = "n/a" if row["rate"] is None else f"{row['rate']:.1f}%"
         print(f"{row['label']:>6} {row['template']:<6} "
               f"band {row['band']:>4}: {rate}")
 
 
-def _cmd_simulate(args) -> int:
-    config = _resolve(args, _section("simulate", [
-        ("matches", args.matches), ("cycles", args.cycles),
-        ("players_per_team", args.players)]))
-    path = pipeline.run_stage("simulate", config, config["out_dir"])
-    print(f"wrote {path}")
-    return 0
+def _print_fmaca(tree_path) -> None:
+    doc = pipeline._read_json(Path(tree_path).with_name("metrics.json"),
+                              pipeline.REPORT_SCHEMA_VERSION, "fmaca metrics")
+    print(f"training accuracy {doc['training_accuracy']:.3f} "
+          f"on {doc['n_windows']} windows (depth {doc['tree_depth']})")
 
 
-def _cmd_encode(args) -> int:
-    config = _resolve(args, _section("encode", [("window_cycles", args.window)]))
-    path = pipeline.run_stage("encode", config, config["out_dir"])
-    print(f"wrote {path}")
-    return 0
+def _print_curve(curve_path) -> None:
+    curve = Path(curve_path).read_text().strip().splitlines()
+    if len(curve) > 2:
+        iteration, proportion = curve[-1].split(",")
+        print(f"proportion_correct {float(proportion):.3f} "
+              f"at iteration {iteration}")
 
 
-def _cmd_mine(args) -> int:
-    config = _resolve(args, _section("mine", [
-        ("min_len", args.min_len), ("max_len", args.max_len),
-        ("top_patterns", args.top)]))
-    path = pipeline.run_stage("mine", config, config["out_dir"])
-    _print_rates(path)
+def _print_edge_of_chaos(_path) -> None:
+    print(f"edge-of-chaos entropy reference: {EDGE_OF_CHAOS_ENTROPY}")
+
+
+# stage subcommand -> ({flag dest: key in the stage's config section},
+# summary printer called with the stage's artifact path, or None)
+_STAGE_FLAGS = {
+    "simulate": ({"matches": "matches", "cycles": "cycles",
+                  "players": "players_per_team"}, None),
+    "encode": ({"window": "window_cycles"}, None),
+    "mine": ({"min_len": "min_len", "max_len": "max_len",
+              "top": "top_patterns"}, _print_rates),
+    "train-fmaca": ({}, _print_fmaca),
+    "train-lcs": ({"env": "env", "iters": "iters", "ga_period": "ga_period"},
+                  _print_curve),
+    "diagnose": ({"cells": "n_cells", "generations": "generations"},
+                 _print_edge_of_chaos),
+}
+
+
+def _cmd_stage(args) -> int:
+    flags, summarize = _STAGE_FLAGS[args.command]
+    section = {key: getattr(args, dest) for dest, key in flags.items()
+               if getattr(args, dest) is not None}
+    config = _resolve(args, {args.command.replace("-", "_"): section})
+    path = pipeline.run_stage(args.command, config, config["out_dir"])
+    if summarize is not None:
+        summarize(path)
     print(f"wrote {path}")
     return 0
 
@@ -184,18 +202,6 @@ def _cmd_fca_run(args) -> int:
     return 0
 
 
-def _cmd_train_fmaca(args) -> int:
-    config = _resolve(args)
-    path = pipeline.run_stage("train-fmaca", config, config["out_dir"])
-    metrics = Path(config["out_dir"]) / "fmaca" / "metrics.json"
-    with open(metrics) as fh:
-        doc = json.load(fh)
-    print(f"training accuracy {doc['training_accuracy']:.3f} "
-          f"on {doc['n_windows']} windows (depth {doc['tree_depth']})")
-    print(f"wrote {path}")
-    return 0
-
-
 def _cmd_feedback(args) -> int:
     config = _resolve(args)
     tree_path = args.tree or Path(config["out_dir"]) / "fmaca" / "tree.json"
@@ -208,29 +214,6 @@ def _cmd_feedback(args) -> int:
     return 0
 
 
-def _cmd_train_lcs(args) -> int:
-    config = _resolve(args, _section("train_lcs", [
-        ("env", args.env), ("iters", args.iters),
-        ("ga_period", args.ga_period)]))
-    path = pipeline.run_stage("train-lcs", config, config["out_dir"])
-    curve = Path(path).read_text().strip().splitlines()
-    if len(curve) > 2:
-        iteration, proportion = curve[-1].split(",")
-        print(f"proportion_correct {float(proportion):.3f} "
-              f"at iteration {iteration}")
-    print(f"wrote {path}")
-    return 0
-
-
-def _cmd_diagnose(args) -> int:
-    config = _resolve(args, _section("diagnose", [
-        ("n_cells", args.cells), ("generations", args.generations)]))
-    path = pipeline.run_stage("diagnose", config, config["out_dir"])
-    print(f"edge-of-chaos entropy reference: {EDGE_OF_CHAOS_ENTROPY}")
-    print(f"wrote {path}")
-    return 0
-
-
 def _cmd_pipeline(args) -> int:
     config = _resolve(args)
     artifacts = pipeline.pipeline_run(config)
@@ -240,15 +223,10 @@ def _cmd_pipeline(args) -> int:
 
 
 _HANDLERS = {
-    "simulate": _cmd_simulate,
-    "encode": _cmd_encode,
-    "mine": _cmd_mine,
+    **dict.fromkeys(_STAGE_FLAGS, _cmd_stage),
     "motifs": _cmd_motifs,
     "fca-run": _cmd_fca_run,
-    "train-fmaca": _cmd_train_fmaca,
     "feedback": _cmd_feedback,
-    "train-lcs": _cmd_train_lcs,
-    "diagnose": _cmd_diagnose,
     "pipeline": _cmd_pipeline,
 }
 
@@ -260,10 +238,7 @@ def main(argv=None) -> int:
         format="%(levelname)s %(name)s: %(message)s")
     try:
         return _HANDLERS[args.command](args)
-    except pipeline.StageError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return 1
-    except (ValueError, OSError) as err:
+    except (pipeline.StageError, ValueError, OSError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 1
 

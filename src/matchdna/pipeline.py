@@ -163,11 +163,27 @@ def load_config_file(path) -> dict:
         return json.load(fh)
 
 
+# ----- JSON artifacts -------------------------------------------------------
+
+def _write_json(path, doc: dict) -> None:
+    with open(path, "w") as fh:
+        json.dump(doc, fh, indent=1, sort_keys=True)
+        fh.write("\n")
+
+
+def _read_json(path, version: int, what: str) -> dict:
+    """A JSON artifact, refused unless it declares the schema_version this
+    code writes."""
+    with open(path) as fh:
+        doc = json.load(fh)
+    if doc.get("schema_version") != version:
+        raise ValueError(f"unsupported {what} schema_version")
+    return doc
+
+
 def write_resolved_config(config: dict, out_dir: Path) -> Path:
     path = out_dir / "config.resolved.json"
-    with open(path, "w") as fh:
-        json.dump(config, fh, indent=1, sort_keys=True)
-        fh.write("\n")
+    _write_json(path, config)
     return path
 
 
@@ -201,22 +217,16 @@ class CorpusManifest:
 
 
 def save_manifest(manifest: CorpusManifest, path) -> None:
-    doc = {
+    _write_json(path, {
         "schema_version": MANIFEST_SCHEMA_VERSION,
         "created_at": manifest.created_at,
         "window_cycles": manifest.window_cycles,
         "entries": [vars(e) for e in manifest.entries],
-    }
-    with open(path, "w") as fh:
-        json.dump(doc, fh, indent=1, sort_keys=True)
-        fh.write("\n")
+    })
 
 
 def load_manifest(path) -> CorpusManifest:
-    with open(path) as fh:
-        doc = json.load(fh)
-    if doc.get("schema_version") != MANIFEST_SCHEMA_VERSION:
-        raise ValueError("unsupported manifest schema_version")
+    doc = _read_json(path, MANIFEST_SCHEMA_VERSION, "manifest")
     return CorpusManifest(
         window_cycles=doc["window_cycles"],
         created_at=doc["created_at"],
@@ -302,14 +312,12 @@ def stage_encode(config: dict, out_dir: Path) -> Path:
         seq_rel = f"sequences/{entry.match_id}.fasta"
         sequences.write_fasta([game] + players, out_dir / seq_rel)
         ann_rel = f"annotations/{entry.match_id}.json"
-        with open(out_dir / ann_rel, "w") as fh:
-            json.dump({
-                "schema_version": REPORT_SCHEMA_VERSION,
-                "match_id": entry.match_id,
-                "window_cycles": window_cycles,
-                "events": annotate_log(match_log, window_cycles),
-            }, fh, indent=1, sort_keys=True)
-            fh.write("\n")
+        _write_json(out_dir / ann_rel, {
+            "schema_version": REPORT_SCHEMA_VERSION,
+            "match_id": entry.match_id,
+            "window_cycles": window_cycles,
+            "events": annotate_log(match_log, window_cycles),
+        })
         entry.sequence_path = seq_rel
         entry.annotations_path = ann_rel
     manifest.window_cycles = window_cycles
@@ -319,21 +327,25 @@ def stage_encode(config: dict, out_dir: Path) -> Path:
 
 
 def _encoded_manifest(config: dict, out_dir: Path) -> CorpusManifest:
-    """The manifest of the encoded corpus.  Annotation window indices only
-    mean something at the window size they were encoded with, so the
-    manifest's window_cycles must equal the config's."""
+    """The validated manifest of the encoded corpus.  Annotation window
+    indices only mean something at the window size they were encoded
+    with, so the manifest's window_cycles must equal the config's."""
     manifest = load_manifest(out_dir / "manifest.json")
     wanted = int(config["encode"]["window_cycles"])
     if manifest.window_cycles != wanted:
         raise ValueError(f"manifest window_cycles {manifest.window_cycles!r} does "
                          f"not match config encode.window_cycles {wanted}; "
                          "run the encode stage with this config")
+    manifest.validate(out_dir)
     return manifest
 
 
 def _load_corpus(out_dir: Path, manifest: CorpusManifest):
     """(game AnnotatedSequences, player AnnotatedSequences); players carry
-    their game's events since window indices align."""
+    their game's events since window indices align.  A sequence file must
+    hold its game first and then players of the game's length over the
+    action alphabet, and every event window must fall inside the game;
+    otherwise a ValueError names the file."""
     games = []
     players = []
     for entry in manifest.entries:
@@ -341,17 +353,27 @@ def _load_corpus(out_dir: Path, manifest: CorpusManifest):
             raise FileNotFoundError(
                 f"match {entry.match_id} has no encoded sequences; "
                 "run the encode stage first")
-        with open(out_dir / entry.annotations_path) as fh:
-            doc = json.load(fh)
-        if doc.get("schema_version") != REPORT_SCHEMA_VERSION:
-            raise ValueError("unsupported annotations schema_version")
+        ann_path = out_dir / entry.annotations_path
+        doc = _read_json(ann_path, REPORT_SCHEMA_VERSION, "annotations")
         events = [(int(w), str(label)) for w, label in doc["events"]]
-        for header, letters in sequences.read_fasta(out_dir / entry.sequence_path):
-            seq = AnnotatedSequence(header, letters, events)
-            if header.startswith("game:"):
-                games.append(seq)
-            else:
-                players.append(seq)
+        seq_path = out_dir / entry.sequence_path
+        records = sequences.read_fasta(seq_path)
+        if not records or not records[0][0].startswith("game:"):
+            raise ValueError(f"{seq_path}: the first sequence is not a game")
+        n_windows = len(records[0][1])
+        games.append(AnnotatedSequence(*records[0], events))
+        for header, letters in records[1:]:
+            if not set(letters) <= set(sequences.ALPHABET):
+                raise ValueError(f"{seq_path}: {header} has letters outside "
+                                 f"{sequences.ALPHABET!r}")
+            if len(letters) != n_windows:
+                raise ValueError(f"{seq_path}: {header} has {len(letters)} "
+                                 f"windows, its game {n_windows}")
+            players.append(AnnotatedSequence(header, letters, events))
+        for window, _label in events:
+            if not 0 <= window < n_windows:
+                raise ValueError(f"{ann_path}: event window {window} is "
+                                 f"outside the game's {n_windows} windows")
     return games, players
 
 
@@ -360,7 +382,6 @@ def stage_mine(config: dict, out_dir: Path) -> Path:
     score the motif tables against the annotated corpus."""
     params = config["mine"]
     manifest = _encoded_manifest(config, out_dir)
-    manifest.validate(out_dir)
     games, players = _load_corpus(out_dir, manifest)
 
     query = PatternQuery(int(params["min_len"]), int(params["max_len"]))
@@ -387,16 +408,14 @@ def stage_mine(config: dict, out_dir: Path) -> Path:
     mining_dir = out_dir / "mining"
     mining_dir.mkdir(exist_ok=True)
     path = mining_dir / "report.json"
-    with open(path, "w") as fh:
-        json.dump({
-            "schema_version": REPORT_SCHEMA_VERSION,
-            "query": {"min_len": query.min_len, "max_len": query.max_len},
-            "lookback": lookback,
-            "patterns": top,
-            "tandem_runs": report.tandem_runs,
-            "motif_rates": rates,
-        }, fh, indent=1, sort_keys=True)
-        fh.write("\n")
+    _write_json(path, {
+        "schema_version": REPORT_SCHEMA_VERSION,
+        "query": {"min_len": query.min_len, "max_len": query.max_len},
+        "lookback": lookback,
+        "patterns": top,
+        "tandem_runs": report.tandem_runs,
+        "motif_rates": rates,
+    })
     return path
 
 
@@ -440,15 +459,10 @@ def stage_train_fmaca(config: dict, out_dir: Path) -> Path:
     manifest = _encoded_manifest(config, out_dir)
     _games, players = _load_corpus(out_dir, manifest)
 
-    samples = _motif_windows(window) + _corpus_windows(players, window)
-    seen = set()
-    windows, labels = [], []
-    for text, label in samples:
-        if (text, label) in seen:
-            continue
-        seen.add((text, label))
-        windows.append(text)
-        labels.append(label)
+    samples = list(dict.fromkeys(_motif_windows(window)
+                                 + _corpus_windows(players, window)))
+    windows = [text for text, _label in samples]
+    labels = [label for _text, label in samples]
 
     ga = GaConfig(population_size=int(params["population_size"]),
                   generations=int(params["generations"]),
@@ -456,21 +470,20 @@ def stage_train_fmaca(config: dict, out_dir: Path) -> Path:
     tree = fit_window_classifier(windows, labels, ga=ga)
 
     predicted = classify_batch(tree, np.array([encode_window(w) for w in windows]))
-    wanted = np.array([1 if label == GOAL else 2 for label in labels])
+    class_ids = {name: cid for cid, name in tree.class_names.items()}
+    wanted = np.array([class_ids[label] for label in labels])
     accuracy = float((predicted == wanted).mean())
 
     fmaca_dir = out_dir / "fmaca"
     fmaca_dir.mkdir(exist_ok=True)
     tree_path = fmaca_dir / "tree.json"
     save_tree(tree, tree_path)
-    with open(fmaca_dir / "metrics.json", "w") as fh:
-        json.dump({
-            "schema_version": REPORT_SCHEMA_VERSION,
-            "n_windows": len(windows),
-            "training_accuracy": round(accuracy, 6),
-            "tree_depth": tree.depth(),
-        }, fh, indent=1, sort_keys=True)
-        fh.write("\n")
+    _write_json(fmaca_dir / "metrics.json", {
+        "schema_version": REPORT_SCHEMA_VERSION,
+        "n_windows": len(windows),
+        "training_accuracy": round(accuracy, 6),
+        "tree_depth": tree.depth(),
+    })
     log.info("fmaca training accuracy %.3f on %d windows", accuracy, len(windows))
     return tree_path
 
@@ -489,10 +502,7 @@ def _lcs_config(params: dict) -> LcsConfig:
 
 
 def _miner_stats_from_report(path) -> MinerStats:
-    with open(path) as fh:
-        doc = json.load(fh)
-    if doc.get("schema_version") != REPORT_SCHEMA_VERSION:
-        raise ValueError("unsupported mining report schema_version")
+    doc = _read_json(path, REPORT_SCHEMA_VERSION, "mining report")
     patterns = [(str(p), int(c)) for p, c in doc["patterns"]]
     return MinerStats(patterns=patterns, motifs=list(DEFAULT_MOTIFS))
 
@@ -608,7 +618,5 @@ def build_corpus(n_matches: int, config: dict | None = None,
     out = Path(out_dir if out_dir is not None else resolved["out_dir"])
     out.mkdir(parents=True, exist_ok=True)
     run_stage("simulate", resolved, out)
-    manifest_path = run_stage("encode", resolved, out)
-    manifest = load_manifest(manifest_path)
-    manifest.validate(out)
-    return manifest
+    run_stage("encode", resolved, out)
+    return _encoded_manifest(resolved, out)

@@ -167,8 +167,10 @@ def parse_fasta(text: str) -> list:
     header = None
     for raw in text.splitlines():
         line = raw.strip()
-        if not line or line.startswith("#"):
+        if not line or line == SCHEMA_HEADER:
             continue
+        if line.startswith("#"):
+            raise ValueError(f"unsupported FASTA schema header {line!r}")
         if line.startswith(">"):
             header = line[1:]
             entries.append((header, ""))
@@ -187,4 +189,8 @@ def write_fasta(entries, path):
 
 def read_fasta(path) -> list:
     with open(path) as fh:
-        return parse_fasta(fh.read())
+        text = fh.read()
+    try:
+        return parse_fasta(text)
+    except ValueError as err:
+        raise ValueError(f"{path}: {err}") from None

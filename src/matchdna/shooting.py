@@ -23,7 +23,6 @@ from .simulator import (
     Command,
     FieldConfig,
     HOME,
-    change_view,
     dash,
     kick,
     normalize_heading,
@@ -38,8 +37,6 @@ SHOOT = "shoot"
 
 ROUND_CLOCKWISE = "AGGGT"       # goal to the right
 ROUND_COUNTERCW = "AAACT"       # goal to the left
-CAMERA_CLOCKWISE = "ACCCT"      # camera-toward-ball companion macros;
-CAMERA_COUNTERCW = "TTTAC"      # issued as a single change_view stub
 ALIGN_MACRO = "ATACT"
 SHOOT_MACRO = "AATAA"
 
@@ -56,22 +53,15 @@ class _AgentMemory:
     flip: bool = False           # set by a vetoed shot; reverses round side
     letters: list = field(default_factory=list)
     last_perception: object = None
-    pending_camera: str = ""
 
 
 class ShootingPolicy:
     """One policy instance drives any number of agents of one team."""
 
-    def __init__(self, config: FieldConfig, team: str = HOME, feedback=None,
-                 fov_half: float = FOV_HALF_ANGLE,
-                 stop_proximity: float = STOP_PROXIMITY,
-                 feedback_window: int = FEEDBACK_WINDOW):
+    def __init__(self, config: FieldConfig, team: str = HOME, feedback=None):
         self.config = config
         self.team = team
         self.feedback = feedback
-        self.fov_half = fov_half
-        self.stop_proximity = stop_proximity
-        self.feedback_window = feedback_window
         goal_x = config.length / 2 if team == HOME else -config.length / 2
         self.goal = (goal_x, 0.0)
         self._memory = {}
@@ -125,26 +115,20 @@ class ShootingPolicy:
         if perception is None:
             return None
         rel_ball, rel_goal, dist = self._view(perception, agent_id)
-        sees_ball = abs(rel_ball) <= self.fov_half
-        sees_goal = abs(rel_goal) <= self.fov_half
+        sees_ball = abs(rel_ball) <= FOV_HALF_ANGLE
+        sees_goal = abs(rel_goal) <= FOV_HALF_ANGLE
         proximity = 100.0 / max(dist, 1e-6)
-
-        commands = []
-        if mem.pending_camera:
-            # camera macro realized as one instant view change
-            commands.append(change_view("normal", "high"))
-            mem.pending_camera = ""
 
         if mem.state == FIND_BALL:
             if not sees_ball:
-                return commands + [self._emit(mem, "A", turn(SCAN_STEP))]
+                return [self._emit(mem, "A", turn(SCAN_STEP))]
             mem.state = APPROACH
 
         if mem.state == APPROACH:
-            if proximity <= self.stop_proximity:
+            if proximity <= STOP_PROXIMITY:
                 if abs(rel_ball) > 10.0:
-                    return commands + [self._emit(mem, "A", turn(rel_ball))]
-                return commands + [self._emit(mem, "C", dash(100))]
+                    return [self._emit(mem, "A", turn(rel_ball))]
+                return [self._emit(mem, "C", dash(100))]
             self._enter_round(mem, rel_goal)
 
         if mem.state == ROUND:
@@ -155,25 +139,23 @@ class ShootingPolicy:
                 else:
                     self._enter_round(mem, rel_goal)
             if mem.state == ROUND:
-                return commands + [self._step_macro(mem, rel_ball, rel_goal)]
+                return [self._step_macro(mem, rel_ball, rel_goal)]
 
         if mem.state == ALIGN:
             if mem.macro:
-                return commands + [self._step_macro(mem, rel_ball, rel_goal)]
+                return [self._step_macro(mem, rel_ball, rel_goal)]
             if self._vetoed(agent_id, mem):
                 mem.flip = not mem.flip
                 self._enter_round(mem, rel_goal)
-                return commands + [self._step_macro(mem, rel_ball, rel_goal)]
+                return [self._step_macro(mem, rel_ball, rel_goal)]
             mem.state = SHOOT
             mem.macro = list(SHOOT_MACRO)
 
         if mem.state == SHOOT:
             if mem.macro:
-                return commands + [self._step_macro(mem, rel_ball, rel_goal)]
+                return [self._step_macro(mem, rel_ball, rel_goal)]
             mem.state = FIND_BALL
-            return commands + [self._emit(mem, "G", kick(100, rel_goal))]
-
-        return commands or None
+            return [self._emit(mem, "G", kick(100, rel_goal))]
 
     def _enter_round(self, mem, rel_goal):
         clockwise = rel_goal < 0.0
@@ -181,7 +163,6 @@ class ShootingPolicy:
             clockwise = not clockwise
         mem.state = ROUND
         mem.macro = list(ROUND_CLOCKWISE if clockwise else ROUND_COUNTERCW)
-        mem.pending_camera = CAMERA_CLOCKWISE if clockwise else CAMERA_COUNTERCW
 
     def _step_macro(self, mem, rel_ball, rel_goal):
         letter = mem.macro.pop(0)
@@ -191,7 +172,7 @@ class ShootingPolicy:
     def _vetoed(self, agent_id, mem) -> bool:
         if self.feedback is None:
             return False
-        window = self.letters_of(agent_id)[-self.feedback_window:]
+        window = self.letters_of(agent_id)[-FEEDBACK_WINDOW:]
         result = self.feedback(window)
         if isinstance(result, str):
             return result == "veto"

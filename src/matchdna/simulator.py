@@ -513,6 +513,8 @@ def load_match_log(path) -> MatchLog:
     config = FieldConfig(**header["config"])
     log = MatchLog(config=config)
     tail = lines[-1]
+    if "outcome" not in tail:
+        raise ValueError(f"match log {path} has no closing outcome line")
     log.outcome = tail["outcome"]
     log.score = tuple(tail["score"])
     log.valid = tail.get("valid", True)

@@ -2,6 +2,7 @@
 
 import json
 import logging
+import shutil
 from pathlib import Path
 
 import pytest
@@ -317,6 +318,96 @@ class TestPipelineRun:
         assert len(population) == config["train_lcs"]["population_size"]
 
 
+@pytest.fixture(scope="module")
+def mined_dir(tmp_path_factory):
+    """A one-match corpus through simulate, encode and mine."""
+    out = tmp_path_factory.mktemp("mined")
+    config = smoke_config(out)
+    for stage in ("simulate", "encode", "mine"):
+        run_stage(stage, config, out)
+    return out
+
+
+class TestBoundaryChecks:
+    """Files read between stages are checked where they are read; a
+    tampered file fails with a ValueError naming it."""
+
+    def copy(self, mined_dir, tmp_path):
+        out = tmp_path / "run"
+        shutil.copytree(mined_dir, out)
+        return out, smoke_config(out)
+
+    def fails(self, stage, config, out, match):
+        with pytest.raises(StageError) as err:
+            run_stage(stage, config, out)
+        assert err.value.stage == stage
+        assert isinstance(err.value.cause, (ValueError, FileNotFoundError))
+        assert match in str(err.value.cause), str(err.value.cause)
+
+    def edit_json(self, path, **changes):
+        doc = json.loads(path.read_text())
+        doc.update(changes)
+        path.write_text(json.dumps(doc))
+
+    def edit_fasta(self, path, edit):
+        lines = path.read_text().splitlines()
+        path.write_text("\n".join(edit(lines)) + "\n")
+
+    def test_untampered_corpus_loads(self, mined_dir):
+        games, players = pipeline._load_corpus(
+            mined_dir, load_manifest(mined_dir / "manifest.json"))
+        assert len(games) == 1 and len(players) == 4
+        assert all(len(p.letters) == len(games[0].letters) for p in players)
+
+    def test_annotations_schema_version(self, mined_dir, tmp_path):
+        out, config = self.copy(mined_dir, tmp_path)
+        self.edit_json(out / "annotations/m000.json", schema_version=2)
+        self.fails("mine", config, out, "unsupported annotations schema_version")
+
+    def test_mining_report_schema_version(self, mined_dir, tmp_path):
+        out, config = self.copy(mined_dir, tmp_path)
+        self.edit_json(out / "mining/report.json", schema_version=2)
+        self.fails("train-lcs", config, out,
+                   "unsupported mining report schema_version")
+
+    def test_missing_sequence_file(self, mined_dir, tmp_path):
+        out, config = self.copy(mined_dir, tmp_path)
+        (out / "sequences/m000.fasta").unlink()
+        for stage in ("mine", "train-fmaca", "train-lcs"):
+            self.fails(stage, config, out,
+                       "manifest references missing sequence_path")
+
+    def test_player_letter_outside_alphabet(self, mined_dir, tmp_path):
+        out, config = self.copy(mined_dir, tmp_path)
+        # line 0 is the schema header, 1-2 the game, 3-4 the first player
+        self.edit_fasta(out / "sequences/m000.fasta",
+                        lambda lines: lines[:4] + ["X" + lines[4][1:]] + lines[5:])
+        self.fails("mine", config, out, "m000.fasta: player:a@game:m000 has "
+                   "letters outside 'ACGT-'")
+
+    def test_player_length_differs_from_game(self, mined_dir, tmp_path):
+        out, config = self.copy(mined_dir, tmp_path)
+        self.edit_fasta(out / "sequences/m000.fasta",
+                        lambda lines: lines[:4] + [lines[4][:-1]] + lines[5:])
+        self.fails("mine", config, out, "m000.fasta: player:a@game:m000 has "
+                   "19 windows, its game 20")
+
+    def test_first_sequence_must_be_game(self, mined_dir, tmp_path):
+        out, config = self.copy(mined_dir, tmp_path)
+        self.edit_fasta(out / "sequences/m000.fasta",
+                        lambda lines: lines[:1] + lines[3:5] + lines[1:3] + lines[5:])
+        self.fails("mine", config, out,
+                   "m000.fasta: the first sequence is not a game")
+
+    @pytest.mark.parametrize("window", [20, -1])
+    def test_event_window_outside_game(self, mined_dir, tmp_path, window):
+        out, config = self.copy(mined_dir, tmp_path)
+        self.edit_json(out / "annotations/m000.json", events=[[window, GOAL]])
+        self.fails("train-fmaca", config, out,
+                   f"m000.json: event window {window} is outside "
+                   "the game's 20 windows")
+
+
 class TestBuildCorpus:
     def test_single_match_manifest(self, tmp_path):
         manifest = build_corpus(1, {"seed": 3,
@@ -406,6 +497,54 @@ class TestCli:
         code = main(["pipeline", "--config", str(config_path)])
         assert code == 1
         assert "unknown config key" in capsys.readouterr().err
+
+    def test_every_stage_subcommand_summary(self, tmp_path, capsys):
+        # expected lines recorded before the stage subcommands shared one
+        # handler; every stage flag is given so each flag-to-key mapping
+        # shows in an artifact or a summary line
+        config_path = tmp_path / "cfg.json"
+        config_path.write_text(json.dumps({
+            "seed": 5, "simulate": {"matches": 2, "cycles": 100},
+            "train_fmaca": {"population_size": 20, "generations": 10},
+            "diagnose": {"run_steps": 120, "trials": 3}}))
+        out = tmp_path / "run"
+        common = ["--config", str(config_path), "--out-dir", str(out)]
+        runs = [
+            (["simulate", "--matches", "2", "--cycles", "150", "--players", "2"],
+             [f"wrote {out}/manifest.json"]),
+            (["encode", "--window", "10"], [f"wrote {out}/manifest.json"]),
+            (["mine", "--min-len", "2", "--max-len", "4", "--top", "10"],
+             ["  goal TCCCT  band   95: 0.0%",
+              "  goal CACCT  band   75: 0.0%",
+              "  goal CxCCT  band   50: 0.0%",
+              "  goal CCAT   band  <50: 0.0%",
+              "threat CTCCC  band   95: 0.0%",
+              "threat CCACC  band   75: 0.0%",
+              "threat CCxCC  band   50: 0.0%",
+              "threat GCAC   band  <50: 0.0%",
+              f"wrote {out}/mining/report.json"]),
+            (["train-fmaca"],
+             ["training accuracy 1.000 on 14 windows (depth 4)",
+              f"wrote {out}/fmaca/tree.json"]),
+            (["train-lcs", "--env", "match", "--iters", "1500",
+              "--ga-period", "500"],
+             ["proportion_correct 0.506 at iteration 1500",
+              f"wrote {out}/lcs/curve.csv"]),
+            (["diagnose", "--cells", "6", "--generations", "2"],
+             ["edge-of-chaos entropy reference: 0.84",
+              f"wrote {out}/diagnostics/ga_diagnostics.csv"]),
+        ]
+        for argv, expected in runs:
+            assert main(argv + common) == 0, argv
+            captured = capsys.readouterr()
+            assert captured.out.splitlines() == expected, argv
+            assert captured.err == ""
+        report = json.loads((out / "mining/report.json").read_text())
+        assert report["query"] == {"min_len": 2, "max_len": 4}
+        assert len(report["patterns"]) == 10
+        assert len(list((out / "logs").glob("*.jsonl"))) == 2
+        rows = (out / "diagnostics/ga_diagnostics.csv").read_text().splitlines()
+        assert rows[2:] and all(row.split(",")[1] == "6" for row in rows[2:])
 
     def test_individual_stage_subcommands(self, tmp_path, capsys):
         out = str(tmp_path / "run")

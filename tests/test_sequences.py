@@ -176,3 +176,15 @@ class TestFasta:
     def test_data_before_header_rejected(self):
         with pytest.raises(ValueError):
             parse_fasta("ACGT\n")
+
+    def test_foreign_schema_header_rejected(self):
+        with pytest.raises(ValueError, match="schema_version=2"):
+            parse_fasta("# schema_version=2\n>player:a@game:0\nACG\n")
+        with pytest.raises(ValueError, match="unsupported FASTA schema header"):
+            parse_fasta("# a comment\n>player:a@game:0\nACG\n")
+
+    def test_read_fasta_names_file(self, tmp_path):
+        path = tmp_path / "m.fasta"
+        path.write_text("# schema_version=9\n>game:0 window=10\nab\n")
+        with pytest.raises(ValueError, match="m.fasta: unsupported"):
+            seqmod.read_fasta(path)

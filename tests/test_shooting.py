@@ -85,15 +85,6 @@ class TestRoundAndShoot:
         drive(policy, perc, 5)
         assert policy.letters_of("a") == "AGGGT"
 
-    def test_camera_stub_issued_on_round_entry(self):
-        cfg = FieldConfig(cycle_count=10, rng_seed=0)
-        policy = ShootingPolicy(cfg)
-        perc = perception((3, 0), (0, 0), 0.0)
-        first = policy.act("a", [perc], 0)
-        second = policy.act("a", [perc], 1)
-        assert all(c.kind != "change_view" for c in first)
-        assert second[0].kind == "change_view"
-
     def test_veto_reverses_direction(self):
         cfg = FieldConfig(cycle_count=64, rng_seed=0)
         answers = iter(["veto", "proceed"])

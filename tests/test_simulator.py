@@ -321,6 +321,14 @@ class TestSerialization:
         text = log_to_jsonl(log)
         assert '"schema_version":1' in text.splitlines()[0]
 
+    def test_truncated_log_names_file(self, tmp_path):
+        log = run_match(Barrage(3), Barrage(4), small_config(cycle_count=80))
+        path = tmp_path / "cut.jsonl"
+        lines = log_to_jsonl(log).splitlines(keepends=True)
+        path.write_text("".join(lines[:50]))
+        with pytest.raises(ValueError, match="cut.jsonl has no closing outcome line"):
+            load_match_log(path)
+
     def test_heading_stays_normalized_under_fuzz(self):
         cfg = small_config(cycle_count=100)
         log = run_match(Barrage(5), Barrage(6), cfg)
