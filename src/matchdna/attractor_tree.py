@@ -122,7 +122,7 @@ def basin_purity(basin_ids, labels) -> float:
     return total / len(basin_ids)
 
 
-def fitness(rules, patterns, labels, max_steps: int = TERMINAL_MAX_STEPS):
+def fitness(rules, patterns, labels):
     """Purity of the attractor-basin distribution induced by a rule vector.
 
     A (P, n) rule matrix scores P rule vectors on the same subset in one
@@ -136,7 +136,7 @@ def fitness(rules, patterns, labels, max_steps: int = TERMINAL_MAX_STEPS):
     m = len(patterns)
     terms, conv = terminal_states(np.tile(patterns, (len(rule_rows), 1)),
                                   np.repeat(rule_rows, m, axis=0),
-                                  max_steps=max_steps)
+                                  max_steps=TERMINAL_MAX_STEPS)
     ids = _basin_ids(terms, conv)
     purities = [basin_purity(ids[i * m:(i + 1) * m], labels)
                 for i in range(len(rule_rows))]
@@ -332,21 +332,22 @@ def encode_window(window: str) -> np.ndarray:
         raise ValueError(f"symbol {err.args[0]!r} outside play alphabet") from None
 
 
-def fit_window_classifier(windows, labels, ga: GaConfig = GaConfig(),
-                          class_names=(GOAL, THREAT)) -> FmacaTree:
-    """Train a tree on letter windows labeled with class-name strings."""
+def fit_window_classifier(windows, labels,
+                          ga: GaConfig = GaConfig()) -> FmacaTree:
+    """Train a tree on letter windows labeled "goal" (class 1) or
+    "threat" (class 2)."""
     if not windows:
         raise ValueError("no training windows")
     width = len(windows[0])
     if any(len(w) != width for w in windows):
         raise ValueError("all training windows must share one length")
-    name_to_id = {name: i + 1 for i, name in enumerate(class_names)}
+    name_to_id = {GOAL: 1, THREAT: 2}
     patterns = np.array([encode_window(w) for w in windows])
     y = np.array([name_to_id[label] for label in labels])
-    tree = build_tree(patterns, y, K=len(class_names), ga=ga)
+    tree = build_tree(patterns, y, K=len(name_to_id), ga=ga)
     tree.window = width
     tree.class_names = {v: k for k, v in name_to_id.items()}
-    tree.goal_class = name_to_id.get(GOAL)
+    tree.goal_class = name_to_id[GOAL]
     return tree
 
 

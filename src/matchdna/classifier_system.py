@@ -32,6 +32,7 @@ EVAL_BLOCK = 1000
 COVER_WILDCARD_PROB = 0.33
 REWARDED_HISTORY = 400
 CANDIDATE_POOL = 24
+MIN_TEMPLATE_SPAN = 3
 
 
 @dataclass(frozen=True)
@@ -213,25 +214,25 @@ def _condition_candidates(stats: MinerStats, length: int) -> list:
     return rows
 
 
-def mine_rewarded_patterns(rewarded: dict, length: int,
-                           min_span: int = 3, top: int = CANDIDATE_POOL) -> list:
+def mine_rewarded_patterns(rewarded: dict, length: int) -> list:
     """Condition templates mined from rewarded contexts.
 
-    Every substring span of at least min_span letters is weighted by how
-    often its context earned reward; the heaviest spans become length-L
-    templates with '#' at every position the span leaves free.  Spans
-    recurring across many contexts outweigh any single full context, so
-    the templates generalize over the positions that vary freely.
+    Every substring span of at least MIN_TEMPLATE_SPAN letters is weighted
+    by how often its context earned reward; the CANDIDATE_POOL heaviest
+    spans become length-L templates with '#' at every position the span
+    leaves free.  Spans recurring across many contexts outweigh any
+    single full context, so the templates generalize over the positions
+    that vary freely.
     """
     weights = {}
     for context, count in rewarded.items():
-        for span in range(min_span, length + 1):
+        for span in range(MIN_TEMPLATE_SPAN, length + 1):
             for start in range(length - span + 1):
                 key = (start, context[start:start + span])
                 weights[key] = weights.get(key, 0) + count
     ranked = sorted(weights.items(), key=lambda kv: (-kv[1], kv[0]))
     templates = []
-    for (start, text), weight in ranked[:top]:
+    for (start, text), weight in ranked[:CANDIDATE_POOL]:
         cond = [WILDCARD] * length
         cond[start:start + len(text)] = text
         templates.append(("".join(cond), weight))

@@ -23,6 +23,7 @@ import numpy as np
 from .fuzzy_ca import RuleSet
 
 EDGE_OF_CHAOS_ENTROPY = 0.84
+GA_TASK_PER_CLASS = 25   # patterns per class in ga_diagnostics' synthetic task
 
 CSV_SCHEMA_HEADER = "# schema_version=1"
 CSV_COLUMNS = ("generation", "n", "mean_entropy", "std_entropy", "mean_mi")
@@ -197,23 +198,23 @@ def rule_vector_diagnostics(rules, config: DiagnosticsConfig, generation: int = 
             "mean_mi": mi.mean_mi}
 
 
-def ga_diagnostics(n: int, ga_config, diag_config: DiagnosticsConfig,
-                   n_per_class: int = 25) -> list:
+def ga_diagnostics(n: int, ga_config, diag_config: DiagnosticsConfig) -> list:
     """Evolve a rule vector on a synthetic 2-class task and measure the
     per-generation best, one CSV row per generation.
 
-    The task is the standard separated-band set: class 1 features in
-    [0, 0.3], class 2 in [0.7, 1.0], n cells wide.
+    The task is the standard separated-band set: GA_TASK_PER_CLASS
+    patterns per class, class 1 features in [0, 0.3], class 2 in
+    [0.7, 1.0], n cells wide.
     """
     from .attractor_tree import _evolve_rules, GaConfig  # local to avoid cycle
 
     if not isinstance(ga_config, GaConfig):
         raise TypeError("ga_config must be a GaConfig")
     rng = np.random.default_rng(np.random.SeedSequence(ga_config.rng_seed).spawn(1)[0])
-    lo = rng.uniform(0.0, 0.3, size=(n_per_class, n))
-    hi = rng.uniform(0.7, 1.0, size=(n_per_class, n))
+    lo = rng.uniform(0.0, 0.3, size=(GA_TASK_PER_CLASS, n))
+    hi = rng.uniform(0.7, 1.0, size=(GA_TASK_PER_CLASS, n))
     patterns = np.vstack([lo, hi])
-    labels = np.array([1] * n_per_class + [2] * n_per_class)
+    labels = np.array([1] * GA_TASK_PER_CLASS + [2] * GA_TASK_PER_CLASS)
 
     rows = []
 

@@ -222,15 +222,14 @@ def _lexmin(stack):
     return best
 
 
-def evolve(state, rules, max_steps: int = 1000,
-           tolerance: float = DEFAULT_TOLERANCE) -> Trajectory:
+def evolve(state, rules, max_steps: int = 1000) -> Trajectory:
     """Iterate a state until it fixes, revisits a prior state, or runs out.
 
     A new state revisits a recorded one when no cell differs by more than
-    `tolerance` (sup norm), the test terminal_states uses.  Revisiting the
-    latest state is a fixed point; revisiting an earlier one closes a
-    cycle starting at the earliest such state.  Otherwise the trajectory
-    is truncated after `max_steps` updates.
+    DEFAULT_TOLERANCE (sup norm), the test terminal_states uses.
+    Revisiting the latest state is a fixed point; revisiting an earlier
+    one closes a cycle starting at the earliest such state.  Otherwise
+    the trajectory is truncated after `max_steps` updates.
     """
     if max_steps < 1:
         raise ValueError("max_steps must be >= 1")
@@ -246,7 +245,7 @@ def evolve(state, rules, max_steps: int = 1000,
     states = np.array([cur])  # rows [0, t) are recorded
     for t in range(1, max_steps + 1):
         nxt = rs.apply(states[t - 1])
-        near = np.abs(states[:t] - nxt).max(axis=1) <= tolerance
+        near = np.abs(states[:t] - nxt).max(axis=1) <= DEFAULT_TOLERANCE
         if near[t - 1]:
             return Trajectory(states[:t], Terminal("fixed_point", index=t - 1))
         if near.any():
@@ -259,7 +258,6 @@ def evolve(state, rules, max_steps: int = 1000,
 
 
 def terminal_states(patterns: np.ndarray, rules, max_steps: int = 200,
-                    tolerance: float = DEFAULT_TOLERANCE,
                     max_period: int = 32) -> tuple[np.ndarray, np.ndarray]:
     """Terminal representative for every row of a pattern batch.
 
@@ -285,12 +283,12 @@ def terminal_states(patterns: np.ndarray, rules, max_steps: int = 200,
         if not live.size:
             break
         nxt = rs.apply(cur)
-        fixed = np.abs(nxt - cur).max(axis=1) <= tolerance
+        fixed = np.abs(nxt - cur).max(axis=1) <= DEFAULT_TOLERANCE
         out[live[fixed]] = nxt[fixed]
         done = fixed
         if prev is not None:
             # s(t+1) == s(t-1) means a 2-cycle through s(t)
-            cyc2 = ~fixed & (np.abs(nxt - prev).max(axis=1) <= tolerance)
+            cyc2 = ~fixed & (np.abs(nxt - prev).max(axis=1) <= DEFAULT_TOLERANCE)
             if cyc2.any():
                 out[live[cyc2]] = _lexmin(np.stack([cur[cyc2], nxt[cyc2]]))
                 done = fixed | cyc2
@@ -305,7 +303,7 @@ def terminal_states(patterns: np.ndarray, rules, max_steps: int = 200,
         s = cur
         for _ in range(max_period):
             s = rs.apply(s)
-            hit = ~found & (np.abs(s - cur).max(axis=1) <= tolerance)
+            hit = ~found & (np.abs(s - cur).max(axis=1) <= DEFAULT_TOLERANCE)
             if hit.any():
                 out[live[hit]] = _lexmin(np.stack(stack)[:, hit])
                 converged[live[hit]] = True

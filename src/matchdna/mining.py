@@ -22,7 +22,6 @@ class PatternQuery:
     """Length band for unique-substring enumeration."""
     min_len: int
     max_len: int
-    alphabet: tuple = ALPHABET
 
     def __post_init__(self):
         if not 1 <= self.min_len <= self.max_len:

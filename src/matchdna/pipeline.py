@@ -344,7 +344,8 @@ def _load_corpus(out_dir: Path, manifest: CorpusManifest):
     """(game AnnotatedSequences, player AnnotatedSequences); players carry
     their game's events since window indices align.  A sequence file must
     hold its game first and then players of the game's length over the
-    action alphabet, and every event window must fall inside the game;
+    action alphabet, every event window must fall inside the game, and
+    the annotations must be encoded at the manifest's window_cycles;
     otherwise a ValueError names the file."""
     games = []
     players = []
@@ -355,6 +356,10 @@ def _load_corpus(out_dir: Path, manifest: CorpusManifest):
                 "run the encode stage first")
         ann_path = out_dir / entry.annotations_path
         doc = _read_json(ann_path, REPORT_SCHEMA_VERSION, "annotations")
+        if doc.get("window_cycles") != manifest.window_cycles:
+            raise ValueError(f"{ann_path}: window_cycles "
+                             f"{doc.get('window_cycles')!r} does not match "
+                             f"the manifest's {manifest.window_cycles!r}")
         events = [(int(w), str(label)) for w, label in doc["events"]]
         seq_path = out_dir / entry.sequence_path
         records = sequences.read_fasta(seq_path)

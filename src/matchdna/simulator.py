@@ -3,9 +3,8 @@
 The world advances in discrete cycles.  Agents queue commands during a
 cycle; at cycle end exactly one queued movement command per agent
 (turn/dash/kick/catch) executes, chosen by the match RNG when several
-were queued.  Instant commands (say, sense_body, change_view) take
-effect on submission subject to frequency limits and never produce
-match events.
+were queued.  These four are the whole protocol: the agents do not
+communicate, so there is no say, sense_body or change_view command.
 
 Conventions: x runs along the field length, y across the width, the
 origin is the center spot.  The home team attacks +x.  Headings are
@@ -16,7 +15,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
@@ -29,11 +28,6 @@ KICK_POWER_RANGE = (0.0, 100.0)
 KICK_ANGLE_RANGE = (-180.0, 180.0)
 
 MOVEMENT_KINDS = ("turn", "dash", "kick", "catch")
-INSTANT_KINDS = ("say", "sense_body", "change_view")
-
-SAY_COOLDOWN_CYCLES = 2      # teammates hear at most one say per this many cycles
-SENSE_BODY_PER_CYCLE = 3
-CHANGE_VIEW_PER_CYCLE = 1
 
 HOME = "home"
 AWAY = "away"
@@ -101,7 +95,6 @@ class Command:
     kind: str
     x: float = 0.0
     y: float = 0.0
-    text: str = ""
     issued_cycle: int = -1
 
 
@@ -121,38 +114,30 @@ def catch(cycle=-1):
     return Command("catch", issued_cycle=cycle)
 
 
-def say(text, cycle=-1):
-    return Command("say", text=text, issued_cycle=cycle)
-
-
-def sense_body(cycle=-1):
-    return Command("sense_body", issued_cycle=cycle)
-
-
-def change_view(quality="normal", width="high", cycle=-1):
-    return Command("change_view", text=f"{quality}/{width}", issued_cycle=cycle)
+def _clamped(kind, x, y, cycle) -> Command:
+    """A command of this kind with x and y pulled back into their legal
+    ranges."""
+    if kind == "turn":
+        x = clamp(x, *TURN_RANGE)
+    elif kind == "dash":
+        x = clamp(x, *DASH_RANGE)
+    elif kind == "kick":
+        x, y = clamp(x, *KICK_POWER_RANGE), clamp(y, *KICK_ANGLE_RANGE)
+    return Command(kind, x, y, cycle)
 
 
 def clamp_command(cmd: Command) -> Command:
     """Pull numeric arguments back into their legal ranges."""
-    if cmd.kind == "turn":
-        return replace(cmd, x=clamp(cmd.x, *TURN_RANGE))
-    if cmd.kind == "dash":
-        return replace(cmd, x=clamp(cmd.x, *DASH_RANGE))
-    if cmd.kind == "kick":
-        return replace(cmd, x=clamp(cmd.x, *KICK_POWER_RANGE),
-                       y=clamp(cmd.y, *KICK_ANGLE_RANGE))
-    return cmd
+    return _clamped(cmd.kind, cmd.x, cmd.y, cmd.issued_cycle)
 
 
 @dataclass(frozen=True)
 class Ack:
     """Submission receipt: whether the command was taken, the post-clamp
-    form, and a short note (clamped / stale / budget exhausted / ...)."""
+    form, and a note: "" when taken as sent, "clamped" or "stale"."""
     accepted: bool
     command: Command
     note: str = ""
-    payload: dict | None = None
 
 
 @dataclass
@@ -242,9 +227,6 @@ class World:
         self._holder = None
         self._pending_pass = None      # (kicker_id, kick_cycle)
         self._goal_pending = False
-        self._say_heard_cycle = {HOME: None, AWAY: None}
-        self._sense_counts = {}
-        self._view_counts = {}
 
     # ----- command intake -------------------------------------------------
 
@@ -253,34 +235,12 @@ class World:
             raise ValueError(f"unknown agent id {agent_id!r}")
         if cycle != self.cycle:
             return Ack(False, command, "stale")
-        clamped = clamp_command(replace(command, issued_cycle=cycle))
-        note = "" if clamped == replace(command, issued_cycle=cycle) else "clamped"
-        if clamped.kind in MOVEMENT_KINDS:
-            self._queues[agent_id].append(clamped)
-            return Ack(True, clamped, note)
-        if clamped.kind == "say":
-            team = self.agents[agent_id].team
-            last = self._say_heard_cycle[team]
-            if last is None or cycle - last >= SAY_COOLDOWN_CYCLES:
-                self._say_heard_cycle[team] = cycle
-                return Ack(True, clamped, note or "heard")
-            return Ack(True, clamped, "muted")
-        if clamped.kind == "sense_body":
-            used = self._sense_counts.get(agent_id, 0)
-            if used >= SENSE_BODY_PER_CYCLE:
-                return Ack(False, clamped, "budget")
-            self._sense_counts[agent_id] = used + 1
-            a = self.agents[agent_id]
-            return Ack(True, clamped, note,
-                       payload={"x": a.x, "y": a.y, "heading": a.heading,
-                                "speed": a.speed})
-        if clamped.kind == "change_view":
-            used = self._view_counts.get(agent_id, 0)
-            if used >= CHANGE_VIEW_PER_CYCLE:
-                return Ack(False, clamped, "budget")
-            self._view_counts[agent_id] = used + 1
-            return Ack(True, clamped, note)
-        raise ValueError(f"unknown command kind {command.kind!r}")
+        if command.kind not in MOVEMENT_KINDS:
+            raise ValueError(f"unknown command kind {command.kind!r}")
+        taken = _clamped(command.kind, command.x, command.y, cycle)
+        note = "" if (taken.x, taken.y) == (command.x, command.y) else "clamped"
+        self._queues[agent_id].append(taken)
+        return Ack(True, taken, note)
 
     # ----- perception -----------------------------------------------------
 
@@ -366,8 +326,6 @@ class World:
             self._update_possession(cycle, events)
 
         self._queues = {aid: [] for aid in self.agents}
-        self._sense_counts = {}
-        self._view_counts = {}
         self.cycle += 1
         return events
 
@@ -470,13 +428,7 @@ def log_to_jsonl(log: MatchLog) -> str:
     """Serialize a MatchLog as JSON Lines: header, one line per cycle,
     trailing outcome line.  Floats carry 6 decimals so that identical
     matches serialize byte-for-byte identically."""
-    cfg = log.config
-    header = {"schema_version": SCHEMA_VERSION,
-              "config": {k: getattr(cfg, k) for k in (
-                  "length", "width", "goal_width", "kickable_distance",
-                  "cycle_count", "rng_seed", "players_per_team", "dash_gain",
-                  "kick_gain", "ball_decay", "player_decay",
-                  "perception_jitter")}}
+    header = {"schema_version": SCHEMA_VERSION, "config": asdict(log.config)}
     lines = [_dumps(header)]
     events_by_cycle = {}
     for e in log.events:
@@ -503,8 +455,16 @@ def save_match_log(log: MatchLog, path):
 
 
 def load_match_log(path) -> MatchLog:
+    lines = []
     with open(path) as fh:
-        lines = [json.loads(line) for line in fh if line.strip()]
+        for number, line in enumerate(fh, 1):
+            if not line.strip():
+                continue
+            try:
+                lines.append(json.loads(line))
+            except json.JSONDecodeError as err:
+                raise ValueError(f"match log {path} line {number} is not valid "
+                                 f"JSON: {err.msg} (column {err.colno})") from err
     if not lines:
         raise ValueError(f"empty match log {path}")
     header = lines[0]

@@ -399,6 +399,14 @@ class TestBoundaryChecks:
         self.fails("mine", config, out,
                    "m000.fasta: the first sequence is not a game")
 
+    def test_annotation_window_cycles_differs_from_manifest(self, mined_dir,
+                                                             tmp_path):
+        out, config = self.copy(mined_dir, tmp_path)
+        assert load_manifest(out / "manifest.json").window_cycles == 10
+        self.edit_json(out / "annotations/m000.json", window_cycles=20)
+        self.fails("mine", config, out, "m000.json: window_cycles 20 does not "
+                   "match the manifest's 10")
+
     @pytest.mark.parametrize("window", [20, -1])
     def test_event_window_outside_game(self, mined_dir, tmp_path, window):
         out, config = self.copy(mined_dir, tmp_path)

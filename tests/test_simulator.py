@@ -6,6 +6,7 @@ at (51.5, 0) moving (2, 0) crosses at (52.5, 0) half way through the
 cycle.
 """
 
+import hashlib
 import math
 
 import numpy as np
@@ -22,10 +23,9 @@ from matchdna.simulator import (
     log_to_jsonl,
     normalize_heading,
     run_match,
-    say,
-    sense_body,
     turn,
 )
+from matchdna.shooting import ShootingPolicy
 
 
 def small_config(**kw):
@@ -88,28 +88,41 @@ class TestSubmission:
         ack = w.submit_command("a", dash(1000), 0)
         assert ack.accepted and ack.note == "clamped" and ack.command.x == 100
 
-    def test_say_cooldown(self):
+    @pytest.mark.parametrize("command", [
+        turn(-180), turn(180), dash(-30), dash(100), kick(0, -180),
+        kick(100, 180), sim.catch()])
+    def test_in_range_taken_as_sent(self, command):
         w = World(small_config())
-        assert w.submit_command("a", say("go"), 0).note == "heard"
-        assert w.submit_command("b", say("go"), 0).note == "muted"
-        w.step()
-        assert w.submit_command("a", say("go"), 1).note == "muted"
-        w.step()
-        assert w.submit_command("a", say("go"), 2).note == "heard"
+        ack = w.submit_command("a", command, 0)
+        assert ack.accepted and ack.note == ""
+        assert (ack.command.kind, ack.command.x, ack.command.y) == \
+               (command.kind, command.x, command.y)
 
-    def test_sense_body_budget(self):
+    @pytest.mark.parametrize("command, x, y", [
+        (turn(-181), -180, 0), (turn(270), 180, 0),
+        (dash(-45), -30, 0), (dash(1000), 100, 0),
+        (kick(-1, 0), 0, 0), (kick(130, -500), 100, -180),
+        (kick(50, 200), 50, 180)])  # only the angle is out of range
+    def test_out_of_range_clamped(self, command, x, y):
         w = World(small_config())
-        for _ in range(3):
-            ack = w.submit_command("a", sense_body(), 0)
-            assert ack.accepted and ack.payload is not None
-        assert not w.submit_command("a", sense_body(), 0).accepted
+        ack = w.submit_command("a", command, 0)
+        assert ack.accepted and ack.note == "clamped"
+        assert (ack.command.kind, ack.command.x, ack.command.y) == \
+               (command.kind, x, y)
 
-    def test_change_view_budget(self):
+    def test_issued_cycle_stamped(self):
         w = World(small_config())
-        assert w.submit_command("a", sim.change_view(), 0).accepted
-        assert not w.submit_command("a", sim.change_view(), 0).accepted
         w.step()
-        assert w.submit_command("a", sim.change_view(), 1).accepted
+        w.step()
+        ack = w.submit_command("a", dash(1000), 2)
+        assert ack.command.issued_cycle == 2
+        ack = w.submit_command("a", kick(10, 5, cycle=7), 2)
+        assert ack.command.issued_cycle == 2
+
+    def test_unknown_kind_named(self):
+        w = World(small_config())
+        with pytest.raises(ValueError, match="unknown command kind 'say'"):
+            w.submit_command("a", Command("say"), 0)
 
 
 class TestStep:
@@ -321,6 +334,19 @@ class TestSerialization:
         text = log_to_jsonl(log)
         assert '"schema_version":1' in text.splitlines()[0]
 
+    def test_cut_mid_line_names_file_and_line(self, tmp_path):
+        cfg = FieldConfig(cycle_count=200, rng_seed=7)
+        text = log_to_jsonl(run_match(ShootingPolicy(cfg, sim.HOME),
+                                      ShootingPolicy(cfg, sim.AWAY), cfg))
+        cut = text[:len(text) // 2]
+        assert not cut.endswith("\n")
+        path = tmp_path / "half.jsonl"
+        path.write_text(cut)
+        last = cut.count("\n") + 1  # the partial line, 1-based
+        with pytest.raises(ValueError,
+                           match=rf"half\.jsonl line {last} is not valid JSON"):
+            load_match_log(path)
+
     def test_truncated_log_names_file(self, tmp_path):
         log = run_match(Barrage(3), Barrage(4), small_config(cycle_count=80))
         path = tmp_path / "cut.jsonl"
@@ -335,3 +361,31 @@ class TestSerialization:
         for agents, _ in log.per_cycle_states:
             for a in agents:
                 assert -180 <= a.heading < 180
+
+
+class TestPinnedBytes:
+    """SHA-256 of whole serialized matches, recorded once and kept: a
+    change to simulator output shows across commits, not only between
+    two runs of the same code."""
+
+    def digest(self, log):
+        return hashlib.sha256(log_to_jsonl(log).encode()).hexdigest()
+
+    def test_shooting_match(self):
+        cfg = FieldConfig(cycle_count=300, rng_seed=7, players_per_team=2)
+        log = run_match(ShootingPolicy(cfg, sim.HOME),
+                        ShootingPolicy(cfg, sim.AWAY), cfg)
+        assert log.score == (2, 2)
+        assert self.digest(log) == \
+            "4e7feb48eb1ae4402fbf966bae3390ac3ff4bea2d643db1d07903c0588dc7039"
+
+    def test_barrage_match(self):
+        # agents start at the ball, so clamped kicks land and goals follow;
+        # up to three commands a cycle exercise the duplicate pick and catch
+        cfg = FieldConfig(cycle_count=200, rng_seed=11, players_per_team=1)
+        log = run_match(Barrage(1), Barrage(2), cfg,
+                        positions={"a": (0, 0, 0), "b": (1.0, 0, 180)},
+                        ball=(0.5, 0.0))
+        assert any(e.kind == "kick" and e.effective for e in log.events)
+        assert self.digest(log) == \
+            "3f68bc50d600dc9294da302f593b0730c0968add1438aeb8c13c542df6f0893d"
