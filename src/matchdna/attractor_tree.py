@@ -30,6 +30,11 @@ TERMINAL_MAX_STEPS = 80
 MAX_DEPTH = 8
 MIN_NODE_SIZE = 2
 
+# GA operators
+MUTATION_RATE = 0.05
+CROSSOVER_RATE = 0.8
+TOURNAMENT_SIZE = 3
+
 # feedback feature map, one cell per window letter
 SYMBOL_LEVELS = {"A": 0.2, "C": 0.4, "G": 0.6, "T": 0.8, "-": 0.0}
 FEATURE_MAP_VERSION = "letters-v1"
@@ -44,16 +49,11 @@ _RULE_POOL = np.array(sorted(SUPPORTED_RULES))
 class GaConfig:
     population_size: int = 50
     generations: int = 40
-    mutation_rate: float = 0.05
-    crossover_rate: float = 0.8
     rng_seed: int = 0
 
     def __post_init__(self):
         if self.population_size < 2:
             raise ValueError("population_size must be >= 2")
-        for name in ("mutation_rate", "crossover_rate"):
-            if not 0.0 <= getattr(self, name) <= 1.0:
-                raise ValueError(f"{name} must be in [0, 1]")
         if self.generations < 1:
             raise ValueError("generations must be >= 1")
 
@@ -207,10 +207,10 @@ def _evolve_rules(patterns, labels, ga: GaConfig, rng, on_generation=None) -> li
             a = _tournament(pop, fits, rng)
             b = _tournament(pop, fits, rng)
             child = a.copy()
-            if n > 1 and rng.random() < ga.crossover_rate:
+            if n > 1 and rng.random() < CROSSOVER_RATE:
                 point = int(rng.integers(1, n))
                 child[point:] = b[point:]
-            mutate = rng.random(n) < ga.mutation_rate
+            mutate = rng.random(n) < MUTATION_RATE
             if mutate.any():
                 child[mutate] = rng.choice(_RULE_POOL, size=int(mutate.sum()))
             nxt.append(child)
@@ -218,8 +218,8 @@ def _evolve_rules(patterns, labels, ga: GaConfig, rng, on_generation=None) -> li
     return [int(r) for r in best_rules]
 
 
-def _tournament(pop, fits, rng, size=3):
-    idx = rng.integers(0, len(pop), size=size)
+def _tournament(pop, fits, rng):
+    idx = rng.integers(0, len(pop), size=TOURNAMENT_SIZE)
     return pop[idx[np.argmax(fits[idx])]]
 
 

@@ -28,6 +28,7 @@ _WILD = _CODE[WILDCARD]
 
 CSV_SCHEMA_HEADER = "# schema_version=1"
 
+CONTEXT_LENGTH = 5   # letters per context and per rule condition
 EVAL_BLOCK = 1000
 COVER_WILDCARD_PROB = 0.33
 REWARDED_HISTORY = 400
@@ -51,7 +52,6 @@ class LcsConfig:
     reward_win: float = 1000.0
     reward_play: float = 50.0
     mutation_rate: float = 0.02
-    context_length: int = 5
     rng_seed: int = 0
 
     def __post_init__(self):
@@ -65,8 +65,6 @@ class LcsConfig:
             raise ValueError("need reward_win > reward_play > 0")
         if not 0.0 <= self.mutation_rate <= 1.0:
             raise ValueError("mutation_rate must be in [0, 1]")
-        if self.context_length < 1:
-            raise ValueError("context_length must be >= 1")
 
 
 @dataclass
@@ -118,7 +116,7 @@ class Population:
 
     @classmethod
     def random(cls, config: LcsConfig, rng) -> "Population":
-        shape = (config.population_size, config.context_length)
+        shape = (config.population_size, CONTEXT_LENGTH)
         # wildcard with probability 1/3, otherwise a uniform play symbol
         wild = rng.random(shape) < 1.0 / 3.0
         conds = rng.integers(0, len(CONTEXT_SYMBOLS), size=shape).astype(np.uint8)
@@ -260,11 +258,11 @@ def ga_discover(population: Population, stats: MinerStats, rng,
 
     candidates = None
     if not stats.is_empty():
-        rows = _condition_candidates(stats, config.context_length)
+        rows = _condition_candidates(stats, CONTEXT_LENGTH)
         if rows:
             candidates = np.stack(rows)
 
-    length = config.context_length
+    length = CONTEXT_LENGTH
     for slot in victims:
         pa, pb = rng.choice(survivors, size=2, p=probs)
         if candidates is not None:
@@ -306,8 +304,7 @@ def train(environment, config: LcsConfig) -> tuple[Population, LearningCurve]:
     previous = None
     block_hits = 0
     block_size = 0
-    rewarded = {}
-    rewarded_order = []
+    rewarded = {}  # context -> reward count, in first-rewarded order
 
     for iteration in range(1, config.max_iterations + 1):
         context = environment.context(rng)
@@ -324,12 +321,9 @@ def train(environment, config: LcsConfig) -> tuple[Population, LearningCurve]:
         previous = winner
 
         if reward > 0:
-            if context not in rewarded:
-                rewarded_order.append(context)
             rewarded[context] = rewarded.get(context, 0) + 1
-            if len(rewarded_order) > REWARDED_HISTORY:
-                dropped = rewarded_order.pop(0)
-                del rewarded[dropped]
+            if len(rewarded) > REWARDED_HISTORY:
+                del rewarded[next(iter(rewarded))]
 
         block_hits += int(correct)
         block_size += 1
@@ -345,7 +339,7 @@ def train(environment, config: LcsConfig) -> tuple[Population, LearningCurve]:
                 stats = getter()
             if stats is None:
                 stats = MinerStats(patterns=mine_rewarded_patterns(
-                    rewarded, config.context_length))
+                    rewarded, CONTEXT_LENGTH))
             ga_discover(population, stats, rng, config)
             previous = None
 
@@ -364,8 +358,6 @@ class SuffixOracleEnvironment:
     FAMILIES = {"CCT": "G", "AAC": "C", "GGA": "A", "TTG": "T"}
 
     def __init__(self, config: LcsConfig):
-        if config.context_length != 5:
-            raise ValueError("suffix oracle uses 5-letter contexts")
         self.config = config
         self._suffixes = sorted(self.FAMILIES)
 
@@ -407,7 +399,7 @@ class SequenceReplayEnvironment:
     def __init__(self, corpus, config: LcsConfig, stats: MinerStats | None = None):
         self.config = config
         self._stats = stats
-        length = config.context_length
+        length = CONTEXT_LENGTH
         self._episodes = []
         for seq in corpus:
             goal_windows = {i for i, label in getattr(seq, "events", ())

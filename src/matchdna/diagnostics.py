@@ -1,11 +1,11 @@
 """Entropy and mutual-information diagnostics for fuzzy CA rule vectors.
 
-Fuzzy states are binarized at a threshold (ties count as 1) and measured
-with bit-level Shannon statistics: per-cell temporal entropy over a
-moving window, and lagged mutual information between whole states with
-cells as the samples.  Normalized MI divides by the smaller marginal
-entropy so that an exact copy scores 1; constant patterns score 0 by
-convention.
+Fuzzy states are binarized at BINARIZE_THRESHOLD (ties count as 1) and
+measured with bit-level Shannon statistics: per-cell temporal entropy
+over a moving window, and mutual information between whole states
+MI_LAG steps apart with cells as the samples.  Normalized MI divides by
+the smaller marginal entropy so that an exact copy scores 1; constant
+patterns score 0 by convention.
 
 EDGE_OF_CHAOS_ENTROPY is the reference entropy level that evolved
 rule populations are reported to approach; it is context for reading
@@ -20,10 +20,13 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .attractor_tree import GaConfig, _evolve_rules
 from .fuzzy_ca import RuleSet
 
 EDGE_OF_CHAOS_ENTROPY = 0.84
 GA_TASK_PER_CLASS = 25   # patterns per class in ga_diagnostics' synthetic task
+BINARIZE_THRESHOLD = 0.5
+MI_LAG = 1
 
 CSV_SCHEMA_HEADER = "# schema_version=1"
 CSV_COLUMNS = ("generation", "n", "mean_entropy", "std_entropy", "mean_mi")
@@ -34,8 +37,6 @@ class DiagnosticsConfig:
     window: int = 10
     run_steps: int = 10000
     trials: int = 15
-    binarize_threshold: float = 0.5
-    mi_lag: int = 1
     rng_seed: int = 0
 
     def __post_init__(self):
@@ -45,10 +46,6 @@ class DiagnosticsConfig:
             raise ValueError("run_steps must be >= window")
         if self.trials < 1:
             raise ValueError("trials must be >= 1")
-        if not 0.0 < self.binarize_threshold < 1.0:
-            raise ValueError("binarize_threshold must be in (0, 1)")
-        if self.mi_lag < 1:
-            raise ValueError("mi_lag must be >= 1")
 
 
 @dataclass
@@ -64,9 +61,9 @@ class MiReport:
     per_trial: list = field(default_factory=list)
 
 
-def binarize(state, threshold: float = 0.5) -> np.ndarray:
-    """Fuzzy values to bits; values equal to the threshold become 1."""
-    return (np.asarray(state, dtype=float) >= threshold).astype(np.uint8)
+def binarize(state) -> np.ndarray:
+    """Fuzzy values to bits; values equal to BINARIZE_THRESHOLD become 1."""
+    return (np.asarray(state, dtype=float) >= BINARIZE_THRESHOLD).astype(np.uint8)
 
 
 def _h_bernoulli(p):
@@ -145,10 +142,10 @@ def _trial_bit_series(rules, config: DiagnosticsConfig) -> np.ndarray:
     seqs = np.random.SeedSequence(config.rng_seed).spawn(config.trials)
     cur = np.vstack([np.random.default_rng(s).random(rs.n) for s in seqs])
     bits = np.empty((config.run_steps + 1, config.trials, rs.n), dtype=np.uint8)
-    bits[0] = cur >= config.binarize_threshold
+    bits[0] = cur >= BINARIZE_THRESHOLD
     for t in range(1, config.run_steps + 1):
         cur = rs.apply(cur)
-        bits[t] = cur >= config.binarize_threshold
+        bits[t] = cur >= BINARIZE_THRESHOLD
     return bits[min(config.window, bits.shape[0] - config.window):]
 
 
@@ -167,11 +164,13 @@ def _entropy_report(series, w: int) -> EntropyReport:
                          per_trial=[float(v) for v in per_trial])
 
 
-def _mi_report(series, lag: int) -> MiReport:
-    """Mean normalized MI between states `lag` steps apart, per trial."""
-    if series.shape[0] <= lag:
-        raise ValueError("run too short for the requested mi_lag")
-    per_trial = _normalized_mi(series[:-lag], series[lag:]).mean(axis=0)
+def _mi_report(series) -> MiReport:
+    """Mean normalized MI between states MI_LAG steps apart, per trial.
+
+    A trial series keeps at least `window` >= 2 rows, so every trial has
+    a lagged pair.
+    """
+    per_trial = _normalized_mi(series[:-MI_LAG], series[MI_LAG:]).mean(axis=0)
     return MiReport(mean_mi=float(per_trial.mean()),
                     per_trial=[float(v) for v in per_trial])
 
@@ -182,8 +181,8 @@ def measure_entropy(rules, config: DiagnosticsConfig = DiagnosticsConfig()) -> E
 
 
 def measure_mi(rules, config: DiagnosticsConfig = DiagnosticsConfig()) -> MiReport:
-    """Mean normalized MI between states at lag mi_lag, per trial."""
-    return _mi_report(_trial_bit_series(rules, config), config.mi_lag)
+    """Mean normalized MI between states at lag MI_LAG, per trial."""
+    return _mi_report(_trial_bit_series(rules, config))
 
 
 # ----- per-generation GA diagnostics ------------------------------------------
@@ -192,7 +191,7 @@ def rule_vector_diagnostics(rules, config: DiagnosticsConfig, generation: int = 
     """One CSV row: entropy and MI of a single simulated trial series."""
     series = _trial_bit_series(rules, config)
     ent = _entropy_report(series, config.window)
-    mi = _mi_report(series, config.mi_lag)
+    mi = _mi_report(series)
     return {"generation": generation, "n": len(RuleSet.coerce(rules)),
             "mean_entropy": ent.mean_entropy, "std_entropy": ent.std_dev,
             "mean_mi": mi.mean_mi}
@@ -206,8 +205,6 @@ def ga_diagnostics(n: int, ga_config, diag_config: DiagnosticsConfig) -> list:
     patterns per class, class 1 features in [0, 0.3], class 2 in
     [0.7, 1.0], n cells wide.
     """
-    from .attractor_tree import _evolve_rules, GaConfig  # local to avoid cycle
-
     if not isinstance(ga_config, GaConfig):
         raise TypeError("ga_config must be a GaConfig")
     rng = np.random.default_rng(np.random.SeedSequence(ga_config.rng_seed).spawn(1)[0])

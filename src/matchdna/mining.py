@@ -2,8 +2,8 @@
 and wildcard goal/threat motifs.
 
 Sequences are plain strings over the five-letter play alphabet
-{A, C, G, T, -}.  '-' is an ordinary symbol for literal mining but is not
-covered by the motif wildcard 'x' unless explicitly allowed.
+{A, C, G, T, -}.  '-' is an ordinary symbol for literal mining but is never
+covered by the motif wildcard 'x'.
 """
 
 from __future__ import annotations
@@ -138,36 +138,31 @@ def find_tandem_repeats(sequence: str, pattern: str) -> list[tuple[int, int]]:
     return _runs(count_occurrences(sequence, pattern)[1], len(pattern))
 
 
-def match_motif(window: str, motif: Motif, wildcard_matches_idle: bool = False) -> bool:
+def match_motif(window: str, motif: Motif) -> bool:
     """True iff `window` matches the template position by position.
 
-    'x' stands for any play letter; it does not match the idle symbol
-    '-' unless wildcard_matches_idle is set.
+    'x' stands for any play letter; it never matches the idle symbol '-'.
     """
     if len(window) != len(motif.template):
         raise ValueError(f"window length {len(window)} != template "
                          f"length {len(motif.template)}")
     for w, t in zip(window, motif.template):
         if t == WILDCARD:
-            if w == "-" and not wildcard_matches_idle:
-                return False
-            if w not in ALPHABET:
+            if w == "-" or w not in ALPHABET:
                 return False
         elif w != t:
             return False
     return True
 
 
-def find_motif(sequence: str, motif: Motif,
-               wildcard_matches_idle: bool = False) -> list[int]:
+def find_motif(sequence: str, motif: Motif) -> list[int]:
     """Start indices of all sliding-window matches of the motif."""
     k = len(motif.template)
     return [i for i in range(len(sequence) - k + 1)
-            if match_motif(sequence[i:i + k], motif, wildcard_matches_idle)]
+            if match_motif(sequence[i:i + k], motif)]
 
 
-def motif_occurrence_rate(corpus, motif: Motif, lookback: int,
-                          wildcard_matches_idle: bool = False) -> float:
+def motif_occurrence_rate(corpus, motif: Motif, lookback: int) -> float:
     """Percentage of the motif's events preceded by a motif match.
 
     For every annotated event carrying the motif's label, the lookback
@@ -185,7 +180,7 @@ def motif_occurrence_rate(corpus, motif: Motif, lookback: int,
                 continue
             total += 1
             window = seq.letters[max(0, index + 1 - lookback):index + 1]
-            if find_motif(window, motif, wildcard_matches_idle):
+            if find_motif(window, motif):
                 hits += 1
     if total == 0:
         raise ValueError(f"corpus has no events labelled {motif.label!r}")

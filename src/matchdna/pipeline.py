@@ -244,10 +244,13 @@ def stage_simulate(config: dict, out_dir: Path) -> Path:
     """Run the seeded match corpus; write one JSONL log per match plus the
     manifest skeleton."""
     sim = config["simulate"]
+    n_matches = int(sim["matches"])
+    if n_matches < 1:
+        raise ValueError(f"simulate.matches must be >= 1, got {n_matches}")
     logs_dir = out_dir / "logs"
     logs_dir.mkdir(parents=True, exist_ok=True)
     manifest = CorpusManifest(created_at=_timestamp())
-    for i in range(int(sim["matches"])):
+    for i in range(n_matches):
         match_id = f"m{i:03d}"
         field_config = FieldConfig(
             cycle_count=int(sim["cycles"]),
@@ -401,12 +404,16 @@ def stage_mine(config: dict, out_dir: Path) -> Path:
     # motifs speak the action alphabet, so rates are taken over player
     # sequences (each carries its game's event windows)
     lookback = int(params["lookback"])
+    longest = max(len(motif.template) for motif in DEFAULT_MOTIFS)
+    if lookback < longest:
+        raise ValueError(f"mine.lookback {lookback} is shorter than the "
+                         f"longest motif template ({longest} letters)")
+    labels = {label for seq in players for _index, label in seq.events}
     rates = []
     for motif in DEFAULT_MOTIFS:
-        try:
+        rate = None  # corpus has no events with this label
+        if motif.label in labels:
             rate = mining.motif_occurrence_rate(players, motif, lookback)
-        except ValueError:
-            rate = None  # corpus has no events with this label
         rates.append({"template": motif.template, "label": motif.label,
                       "band": motif.confidence_band, "rate": rate})
 

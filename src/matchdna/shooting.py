@@ -1,6 +1,8 @@
 """Scripted shooting behavior: a finite-state policy that finds the ball,
 approaches it, rounds it until ball and goal are both in view, aligns,
 asks an optional feedback hook whether to shoot, and kicks at the goal.
+The hook takes the letter window and returns a verdict whose `proceed`
+is false to veto the shot (attractor_tree.ca_feedback's FeedbackDecision).
 
 Rounding, aligning and shooting are driven by five-letter action macros;
 each letter maps to one cycle's command:
@@ -173,9 +175,5 @@ class ShootingPolicy:
         if self.feedback is None:
             return False
         window = self.letters_of(agent_id)[-FEEDBACK_WINDOW:]
-        result = self.feedback(window)
-        if isinstance(result, str):
-            return result == "veto"
-        proceed = getattr(result, "proceed", True)
-        return not proceed
+        return not self.feedback(window).proceed
 

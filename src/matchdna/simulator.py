@@ -374,8 +374,8 @@ def run_match(home_policy, away_policy, config: FieldConfig,
               positions=None, ball=None) -> MatchLog:
     """Run cycle_count cycles and collect the full log.
 
-    Policies expose act(agent_id, perceptions, cycle) returning a Command,
-    a list of Commands, or None; a policy of None idles its team.  If a
+    Policies expose act(agent_id, perceptions, cycle) returning a list of
+    Commands or None; a policy of None idles its team.  If a
     cycle raises, the partial log is returned flagged invalid, with the
     exception's type and message and the cycle in `error`.
     """
@@ -393,8 +393,6 @@ def run_match(home_policy, away_policy, config: FieldConfig,
                 cmds = policy.act(aid, perceptions[aid], cycle)
                 if cmds is None:
                     continue
-                if isinstance(cmds, Command):
-                    cmds = [cmds]
                 for cmd in cmds:
                     world.submit_command(aid, cmd, cycle)
             log.events.extend(world.step())

@@ -268,8 +268,6 @@ class TestGaConfig:
         with pytest.raises(ValueError):
             GaConfig(population_size=1)
         with pytest.raises(ValueError):
-            GaConfig(mutation_rate=1.5)
-        with pytest.raises(ValueError):
             GaConfig(generations=0)
 
 

@@ -1,5 +1,7 @@
 """Tests for the bucket-brigade learning classifier system."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -22,7 +24,7 @@ from matchdna.classifier_system import (
     select_action,
     train,
 )
-from matchdna.mining import Motif
+from matchdna.mining import DEFAULT_MOTIFS, AnnotatedSequence, Motif
 from matchdna.sequences import PlayerSequence
 
 
@@ -471,8 +473,41 @@ class TestConfigValidation:
         dict(reward_win=10.0, reward_play=10.0),
         dict(reward_play=0.0),
         dict(mutation_rate=1.5),
-        dict(context_length=0),
     ])
     def test_rejects(self, kw):
         with pytest.raises(ValueError):
             LcsConfig(**kw)
+
+
+class TestPinnedTrain:
+    """SHA-256 of population_to_csv + curve_to_csv for seeded replay runs.
+
+    The corpus is 30 random 150-letter sequences with three goal windows
+    each; over 12,000 iterations it rewards far more than REWARDED_HISTORY
+    distinct contexts, so the run without miner stats discovers from the
+    evicting rewarded-context history.
+    """
+
+    def corpus(self):
+        rng = np.random.default_rng(2024)
+        out = []
+        for i in range(30):
+            letters = "".join(rng.choice(list("ACGT-"), size=150))
+            events = [(int(t), "goal")
+                      for t in rng.choice(150, size=3, replace=False)]
+            out.append(AnnotatedSequence(f"s{i}", letters, sorted(events)))
+        return out
+
+    @pytest.mark.parametrize("stats, digest", [
+        (None,
+         "820d56d8f928eb7d3fbe26c2ce8662b4cbbc7621a954c0dc2c7ac06c1118ea36"),
+        (MinerStats(patterns=[("CCT", 40), ("ACG", 30), ("T-A", 20), ("GG", 10)],
+                    motifs=list(DEFAULT_MOTIFS)),
+         "0977bb1f97e15724f40ea792e3c910bc4d3b75a7f1abe1e662428c3948ef5d22"),
+    ], ids=["rewarded-contexts", "miner-stats"])
+    def test_train_bytes(self, stats, digest):
+        config = LcsConfig(max_iterations=12000, rng_seed=5)
+        env = SequenceReplayEnvironment(self.corpus(), config, stats)
+        population, curve = train(env, config)
+        text = population_to_csv(population) + curve_to_csv(curve)
+        assert hashlib.sha256(text.encode()).hexdigest() == digest

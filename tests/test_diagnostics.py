@@ -143,10 +143,6 @@ class TestMeasureMi:
         report = measure_mi([0] * 10, DiagnosticsConfig(**SMALL))
         assert report.mean_mi == 0.0
 
-    def test_complement_rules_at_lag_two(self):
-        report = measure_mi([51] * 10, DiagnosticsConfig(mi_lag=2, **SMALL))
-        assert report.mean_mi == pytest.approx(1.0)
-
     def test_bounded_and_deterministic(self):
         cfg = DiagnosticsConfig(window=6, run_steps=150, trials=4, rng_seed=9)
         rules = [250, 3, 204, 17, 238, 254]
@@ -159,8 +155,7 @@ class TestRuleVectorDiagnostics:
     @pytest.mark.parametrize("rules", [[0] * 6, [204] * 6, [51] * 6,
                                        [254, 85, 238, 51, 240, 170]])
     def test_row_equals_separate_measurements(self, rules):
-        cfg = DiagnosticsConfig(window=6, run_steps=150, trials=4, rng_seed=9,
-                                mi_lag=2)
+        cfg = DiagnosticsConfig(window=6, run_steps=150, trials=4, rng_seed=9)
         ent = measure_entropy(rules, cfg)
         mi = measure_mi(rules, cfg)
         assert diag.rule_vector_diagnostics(rules, cfg, generation=3) == {
@@ -170,8 +165,7 @@ class TestRuleVectorDiagnostics:
 
 class TestConfigValidation:
     @pytest.mark.parametrize("kw", [dict(window=1), dict(run_steps=5, window=10),
-                                    dict(trials=0), dict(binarize_threshold=0.0),
-                                    dict(binarize_threshold=1.0), dict(mi_lag=0)])
+                                    dict(trials=0)])
     def test_rejects(self, kw):
         with pytest.raises(ValueError):
             DiagnosticsConfig(**kw)

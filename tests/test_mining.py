@@ -146,7 +146,6 @@ class TestMatchMotif:
     def test_wildcard_excludes_idle_by_default(self):
         m = Motif("xC", "goal")
         assert not match_motif("-C", m)
-        assert match_motif("-C", m, wildcard_matches_idle=True)
         assert match_motif("GC", m)
 
     def test_all_wildcards_match_anything(self):

@@ -240,6 +240,25 @@ class TestPipelineRun:
         assert err.value.stage == "mine"
         assert "mine" in str(err.value)
 
+    def test_zero_matches_fail_at_simulate(self, tmp_path):
+        config = smoke_config(tmp_path)
+        config["simulate"]["matches"] = 0
+        with pytest.raises(StageError) as err:
+            pipeline_run(config)
+        assert err.value.stage == "simulate"
+        assert "simulate.matches must be >= 1, got 0" in str(err.value)
+
+    def test_short_lookback_fails_naming_it(self, mined_dir, tmp_path):
+        out = tmp_path / "run"
+        shutil.copytree(mined_dir, out)
+        config = smoke_config(out)
+        config["mine"]["lookback"] = 3
+        with pytest.raises(StageError) as err:
+            run_stage("mine", config, out)
+        assert err.value.stage == "mine"
+        assert ("mine.lookback 3 is shorter than the longest motif template "
+                "(5 letters)") in str(err.value)
+
     def test_failed_stage_leaves_prior_artifacts(self, tmp_path):
         config = smoke_config(tmp_path)
         run_stage("simulate", config, tmp_path)

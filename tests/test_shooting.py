@@ -3,6 +3,12 @@ feedback veto path, and an end-to-end scripted goal."""
 
 import pytest
 
+from matchdna.attractor_tree import (
+    FeedbackDecision,
+    GaConfig,
+    ca_feedback,
+    fit_window_classifier,
+)
 from matchdna.simulator import FieldConfig, Perception, run_match
 from matchdna import shooting
 from matchdna.shooting import ShootingPolicy
@@ -67,7 +73,8 @@ class TestRoundAndShoot:
     def test_full_letter_script_goal_ahead(self):
         cfg = FieldConfig(cycle_count=64, rng_seed=0)
         windows = []
-        policy = ShootingPolicy(cfg, feedback=lambda w: windows.append(w) or "proceed")
+        policy = ShootingPolicy(
+            cfg, feedback=lambda w: windows.append(w) or FeedbackDecision(proceed=True))
         perc = perception((3, 0), (0, 0), 0.0)
         cmds = drive(policy, perc, 16)
         # goal dead ahead (rel 0) -> counterclockwise macro AAACT, then
@@ -87,13 +94,27 @@ class TestRoundAndShoot:
 
     def test_veto_reverses_direction(self):
         cfg = FieldConfig(cycle_count=64, rng_seed=0)
-        answers = iter(["veto", "proceed"])
+        answers = iter([FeedbackDecision(proceed=False), FeedbackDecision(proceed=True)])
         policy = ShootingPolicy(cfg, feedback=lambda w: next(answers))
         perc = perception((3, 0), (0, 0), 0.0)
         drive(policy, perc, 30)
         letters = policy.letters_of("a")
         # first pass counterclockwise, veto flips to the clockwise macro
         assert letters.startswith("AAACT" + "ATACT" + "AGGGT")
+        assert policy.memory("a").flip
+
+    def test_trained_tree_vetoes_align_window(self):
+        tree = fit_window_classifier(
+            ["ATACT", "ATACC", "TTACT", "TCCCT", "CACCT", "GCCCT"],
+            ["threat", "threat", "threat", "goal", "goal", "goal"],
+            ga=GaConfig(population_size=10, generations=5, rng_seed=0))
+        assert not ca_feedback(tree, "ATACT").proceed
+        cfg = FieldConfig(cycle_count=64, rng_seed=0)
+        policy = ShootingPolicy(cfg, feedback=lambda w: ca_feedback(tree, w))
+        perc = perception((3, 0), (0, 0), 0.0)
+        drive(policy, perc, 15)
+        # the align window ATACT is vetoed, so the clockwise macro follows
+        assert policy.letters_of("a") == "AAACT" + "ATACT" + "AGGGT"
         assert policy.memory("a").flip
 
     def test_acts_from_stale_snapshot_when_no_perception(self):
