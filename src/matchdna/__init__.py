@@ -96,7 +96,6 @@ from .classifier_system import (
 from .pipeline import (
     CorpusManifest,
     StageError,
-    build_corpus,
     pipeline_run,
     resolve_config,
 )

@@ -21,6 +21,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .fuzzy_ca import RuleSet, SUPPORTED_RULES, terminal_states
+from .mining import GOAL, THREAT
+from .sequences import IDLE
 
 TREE_SCHEMA_VERSION = 1
 
@@ -36,11 +38,8 @@ CROSSOVER_RATE = 0.8
 TOURNAMENT_SIZE = 3
 
 # feedback feature map, one cell per window letter
-SYMBOL_LEVELS = {"A": 0.2, "C": 0.4, "G": 0.6, "T": 0.8, "-": 0.0}
+SYMBOL_LEVELS = {"A": 0.2, "C": 0.4, "G": 0.6, "T": 0.8, IDLE: 0.0}
 FEATURE_MAP_VERSION = "letters-v1"
-
-GOAL = "goal"
-THREAT = "threat"
 
 _RULE_POOL = np.array(sorted(SUPPORTED_RULES))
 
@@ -143,6 +142,13 @@ def fitness(rules, patterns, labels):
     return np.array(purities) if np.ndim(rules) == 2 else purities[0]
 
 
+def _nearest(terms, centroids) -> np.ndarray:
+    """Index of the Euclidean-nearest centroid for every terminal row; the
+    one assignment rule for training-time clustering and routing."""
+    dists = np.linalg.norm(terms[:, None, :] - centroids[None, :, :], axis=2)
+    return np.argmin(dists, axis=1)
+
+
 def group_basins(terminals, k: int, seed=0):
     """Deterministic k-means over terminal vectors.
 
@@ -162,8 +168,7 @@ def group_basins(terminals, k: int, seed=0):
     centroids = distinct[np.sort(picks)]
     assignment = np.zeros(len(terminals), dtype=np.int64)
     for _ in range(100):
-        dists = np.linalg.norm(terminals[:, None, :] - centroids[None, :, :], axis=2)
-        new_assignment = np.argmin(dists, axis=1)
+        new_assignment = _nearest(terminals, centroids)
         new_centroids = centroids.copy()
         for c in range(k):
             members = terminals[new_assignment == c]
@@ -175,8 +180,7 @@ def group_basins(terminals, k: int, seed=0):
         assignment, centroids = new_assignment, new_centroids
     # re-derive the assignment from the returned centroids so that routing
     # a member later reproduces its training-time cluster exactly
-    dists = np.linalg.norm(terminals[:, None, :] - centroids[None, :, :], axis=2)
-    return np.argmin(dists, axis=1), centroids
+    return _nearest(terminals, centroids), centroids
 
 
 def _evolve_rules(patterns, labels, ga: GaConfig, rng, on_generation=None) -> list:
@@ -300,9 +304,7 @@ def classify_batch(tree: FmacaTree, patterns) -> np.ndarray:
             return
         terms, _conv = terminal_states(patterns[idx], node.rules,
                                        max_steps=TERMINAL_MAX_STEPS)
-        dists = np.linalg.norm(terms[:, None, :] - node.centroids[None, :, :],
-                               axis=2)
-        assignment = np.argmin(dists, axis=1)
+        assignment = _nearest(terms, node.centroids)
         fallback = _nearest_leaf_label(node)
         for c in range(len(node.centroids)):
             members = idx[assignment == c]

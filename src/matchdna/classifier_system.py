@@ -18,10 +18,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-CONTEXT_SYMBOLS = "ACGT-"
-ACTIONS = "ACGT"
+from .mining import GOAL
+from .sequences import ACTIONS, ALPHABET, IDLE
+
 WILDCARD = "#"
-CONDITION_SYMBOLS = CONTEXT_SYMBOLS + WILDCARD
+# rule conditions are coded by index into this string
+CONDITION_SYMBOLS = ALPHABET + WILDCARD
 
 _CODE = {ch: i for i, ch in enumerate(CONDITION_SYMBOLS)}
 _WILD = _CODE[WILDCARD]
@@ -82,9 +84,6 @@ class MinerStats:
     patterns: list = field(default_factory=list)
     motifs: list = field(default_factory=list)
 
-    def is_empty(self):
-        return not self.patterns and not self.motifs
-
 
 def encode_condition(condition: str) -> np.ndarray:
     try:
@@ -119,7 +118,7 @@ class Population:
         shape = (config.population_size, CONTEXT_LENGTH)
         # wildcard with probability 1/3, otherwise a uniform play symbol
         wild = rng.random(shape) < 1.0 / 3.0
-        conds = rng.integers(0, len(CONTEXT_SYMBOLS), size=shape).astype(np.uint8)
+        conds = rng.integers(0, len(ALPHABET), size=shape).astype(np.uint8)
         conds[wild] = _WILD
         actions = rng.integers(0, len(ACTIONS), size=config.population_size)
         strengths = np.full(config.population_size, 100.0)
@@ -256,11 +255,8 @@ def ga_discover(population: Population, stats: MinerStats, rng,
     total = weights.sum()
     probs = weights / total if total > 0 else None
 
-    candidates = None
-    if not stats.is_empty():
-        rows = _condition_candidates(stats, CONTEXT_LENGTH)
-        if rows:
-            candidates = np.stack(rows)
+    rows = _condition_candidates(stats, CONTEXT_LENGTH)
+    candidates = np.stack(rows) if rows else None
 
     length = CONTEXT_LENGTH
     for slot in victims:
@@ -403,13 +399,13 @@ class SequenceReplayEnvironment:
         self._episodes = []
         for seq in corpus:
             goal_windows = {i for i, label in getattr(seq, "events", ())
-                            if label == "goal"}
+                            if label == GOAL}
             letters = seq.letters
             steps = []
             for t in range(1, len(letters)):
                 if letters[t] not in ACTIONS:
                     continue
-                window = letters[max(0, t - length):t].rjust(length, "-")
+                window = letters[max(0, t - length):t].rjust(length, IDLE)
                 steps.append((window, letters[t], t in goal_windows))
             if steps:
                 self._episodes.append(steps)

@@ -80,14 +80,17 @@ def site_entropy(window_bits) -> float:
     """Mean per-cell Shannon entropy of one binarized window.
 
     Accepts a (w,) series for a single cell or a (w, n) block; the
-    result is the average over cells.
+    result is the average over cells.  It is the one-window, one-trial
+    case of the moving-window reduction that measure_entropy runs.
     """
     b = np.asarray(window_bits)
     if b.ndim == 1:
         b = b[:, None]
     if b.ndim != 2 or b.shape[0] < 1:
         raise ValueError("window must be a non-empty 1-D or 2-D bit array")
-    return float(np.mean(_h_bernoulli(b.mean(axis=0))))
+    if not np.isin(b, (0, 1)).all():
+        raise ValueError("window must hold only 0/1 bits")
+    return _entropy_report(b[:, None, :], len(b)).mean_entropy
 
 
 def mutual_information(p1, p2) -> float:
@@ -141,12 +144,11 @@ def _trial_bit_series(rules, config: DiagnosticsConfig) -> np.ndarray:
     rs = RuleSet.coerce(rules)
     seqs = np.random.SeedSequence(config.rng_seed).spawn(config.trials)
     cur = np.vstack([np.random.default_rng(s).random(rs.n) for s in seqs])
-    bits = np.empty((config.run_steps + 1, config.trials, rs.n), dtype=np.uint8)
-    bits[0] = cur >= BINARIZE_THRESHOLD
+    states = np.empty((config.run_steps + 1, config.trials, rs.n))
+    states[0] = cur
     for t in range(1, config.run_steps + 1):
-        cur = rs.apply(cur)
-        bits[t] = cur >= BINARIZE_THRESHOLD
-    return bits[min(config.window, bits.shape[0] - config.window):]
+        states[t] = cur = rs.apply(cur)
+    return binarize(states[min(config.window, len(states) - config.window):])
 
 
 def _entropy_report(series, w: int) -> EntropyReport:

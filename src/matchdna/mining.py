@@ -10,7 +10,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-ALPHABET = ("A", "C", "G", "T", "-")
+from .sequences import ACTIONS, ALPHABET
+
 WILDCARD = "x"
 
 GOAL = "goal"
@@ -98,14 +99,12 @@ def enumerate_unique(sequence: str, query: PatternQuery) -> set:
 
 
 def count_occurrences(sequence: str, pattern: str) -> tuple[int, list[int]]:
-    """Count possibly overlapping literal occurrences; also return starts."""
+    """Count possibly overlapping literal occurrences; also return starts.
+    The starts come from the miner's own index at the pattern's length."""
     if not pattern:
         raise ValueError("pattern must be non-empty")
-    starts = []
-    i = sequence.find(pattern)
-    while i != -1:
-        starts.append(i)
-        i = sequence.find(pattern, i + 1)
+    k = len(pattern)
+    starts = _occurrence_index(sequence, PatternQuery(k, k)).get(pattern, [])
     return len(starts), starts
 
 
@@ -141,14 +140,14 @@ def find_tandem_repeats(sequence: str, pattern: str) -> list[tuple[int, int]]:
 def match_motif(window: str, motif: Motif) -> bool:
     """True iff `window` matches the template position by position.
 
-    'x' stands for any play letter; it never matches the idle symbol '-'.
+    'x' stands for any action letter; it never matches the idle symbol '-'.
     """
     if len(window) != len(motif.template):
         raise ValueError(f"window length {len(window)} != template "
                          f"length {len(motif.template)}")
     for w, t in zip(window, motif.template):
         if t == WILDCARD:
-            if w == "-" or w not in ALPHABET:
+            if w not in ACTIONS:
                 return False
         elif w != t:
             return False

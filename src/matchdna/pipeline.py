@@ -40,7 +40,7 @@ from .classifier_system import (
 )
 from .diagnostics import DiagnosticsConfig, diagnostics_to_csv, ga_diagnostics
 from .mining import DEFAULT_MOTIFS, GOAL, THREAT, AnnotatedSequence, PatternQuery
-from .sequences import encode_game, encode_player
+from .sequences import ACTIONS, IDLE, encode_game, encode_player
 from .shooting import ShootingPolicy
 from .simulator import AWAY, HOME, FieldConfig, load_match_log, run_match, save_match_log
 
@@ -113,6 +113,14 @@ class StageError(RuntimeError):
 
 
 # ----- run config ---------------------------------------------------------
+
+def _at_least(config: dict, section: str, key: str, low: int) -> int:
+    """config[section][key] as an int, refused below `low` by name."""
+    value = int(config[section][key])
+    if value < low:
+        raise ValueError(f"{section}.{key} must be >= {low}, got {value}")
+    return value
+
 
 def _check_keys(given: dict, allowed: dict, path: str):
     for key in given:
@@ -244,9 +252,7 @@ def stage_simulate(config: dict, out_dir: Path) -> Path:
     """Run the seeded match corpus; write one JSONL log per match plus the
     manifest skeleton."""
     sim = config["simulate"]
-    n_matches = int(sim["matches"])
-    if n_matches < 1:
-        raise ValueError(f"simulate.matches must be >= 1, got {n_matches}")
+    n_matches = _at_least(config, "simulate", "matches", 1)
     logs_dir = out_dir / "logs"
     logs_dir.mkdir(parents=True, exist_ok=True)
     manifest = CorpusManifest(created_at=_timestamp())
@@ -389,6 +395,7 @@ def stage_mine(config: dict, out_dir: Path) -> Path:
     """Mine player sequences for frequent patterns and tandem runs and
     score the motif tables against the annotated corpus."""
     params = config["mine"]
+    top_patterns = _at_least(config, "mine", "top_patterns", 0)
     manifest = _encoded_manifest(config, out_dir)
     games, players = _load_corpus(out_dir, manifest)
 
@@ -399,7 +406,7 @@ def stage_mine(config: dict, out_dir: Path) -> Path:
     for pattern, count, _seq_id in report.rows:
         totals[pattern] = totals.get(pattern, 0) + count
     top = sorted(totals.items(), key=lambda kv: (-kv[1], kv[0]))
-    top = top[:int(params["top_patterns"])]
+    top = top[:top_patterns]
 
     # motifs speak the action alphabet, so rates are taken over player
     # sequences (each carries its game's event windows)
@@ -437,10 +444,10 @@ def _motif_windows(window: int) -> list:
     left-padded with idle."""
     out = []
     for motif in DEFAULT_MOTIFS:
-        template = motif.template[-window:].rjust(window, "-")
+        template = motif.template[-window:].rjust(window, IDLE)
         expansions = [""]
         for ch in template:
-            letters = "ACGT" if ch == mining.WILDCARD else ch
+            letters = ACTIONS if ch == mining.WILDCARD else ch
             expansions = [prefix + letter
                           for prefix in expansions for letter in letters]
         out.extend((text, motif.label) for text in expansions)
@@ -456,8 +463,8 @@ def _corpus_windows(players: list, window: int) -> list:
             if label not in (GOAL, THREAT):
                 continue
             text = seq.letters[max(0, index + 1 - window):index + 1]
-            text = text.rjust(window, "-")
-            if set(text) == {"-"}:
+            text = text.rjust(window, IDLE)
+            if set(text) == {IDLE}:
                 continue
             out.append((text, label))
     return out
@@ -467,7 +474,7 @@ def stage_train_fmaca(config: dict, out_dir: Path) -> Path:
     """Fit the attractor-basin window classifier on goal/threat windows
     from the corpus plus the motif-table exemplars."""
     params = config["train_fmaca"]
-    window = int(params["window"])
+    window = _at_least(config, "train_fmaca", "window", 1)
     manifest = _encoded_manifest(config, out_dir)
     _games, players = _load_corpus(out_dir, manifest)
 
@@ -523,6 +530,7 @@ def stage_train_lcs(config: dict, out_dir: Path) -> Path:
     """Train the classifier system on replayed corpus sequences (or the
     built-in oracle) and write the population and learning curve."""
     params = config["train_lcs"]
+    _at_least(config, "train_lcs", "iters", 1)
     lcs_config = _lcs_config(params)
     env_name = params["env"]
     environment = None
@@ -617,18 +625,3 @@ def pipeline_run(config: dict) -> dict:
         log.info("running stage %s", name)
         artifacts[name] = run_stage(name, config, out_dir)
     return artifacts
-
-
-def build_corpus(n_matches: int, config: dict | None = None,
-                 out_dir=None) -> CorpusManifest:
-    """Simulate and encode a corpus of n_matches seeded matches; returns
-    the validated manifest."""
-    if n_matches < 1:
-        raise ValueError("n_matches must be >= 1")
-    resolved = resolve_config(config)
-    resolved["simulate"]["matches"] = int(n_matches)
-    out = Path(out_dir if out_dir is not None else resolved["out_dir"])
-    out.mkdir(parents=True, exist_ok=True)
-    run_stage("simulate", resolved, out)
-    run_stage("encode", resolved, out)
-    return _encoded_manifest(resolved, out)

@@ -19,8 +19,10 @@ from dataclasses import dataclass
 
 from .simulator import MatchLog, _nearest_holder
 
-ALPHABET = "ACGT-"
+# the play alphabet: every module that reads or writes letters imports it
+ACTIONS = "ACGT"
 IDLE = "-"
+ALPHABET = ACTIONS + IDLE
 
 SYMBOL_ACTIONS = {
     "A": "turn-toward-ball",

@@ -14,6 +14,10 @@ each letter maps to one cycle's command:
 
 The policy records every letter it emits; the trailing letters form the
 context window handed to the feedback hook before a shot.
+
+`act` receives 0-2 references to the simulator's snapshot of the previous
+cycle, an (AgentState list, BallState) pair; the policy keeps the last
+one it got and acts on it when a cycle delivers none.
 """
 
 from __future__ import annotations
@@ -83,8 +87,14 @@ class ShootingPolicy:
 
     def _view(self, perception, agent_id):
         """Relative bearings (ball, goal) and ball distance for one agent."""
-        x, y, heading, _team = perception.agents[agent_id]
-        bx, by = perception.ball[0], perception.ball[1]
+        agents, ball = perception
+        for me in agents:
+            if me.id == agent_id:
+                break
+        else:
+            raise KeyError(agent_id)
+        x, y, heading = me.x, me.y, me.heading
+        bx, by = ball.x, ball.y
         rel_ball = normalize_heading(self._bearing((x, y), (bx, by)) - heading)
         rel_goal = normalize_heading(self._bearing((x, y), self.goal) - heading)
         return rel_ball, rel_goal, math.hypot(bx - x, by - y)

@@ -6,6 +6,11 @@ cycle; at cycle end exactly one queued movement command per agent
 were queued.  These four are the whole protocol: the agents do not
 communicate, so there is no say, sense_body or change_view command.
 
+Agents perceive the snapshot the log records for the previous cycle (the
+initial state at cycle 0).  The world copies its state once per cycle and
+hands the same objects to the agents and to the log, so agents only read
+what they perceive.
+
 Conventions: x runs along the field length, y across the width, the
 origin is the center spot.  The home team attacks +x.  Headings are
 degrees in [-180, 180), 0 pointing at +x, measured counterclockwise.
@@ -126,11 +131,6 @@ def _clamped(kind, x, y, cycle) -> Command:
     return Command(kind, x, y, cycle)
 
 
-def clamp_command(cmd: Command) -> Command:
-    """Pull numeric arguments back into their legal ranges."""
-    return _clamped(cmd.kind, cmd.x, cmd.y, cmd.issued_cycle)
-
-
 @dataclass(frozen=True)
 class Ack:
     """Submission receipt: whether the command was taken, the post-clamp
@@ -164,14 +164,6 @@ class MatchEvent:
 
 
 @dataclass
-class Perception:
-    """Noiseless snapshot delivered to one agent."""
-    cycle: int
-    ball: tuple          # (x, y, vx, vy)
-    agents: dict         # id -> (x, y, heading, team)
-
-
-@dataclass
 class MatchLog:
     config: FieldConfig
     events: list = field(default_factory=list)
@@ -194,7 +186,8 @@ def _nearest_holder(agents, ball, kickable):
 
 
 class World:
-    """Mutable match state plus the command queue for the current cycle."""
+    """Mutable match state plus the command queue for the current cycle;
+    `snap` is the state's snapshot, retaken at the end of every step."""
 
     def __init__(self, config: FieldConfig, positions=None, ball=None):
         self.config = config
@@ -227,6 +220,7 @@ class World:
         self._holder = None
         self._pending_pass = None      # (kicker_id, kick_cycle)
         self._goal_pending = False
+        self.snap = self.snapshot()
 
     # ----- command intake -------------------------------------------------
 
@@ -245,21 +239,16 @@ class World:
     # ----- perception -----------------------------------------------------
 
     def deliver_perceptions(self):
-        """Snapshot count per agent: {0,1,2} with probabilities
-        {0.1, 0.8, 0.1} (long-run mean one per cycle), or exactly one
-        when jitter is disabled."""
-        snap_agents = {a.id: (a.x, a.y, a.heading, a.team)
-                       for a in self.agents.values()}
-        snap = Perception(self.cycle,
-                          (self.ball.x, self.ball.y, self.ball.vx, self.ball.vy),
-                          snap_agents)
+        """Agent id -> 0-2 references to `snap`, the state the log records
+        for the previous cycle: {0,1,2} with probabilities {0.1, 0.8, 0.1}
+        (long-run mean one per cycle), or exactly one without jitter."""
         out = {}
         for aid in sorted(self.agents):
             if self.config.perception_jitter:
                 k = int(self._rng_perc.choice(3, p=[0.1, 0.8, 0.1]))
             else:
                 k = 1
-            out[aid] = [snap] * k
+            out[aid] = [self.snap] * k
         return out
 
     # ----- cycle stepping -------------------------------------------------
@@ -327,6 +316,7 @@ class World:
 
         self._queues = {aid: [] for aid in self.agents}
         self.cycle += 1
+        self.snap = self.snapshot()
         return events
 
     def _execute(self, aid, cmd, cycle, events):
@@ -365,6 +355,7 @@ class World:
         self._holder = holder
 
     def snapshot(self):
+        """Copies of the agent states (sorted by id) and of the ball."""
         agents = [replace(self.agents[aid]) for aid in sorted(self.agents)]
         ball = replace(self.ball)
         return agents, ball
@@ -375,7 +366,9 @@ def run_match(home_policy, away_policy, config: FieldConfig,
     """Run cycle_count cycles and collect the full log.
 
     Policies expose act(agent_id, perceptions, cycle) returning a list of
-    Commands or None; a policy of None idles its team.  If a
+    Commands or None; a policy of None idles its team.  `perceptions`
+    holds 0-2 references to the snapshot logged for the previous cycle,
+    which policies only read: the log holds the same objects.  If a
     cycle raises, the partial log is returned flagged invalid, with the
     exception's type and message and the cycle in `error`.
     """
@@ -396,7 +389,7 @@ def run_match(home_policy, away_policy, config: FieldConfig,
                 for cmd in cmds:
                     world.submit_command(aid, cmd, cycle)
             log.events.extend(world.step())
-            log.per_cycle_states.append(world.snapshot())
+            log.per_cycle_states.append(world.snap)
     except Exception as err:
         log.valid = False
         log.error = {"type": type(err).__name__, "message": str(err),

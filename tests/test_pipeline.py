@@ -16,7 +16,6 @@ from matchdna.pipeline import (
     ManifestEntry,
     StageError,
     annotate_log,
-    build_corpus,
     load_manifest,
     pipeline_run,
     resolve_config,
@@ -248,6 +247,24 @@ class TestPipelineRun:
         assert err.value.stage == "simulate"
         assert "simulate.matches must be >= 1, got 0" in str(err.value)
 
+    @pytest.mark.parametrize("stage, section, key, value, low", [
+        ("mine", "mine", "top_patterns", -1, 0),
+        ("train-fmaca", "train_fmaca", "window", 0, 1),
+        ("train-lcs", "train_lcs", "iters", 0, 1)])
+    def test_out_of_range_value_fails_before_any_work(self, tmp_path, stage,
+                                                      section, key, value,
+                                                      low):
+        # an empty directory: the value is refused before the stage reads
+        # its inputs; the oracle environment would need no inputs at all
+        config = smoke_config(tmp_path)
+        config[section][key] = value
+        config["train_lcs"]["env"] = "oracle"
+        with pytest.raises(StageError) as err:
+            run_stage(stage, config, tmp_path)
+        assert isinstance(err.value.cause, ValueError)
+        assert f"{section}.{key} must be >= {low}, got {value}" in str(err.value)
+        assert list(tmp_path.iterdir()) == []
+
     def test_short_lookback_fails_naming_it(self, mined_dir, tmp_path):
         out = tmp_path / "run"
         shutil.copytree(mined_dir, out)
@@ -436,10 +453,19 @@ class TestBoundaryChecks:
 
 
 class TestBuildCorpus:
+    """A corpus is built by the simulate stage followed by encode."""
+
+    def build(self, tmp_path, file_config):
+        config = resolve_config({**file_config, "out_dir": str(tmp_path)})
+        for stage in ("simulate", "encode"):
+            run_stage(stage, config, tmp_path)
+        manifest = load_manifest(tmp_path / "manifest.json")
+        manifest.validate(tmp_path)
+        return manifest
+
     def test_single_match_manifest(self, tmp_path):
-        manifest = build_corpus(1, {"seed": 3,
-                                    "simulate": {"cycles": 120}},
-                                out_dir=tmp_path)
+        manifest = self.build(tmp_path, {"seed": 3, "simulate": {
+            "matches": 1, "cycles": 120}})
         assert len(manifest.entries) == 1
         entry = manifest.entries[0]
         assert entry.match_id == "m000"
@@ -448,20 +474,16 @@ class TestBuildCorpus:
             assert (tmp_path / rel).exists()
 
     def test_seeds_offset_from_master(self, tmp_path):
-        build_corpus(2, {"seed": 11, "simulate": {"cycles": 60}},
-                     out_dir=tmp_path)
+        self.build(tmp_path, {"seed": 11, "simulate": {"matches": 2,
+                                                       "cycles": 60}})
         logs = [load_match_log(tmp_path / f"logs/m{i:03d}.jsonl")
                 for i in range(2)]
         assert logs[0].config.rng_seed == 11
         assert logs[1].config.rng_seed == 12
 
-    def test_rejects_zero_matches(self):
-        with pytest.raises(ValueError):
-            build_corpus(0)
-
     def test_annotation_count_matches_goal_events(self, tmp_path):
-        build_corpus(1, {"seed": 7, "simulate": {"cycles": 200}},
-                     out_dir=tmp_path)
+        self.build(tmp_path, {"seed": 7, "simulate": {"matches": 1,
+                                                      "cycles": 200}})
         log = load_match_log(tmp_path / "logs/m000.jsonl")
         goals = [e for e in log.events if e.kind == "goal"]
         doc = json.loads((tmp_path / "annotations/m000.json").read_text())

@@ -9,14 +9,15 @@ from matchdna.attractor_tree import (
     ca_feedback,
     fit_window_classifier,
 )
-from matchdna.simulator import FieldConfig, Perception, run_match
+from matchdna.simulator import AgentState, BallState, FieldConfig, run_match
 from matchdna import shooting
 from matchdna.shooting import ShootingPolicy
 
 
-def perception(ball_xy, agent_xy, heading, cycle=0, agent_id="a", team="home"):
-    return Perception(cycle, (ball_xy[0], ball_xy[1], 0.0, 0.0),
-                      {agent_id: (agent_xy[0], agent_xy[1], heading, team)})
+def perception(ball_xy, agent_xy, heading, agent_id="a", team="home"):
+    """A world snapshot holding one agent and a resting ball."""
+    return ([AgentState(agent_id, team, agent_xy[0], agent_xy[1], heading)],
+            BallState(ball_xy[0], ball_xy[1]))
 
 
 def drive(policy, perc, n, agent_id="a"):

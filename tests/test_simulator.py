@@ -57,13 +57,6 @@ class Barrage:
 
 
 class TestCommands:
-    def test_clamping(self):
-        assert sim.clamp_command(dash(150)).x == 100
-        assert sim.clamp_command(dash(-45)).x == -30
-        assert sim.clamp_command(turn(270)).x == 180
-        kicked = sim.clamp_command(kick(130, -500))
-        assert (kicked.x, kicked.y) == (100, -180)
-
     def test_heading_normalization(self):
         assert normalize_heading(180) == -180
         assert normalize_heading(-180) == -180
@@ -248,9 +241,38 @@ class TestPerceptions:
 
     def test_snapshot_contents(self):
         w = World(small_config(), ball=(1.0, 2.0))
-        p = w.deliver_perceptions()["a"][0]
-        assert p.ball[:2] == (1.0, 2.0)
-        assert set(p.agents) == set(w.agents)
+        agents, ball = w.deliver_perceptions()["a"][0]
+        assert (ball.x, ball.y) == (1.0, 2.0)
+        assert [a.id for a in agents] == sorted(w.agents)
+
+
+def state_values(snapshot):
+    agents, ball = snapshot
+    return ([(a.id, a.team, a.x, a.y, a.heading, a.speed) for a in agents],
+            (ball.x, ball.y, ball.vx, ball.vy))
+
+
+class TestPerceptionTiming:
+    def test_agents_see_the_state_logged_for_the_previous_cycle(self):
+        cfg = FieldConfig(cycle_count=300, rng_seed=7, players_per_team=2)
+        seen = []  # (cycle, values) per delivered snapshot, read on delivery
+
+        class Recorder(ShootingPolicy):
+            def act(self, agent_id, perceptions, cycle):
+                seen.extend((cycle, state_values(p)) for p in perceptions)
+                return super().act(agent_id, perceptions, cycle)
+
+        log = run_match(Recorder(cfg, sim.HOME), Recorder(cfg, sim.AWAY), cfg)
+        goals = [e.cycle for e in log.events if e.kind == "goal"]
+        assert goals
+        initial = state_values(World(cfg).snapshot())
+        for cycle, values in seen:
+            wanted = initial if cycle == 0 else \
+                state_values(log.per_cycle_states[cycle - 1])
+            assert values == wanted, cycle
+        perceived = {cycle for cycle, _values in seen}
+        assert 0 in perceived
+        assert all(goal + 1 in perceived for goal in goals)
 
 
 class TestRunMatch:
