@@ -253,15 +253,17 @@ def stage_simulate(config: dict, out_dir: Path) -> Path:
     manifest skeleton."""
     sim = config["simulate"]
     n_matches = _at_least(config, "simulate", "matches", 1)
+    cycles = _at_least(config, "simulate", "cycles", 1)
+    players_per_team = _at_least(config, "simulate", "players_per_team", 1)
     logs_dir = out_dir / "logs"
     logs_dir.mkdir(parents=True, exist_ok=True)
     manifest = CorpusManifest(created_at=_timestamp())
     for i in range(n_matches):
         match_id = f"m{i:03d}"
         field_config = FieldConfig(
-            cycle_count=int(sim["cycles"]),
+            cycle_count=cycles,
             rng_seed=int(sim["master_seed"]) + i,
-            players_per_team=int(sim["players_per_team"]),
+            players_per_team=players_per_team,
         )
         home = ShootingPolicy(field_config, team=HOME)
         away = ShootingPolicy(field_config, team=AWAY)
@@ -573,6 +575,7 @@ def stage_diagnose(config: dict, out_dir: Path) -> Path:
     """Evolve a rule vector on the synthetic task and log per-generation
     entropy/MI of the best vector."""
     params = config["diagnose"]
+    n_cells = _at_least(config, "diagnose", "n_cells", 1)
     ga = GaConfig(population_size=int(params["population_size"]),
                   generations=int(params["generations"]),
                   rng_seed=int(params["seed"]))
@@ -580,7 +583,7 @@ def stage_diagnose(config: dict, out_dir: Path) -> Path:
                              run_steps=int(params["run_steps"]),
                              trials=int(params["trials"]),
                              rng_seed=int(params["seed"]))
-    rows = ga_diagnostics(int(params["n_cells"]), ga, diag)
+    rows = ga_diagnostics(n_cells, ga, diag)
     diag_dir = out_dir / "diagnostics"
     diag_dir.mkdir(exist_ok=True)
     path = diag_dir / "ga_diagnostics.csv"

@@ -73,7 +73,10 @@ class ShootingPolicy:
         self._memory = {}
 
     def memory(self, agent_id) -> _AgentMemory:
-        return self._memory.setdefault(agent_id, _AgentMemory())
+        mem = self._memory.get(agent_id)
+        if mem is None:
+            mem = self._memory[agent_id] = _AgentMemory()
+        return mem
 
     def letters_of(self, agent_id) -> str:
         return "".join(self.memory(agent_id).letters)

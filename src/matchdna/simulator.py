@@ -9,7 +9,9 @@ communicate, so there is no say, sense_body or change_view command.
 Agents perceive the snapshot the log records for the previous cycle (the
 initial state at cycle 0).  The world copies its state once per cycle and
 hands the same objects to the agents and to the log, so agents only read
-what they perceive.
+what they perceive.  How many copies an agent gets each cycle is drawn
+from the perception stream in blocks of cycle_count cycles; a block takes
+the same values, in the same order, as one draw per agent per cycle.
 
 Conventions: x runs along the field length, y across the width, the
 origin is the center spot.  The home team attacks +x.  Headings are
@@ -20,7 +22,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -158,10 +160,6 @@ class MatchEvent:
                 d[key] = v
         return d
 
-    @classmethod
-    def from_dict(cls, d):
-        return cls(**d)
-
 
 @dataclass
 class MatchLog:
@@ -214,6 +212,12 @@ class World:
                 if len(pos) > 2:
                     a.heading = normalize_heading(float(pos[2]))
         self.ball = BallState(*ball) if ball else BallState()
+        b = self.ball
+        start = [v for a in self.agents.values() for v in (a.x, a.y, a.heading)]
+        if not all(map(math.isfinite, start + [b.x, b.y, b.vx, b.vy])):
+            raise ValueError("start positions and ball must be finite")
+        self._ids = sorted(self.agents)
+        self._perception_counts = []   # rows still to deliver, last row first
         seq = np.random.SeedSequence(config.rng_seed)
         self._rng_cmd, self._rng_perc = [np.random.default_rng(s) for s in seq.spawn(2)]
         self._queues = {aid: [] for aid in self.agents}
@@ -241,15 +245,22 @@ class World:
     def deliver_perceptions(self):
         """Agent id -> 0-2 references to `snap`, the state the log records
         for the previous cycle: {0,1,2} with probabilities {0.1, 0.8, 0.1}
-        (long-run mean one per cycle), or exactly one without jitter."""
-        out = {}
-        for aid in sorted(self.agents):
-            if self.config.perception_jitter:
-                k = int(self._rng_perc.choice(3, p=[0.1, 0.8, 0.1]))
-            else:
-                k = 1
-            out[aid] = [self.snap] * k
-        return out
+        (long-run mean one per cycle), or exactly one without jitter.
+
+        The counts are drawn from the perception stream in blocks of
+        cycle_count rows, one count per agent in id order; each call takes
+        one row, and a new block is drawn when the last is used up.  A block draws the same values,
+        in the same order, as one draw per agent per call would."""
+        snap = self.snap
+        if not self.config.perception_jitter:
+            return {aid: [snap] for aid in self._ids}
+        if not self._perception_counts:
+            block = self._rng_perc.choice(
+                3, size=(self.config.cycle_count, len(self._ids)),
+                p=[0.1, 0.8, 0.1])
+            self._perception_counts = block.tolist()[::-1]
+        counts = self._perception_counts.pop()
+        return {aid: [snap] * k for aid, k in zip(self._ids, counts)}
 
     # ----- cycle stepping -------------------------------------------------
 
@@ -265,7 +276,7 @@ class World:
 
         # pick one movement command per agent, seeded choice among duplicates
         executed = 0
-        for aid in sorted(self.agents):
+        for aid in self._ids:
             queue = self._queues[aid]
             if not queue:
                 continue
@@ -356,9 +367,12 @@ class World:
 
     def snapshot(self):
         """Copies of the agent states (sorted by id) and of the ball."""
-        agents = [replace(self.agents[aid]) for aid in sorted(self.agents)]
-        ball = replace(self.ball)
-        return agents, ball
+        agents = []
+        for aid in self._ids:
+            a = self.agents[aid]
+            agents.append(AgentState(a.id, a.team, a.x, a.y, a.heading, a.speed))
+        b = self.ball
+        return agents, BallState(b.x, b.y, b.vx, b.vy)
 
 
 def run_match(home_policy, away_policy, config: FieldConfig,
@@ -374,15 +388,16 @@ def run_match(home_policy, away_policy, config: FieldConfig,
     """
     world = World(config, positions=positions, ball=ball)
     log = MatchLog(config=config)
+    seats = []  # (agent id, policy) in id order; idle teams have none
+    for aid in world._ids:
+        policy = home_policy if world.agents[aid].team == HOME else away_policy
+        if policy is not None:
+            seats.append((aid, policy))
     try:
         for _ in range(config.cycle_count):
             cycle = world.cycle
             perceptions = world.deliver_perceptions()
-            for aid in sorted(world.agents):
-                team = world.agents[aid].team
-                policy = home_policy if team == HOME else away_policy
-                if policy is None:
-                    continue
+            for aid, policy in seats:
                 cmds = policy.act(aid, perceptions[aid], cycle)
                 if cmds is None:
                     continue
@@ -407,12 +422,16 @@ def run_match(home_policy, away_policy, config: FieldConfig,
 # ----- serialization -------------------------------------------------------
 
 def _r6(x):
-    v = round(float(x), 6)
-    return 0.0 if v == 0 else v  # avoid -0.0 in output
+    return round(float(x), 6) + 0.0  # + 0.0 folds -0.0 to 0.0
 
 
-def _dumps(obj):
-    return json.dumps(obj, sort_keys=True, separators=(",", ":"))
+_dumps = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
+
+
+# a cycle row as _dumps writes it: keys sorted, floats as their repr
+_AGENT_ROW = '{"heading":%r,"id":%s,"speed":%r,"team":%s,"x":%r,"y":%r}'
+_CYCLE_ROW = ('{"agents":[%s],"ball":{"vx":%r,"vy":%r,"x":%r,"y":%r},'
+              '"cycle":%d,"events":%s}')
 
 
 def log_to_jsonl(log: MatchLog) -> str:
@@ -424,15 +443,18 @@ def log_to_jsonl(log: MatchLog) -> str:
     events_by_cycle = {}
     for e in log.events:
         events_by_cycle.setdefault(e.cycle, []).append(e.to_dict())
+    names = {}  # (id, team) -> their JSON text
     for cycle, (agents, ball) in enumerate(log.per_cycle_states):
-        row = {"cycle": cycle,
-               "agents": [{"id": a.id, "team": a.team, "x": _r6(a.x),
-                           "y": _r6(a.y), "heading": _r6(a.heading),
-                           "speed": _r6(a.speed)} for a in agents],
-               "ball": {"x": _r6(ball.x), "y": _r6(ball.y),
-                        "vx": _r6(ball.vx), "vy": _r6(ball.vy)},
-               "events": events_by_cycle.get(cycle, [])}
-        lines.append(_dumps(row))
+        rows = []
+        for a in agents:
+            name = names.get((a.id, a.team))
+            if name is None:
+                name = names[a.id, a.team] = (_dumps(a.id), _dumps(a.team))
+            rows.append(_AGENT_ROW % (_r6(a.heading), name[0], _r6(a.speed),
+                                      name[1], _r6(a.x), _r6(a.y)))
+        lines.append(_CYCLE_ROW % (",".join(rows), _r6(ball.vx), _r6(ball.vy),
+                                   _r6(ball.x), _r6(ball.y), cycle,
+                                   _dumps(events_by_cycle.get(cycle, []))))
     tail = {"outcome": log.outcome, "score": list(log.score), "valid": log.valid}
     if not log.valid:
         tail["error"] = log.error
@@ -470,13 +492,13 @@ def load_match_log(path) -> MatchLog:
     log.score = tuple(tail["score"])
     log.valid = tail.get("valid", True)
     log.error = tail.get("error")
+    states, events = log.per_cycle_states, log.events
     for row in lines[1:-1]:
         agents = [AgentState(d["id"], d["team"], d["x"], d["y"],
                              d["heading"], d.get("speed", 0.0))
                   for d in row["agents"]]
-        ball = BallState(row["ball"]["x"], row["ball"]["y"],
-                         row["ball"]["vx"], row["ball"]["vy"])
-        log.per_cycle_states.append((agents, ball))
+        b = row["ball"]
+        states.append((agents, BallState(b["x"], b["y"], b["vx"], b["vy"])))
         for ed in row["events"]:
-            log.events.append(MatchEvent.from_dict(ed))
+            events.append(MatchEvent(**ed))
     return log

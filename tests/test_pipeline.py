@@ -1,5 +1,6 @@
 """Tests for the file-based pipeline stages and the CLI wiring."""
 
+import hashlib
 import json
 import logging
 import shutil
@@ -37,6 +38,22 @@ SMOKE = {
     "simulate": {"matches": 1, "cycles": 200},
     "train_lcs": {"iters": 3000},
     "diagnose": {"generations": 3, "run_steps": 120, "trials": 3},
+}
+
+# the corpus of TestBuildCorpus.test_pinned_corpus_at_default_cycle_count
+PINNED_CORPUS = {
+    "logs/m000.jsonl":
+        "0b04592f9af81d6f4d9c86c3c28a392aa9f12ece25c13edb1afbe60a05ad2484",
+    "logs/m001.jsonl":
+        "0bf628162f73e04f00614f166d9ede4dc06eab60695c37e402c13b8121360dca",
+    "sequences/m000.fasta":
+        "820184a0cb192f96dbdc940b6ea17bddb069a572d74953c5f26597698bc3368d",
+    "sequences/m001.fasta":
+        "91a1dbc0a0eae5583938d77d850b9f2e9c90495b839cf47c9d5e3e8fee03154d",
+    "annotations/m000.json":
+        "a9da0785cb00f7a567f5524ba119a33414a9d9c87f91abe18eb1cbabf2960c85",
+    "annotations/m001.json":
+        "39e09091bc5c2f2fe6a081f96824a3518976bc4f425b82995d40e634d87cfa28",
 }
 
 
@@ -250,7 +267,10 @@ class TestPipelineRun:
     @pytest.mark.parametrize("stage, section, key, value, low", [
         ("mine", "mine", "top_patterns", -1, 0),
         ("train-fmaca", "train_fmaca", "window", 0, 1),
-        ("train-lcs", "train_lcs", "iters", 0, 1)])
+        ("train-lcs", "train_lcs", "iters", 0, 1),
+        ("simulate", "simulate", "cycles", 0, 1),
+        ("simulate", "simulate", "players_per_team", 0, 1),
+        ("diagnose", "diagnose", "n_cells", 0, 1)])
     def test_out_of_range_value_fails_before_any_work(self, tmp_path, stage,
                                                       section, key, value,
                                                       low):
@@ -489,6 +509,19 @@ class TestBuildCorpus:
         doc = json.loads((tmp_path / "annotations/m000.json").read_text())
         goal_events = [e for e in doc["events"] if e[1] == GOAL]
         assert len(goal_events) == len(goals)
+
+    def test_pinned_corpus_at_default_cycle_count(self, tmp_path):
+        # SHA-256 of every log, sequence and annotation file of 2 matches at
+        # the default 1000 cycles, recorded once and kept; the 200- and
+        # 300-cycle matches of test_simulator's pins are shorter than one
+        # default match
+        self.build(tmp_path, {"seed": 5, "simulate": {"matches": 2}})
+        digests = {str(p.relative_to(tmp_path)):
+                   hashlib.sha256(p.read_bytes()).hexdigest()
+                   for pattern in ("logs/*.jsonl", "sequences/*.fasta",
+                                   "annotations/*.json")
+                   for p in sorted(tmp_path.glob(pattern))}
+        assert digests == PINNED_CORPUS
 
 
 class TestCli:

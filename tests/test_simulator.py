@@ -7,15 +7,21 @@ cycle.
 """
 
 import hashlib
+import json
 import math
+from dataclasses import asdict
 
 import numpy as np
 import pytest
 
 from matchdna import simulator as sim
 from matchdna.simulator import (
+    AgentState,
+    BallState,
     Command,
     FieldConfig,
+    MatchEvent,
+    MatchLog,
     World,
     dash,
     kick,
@@ -165,6 +171,18 @@ class TestStep:
         assert kicks and kicks[0].effective is False
         assert w.ball.x == pytest.approx(3.0)
 
+    @pytest.mark.parametrize("start", [
+        {"ball": (math.nan, 0.0)},
+        {"ball": (0.0, 0.0, math.inf, 0.0)},
+        {"positions": {"a": (0.0, -math.inf)}},
+        {"positions": {"b": (0.0, 0.0, math.nan)}}])
+    def test_non_finite_start_refused(self, start):
+        # the log writes floats as their repr, which JSON cannot read back
+        # for nan or inf; commands are clamped into range, so a non-finite
+        # value can only enter with the start state
+        with pytest.raises(ValueError, match="must be finite"):
+            World(small_config(), **start)
+
     def test_idle_event_when_nothing_executes(self):
         w = World(small_config())
         events = w.step()
@@ -225,9 +243,12 @@ class TestStep:
 
 class TestPerceptions:
     def test_jitter_disabled_means_one_each(self):
-        w = World(small_config())
-        percs = w.deliver_perceptions()
-        assert all(len(v) == 1 for v in percs.values())
+        w = World(small_config(cycle_count=7))
+        for _ in range(20):  # past cycle_count, as a jittered world refills
+            percs = w.deliver_perceptions()
+            assert list(percs) == sorted(w.agents)
+            assert all(len(v) == 1 and v[0] is w.snap for v in percs.values())
+            w.step()
 
     def test_jitter_long_run_mean(self):
         w = World(small_config(cycle_count=1000, perception_jitter=True))
@@ -244,6 +265,25 @@ class TestPerceptions:
         agents, ball = w.deliver_perceptions()["a"][0]
         assert (ball.x, ball.y) == (1.0, 2.0)
         assert [a.id for a in agents] == sorted(w.agents)
+
+
+class TestPerceptionStream:
+    """The block draw against one scalar draw per agent per call from the
+    perception stream; cycle_count 7 and 20 calls refill the block twice."""
+
+    @pytest.mark.parametrize("players", [1, 2])
+    def test_counts_equal_per_agent_scalar_draws(self, players):
+        for seed in range(50):
+            w = World(FieldConfig(cycle_count=7, rng_seed=seed,
+                                  players_per_team=players))
+            ref = np.random.default_rng(np.random.SeedSequence(seed).spawn(2)[1])
+            for call in range(20):
+                got = w.deliver_perceptions()
+                assert list(got) == sorted(w.agents)
+                for aid, snaps in got.items():
+                    k = int(ref.choice(3, p=[0.1, 0.8, 0.1]))
+                    assert len(snaps) == k, (seed, call, aid)
+                    assert all(s is w.snap for s in snaps)
 
 
 def state_values(snapshot):
@@ -383,6 +423,118 @@ class TestSerialization:
         for agents, _ in log.per_cycle_states:
             for a in agents:
                 assert -180 <= a.heading < 180
+
+
+def reference_jsonl(log):
+    """log_to_jsonl as a dict per row through json.dumps: the writer's
+    reference, kept here so the formatted rows can be checked against it."""
+    def r6(x):
+        v = round(float(x), 6)
+        return 0.0 if v == 0 else v
+
+    def dumps(obj):
+        return json.dumps(obj, sort_keys=True, separators=(",", ":"))
+
+    lines = [dumps({"schema_version": sim.SCHEMA_VERSION,
+                    "config": asdict(log.config)})]
+    events_by_cycle = {}
+    for e in log.events:
+        events_by_cycle.setdefault(e.cycle, []).append(e.to_dict())
+    for cycle, (agents, ball) in enumerate(log.per_cycle_states):
+        row = {"cycle": cycle,
+               "agents": [{"id": a.id, "team": a.team, "x": r6(a.x),
+                           "y": r6(a.y), "heading": r6(a.heading),
+                           "speed": r6(a.speed)} for a in agents],
+               "ball": {"x": r6(ball.x), "y": r6(ball.y),
+                        "vx": r6(ball.vx), "vy": r6(ball.vy)},
+               "events": events_by_cycle.get(cycle, [])}
+        lines.append(dumps(row))
+    tail = {"outcome": log.outcome, "score": list(log.score), "valid": log.valid}
+    if not log.valid:
+        tail["error"] = log.error
+    lines.append(dumps(tail))
+    return "\n".join(lines) + "\n"
+
+
+# signed zeros, values that round to zero or across a sixth decimal, and
+# magnitudes at and just inside the field's half length and width and the
+# heading range, and one far outside both
+EDGE_VALUES = [0.0, -0.0, -4e-7, 4e-7, 1e-7, -1e-7, 5e-7, -5e-7, 1.0000005,
+               -2.4999995, 52.5, -52.5, 52.4999996, -52.4999994, 34.0, -34.0,
+               33.9999999, -180.0, 179.9999999, 1e-12, 123456.7654321]
+
+
+def fuzzed_log(seed, cycles=80):
+    rng = np.random.default_rng(seed)
+    log = MatchLog(config=FieldConfig(cycle_count=cycles, rng_seed=seed))
+
+    def value(scale):
+        if rng.random() < 0.3:
+            return EDGE_VALUES[int(rng.integers(len(EDGE_VALUES)))]
+        return float(rng.uniform(-scale, scale))
+
+    players = [("a", sim.HOME), ("b", sim.HOME), ('q"\u00e9', sim.AWAY),
+               ("d", sim.AWAY)]
+    for cycle in range(cycles):
+        agents = [AgentState(aid, team, value(52.5), value(34.0), value(180.0),
+                             value(1.0)) for aid, team in players]
+        if rng.random() < 0.2:
+            ball = BallState(*(int(v) for v in rng.integers(-40, 40, 4)))
+        else:
+            ball = BallState(value(52.5), value(34.0), value(5.0), value(5.0))
+        log.per_cycle_states.append((agents, ball))
+        for _ in range(int(rng.integers(0, 3))):
+            aid, team = players[int(rng.integers(len(players)))]
+            log.events.append([
+                MatchEvent(cycle, "goal", team=team),
+                MatchEvent(cycle, "possession_change", agent=aid),
+                MatchEvent(cycle, "pass_completed", agent=aid, agent2="b",
+                           kick_cycle=max(cycle - 3, 0)),
+                MatchEvent(cycle, "kick", agent=aid, effective=True),
+                MatchEvent(cycle, "kick", agent=aid, effective=False),
+                MatchEvent(cycle, "turn", agent=aid),
+                MatchEvent(cycle, "move", agent=aid),
+                MatchEvent(cycle, "idle"),
+            ][int(rng.integers(8))])
+    log.score = tuple(int(v) for v in rng.integers(0, 5, 2))
+    if seed % 3 == 0:
+        log.valid = False
+        log.error = {"type": "KeyError", "message": "'x'", "cycle": cycles}
+    return log
+
+
+class TestWriterAgainstReference:
+    def test_rows_equal_the_reference_rows(self):
+        kinds = set()
+        for seed in range(40):
+            log = fuzzed_log(seed)
+            kinds.update(e.kind for e in log.events)
+            got = log_to_jsonl(log).splitlines()
+            wanted = reference_jsonl(log).splitlines()
+            assert len(got) == len(wanted)
+            for number, (line, ref) in enumerate(zip(got, wanted)):
+                assert line == ref, (seed, number)
+        assert len(kinds) == 7
+
+    def test_load_of_save_returns_the_match(self, tmp_path):
+        cfg = FieldConfig(cycle_count=300, rng_seed=7, players_per_team=2)
+        log = run_match(ShootingPolicy(cfg, sim.HOME),
+                        ShootingPolicy(cfg, sim.AWAY), cfg)
+        path = tmp_path / "match.jsonl"
+        sim.save_match_log(log, path)
+        loaded = load_match_log(path)
+
+        def rounded(states):
+            return [([(a.id, a.team, sim._r6(a.x), sim._r6(a.y),
+                       sim._r6(a.heading), sim._r6(a.speed)) for a in agents],
+                     (sim._r6(b.x), sim._r6(b.y), sim._r6(b.vx), sim._r6(b.vy)))
+                    for agents, b in states]
+
+        assert [state_values(s) for s in loaded.per_cycle_states] == \
+            rounded(log.per_cycle_states)
+        assert loaded.events == log.events
+        assert (loaded.score, loaded.outcome, loaded.valid, loaded.error) == \
+            (log.score, log.outcome, log.valid, log.error)
 
 
 class TestPinnedBytes:
