@@ -10,10 +10,21 @@ when available and from parent crossover otherwise.
 
 The population lives in parallel numpy arrays (condition matrix, action
 codes, strengths); ClassifierRule is the string view used at the edges.
+
+train keeps a match index: one boolean row over the rules per context
+seen so far.  A context's first visit goes through match_set (which
+validates it); later visits read the stored row.  Covering recomputes
+its slot's column and a GA round every column.  select_action draws
+the winner the way Generator.choice(matches, p=bids / total) does
+internally (normalized cumsum, one double, right-sided searchsorted):
+the same double and the same winner, without re-checking p per call.
+That needs finite, non-negative strengths, which the bucket brigade
+keeps and Population.from_rules checks.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -103,6 +114,22 @@ def decode_condition(codes) -> str:
     return "".join(CONDITION_SYMBOLS[c] for c in codes)
 
 
+def _rule_codes(rule: ClassifierRule) -> np.ndarray:
+    """The rule's condition codes, refusing a rule the matcher or the bid
+    draw cannot use: a wrong-length condition, an action outside ACTIONS,
+    or a negative or non-finite strength."""
+    codes = encode_condition(rule.condition)
+    if len(codes) != CONTEXT_LENGTH:
+        raise ValueError(f"condition {rule.condition!r} has {len(codes)} "
+                         f"symbols, not {CONTEXT_LENGTH}")
+    if len(rule.action) != 1 or rule.action not in ACTIONS:
+        raise ValueError(f"action {rule.action!r} is not one of {ACTIONS}")
+    if not (math.isfinite(rule.strength) and rule.strength >= 0.0):
+        raise ValueError(f"strength {rule.strength!r} must be finite "
+                         "and >= 0")
+    return codes
+
+
 class Population:
     """Structure-of-arrays rule store of fixed size."""
 
@@ -111,7 +138,8 @@ class Population:
         self.conditions = conditions.astype(np.uint8)
         self.actions = actions.astype(np.uint8)
         self.strengths = strengths.astype(float)
-        self.clamp_count = 0
+        self.clamp_count = 0  # bucket-brigade updates clamped at zero
+        self.cover_count = 0  # rules replaced by covering
 
     @classmethod
     def random(cls, config: LcsConfig, rng) -> "Population":
@@ -126,7 +154,16 @@ class Population:
 
     @classmethod
     def from_rules(cls, rules) -> "Population":
-        conds = np.stack([encode_condition(r.condition) for r in rules])
+        if not rules:
+            raise ValueError("a population needs at least one rule")
+        conds = []
+        for i, rule in enumerate(rules):
+            try:
+                conds.append(_rule_codes(rule))
+            except ValueError as err:
+                raise ValueError(f"rule {i} ({rule.condition},{rule.action},"
+                                 f"{rule.strength}): {err}") from None
+        conds = np.stack(conds)
         actions = np.array([ACTIONS.index(r.action) for r in rules])
         strengths = np.array([r.strength for r in rules])
         return cls(conds, actions, strengths)
@@ -161,7 +198,10 @@ def select_action(matches: np.ndarray, population: Population,
     if total <= 0.0:
         winner = int(matches[rng.integers(len(matches))])
     else:
-        winner = int(rng.choice(matches, p=bids / total))
+        # Generator.choice(matches, p=bids / total) without its checks of p
+        cdf = (bids / total).cumsum()
+        cdf /= cdf[-1]
+        winner = int(matches[cdf.searchsorted(rng.random(), side="right")])
     return winner, ACTIONS[population.actions[winner]]
 
 
@@ -189,7 +229,48 @@ def covering(context: str, population: Population, rng) -> int:
     population.conditions[slot] = cond
     population.actions[slot] = rng.integers(0, len(ACTIONS))
     population.strengths[slot] = float(population.strengths.mean())
+    population.cover_count += 1
     return slot
+
+
+class _MatchIndex:
+    """train's match rows (one boolean per rule) by context; see the
+    module docstring."""
+
+    def __init__(self, population: Population):
+        self._population = population
+        self._row_of = {}  # context -> row in _codes and _rows
+        self._codes = np.empty((64, CONTEXT_LENGTH), dtype=np.uint8)
+        self._rows = np.empty((64, len(population)), dtype=bool)
+
+    def matches(self, context: str) -> np.ndarray:
+        row = self._row_of.get(context)
+        if row is not None:
+            return self._rows[row].nonzero()[0]
+        found = match_set(context, self._population)
+        row = len(self._row_of)
+        if row == len(self._rows):  # full: double the capacity
+            self._codes = np.concatenate([self._codes,
+                                          np.empty_like(self._codes)])
+            self._rows = np.concatenate([self._rows,
+                                         np.empty_like(self._rows)])
+        self._codes[row] = encode_context(context)
+        self._rows[row] = False
+        self._rows[row, found] = True
+        self._row_of[context] = row
+        return found
+
+    def refresh(self, rules) -> None:
+        """Recompute the columns of `rules` (an index or slice into the
+        population) for every stored context."""
+        seen = len(self._row_of)
+        codes = self._codes[:seen]
+        conds = self._population.conditions[rules]
+        ok = np.ones((seen, len(conds)), dtype=bool)
+        for pos in range(CONTEXT_LENGTH):
+            cond = conds[:, pos]
+            ok &= (codes[:, pos, None] == cond) | (cond == _WILD)
+        self._rows[:seen, rules] = ok
 
 
 def _condition_candidates(stats: MinerStats, length: int) -> list:
@@ -301,14 +382,17 @@ def train(environment, config: LcsConfig) -> tuple[Population, LearningCurve]:
     block_hits = 0
     block_size = 0
     rewarded = {}  # context -> reward count, in first-rewarded order
+    index = _MatchIndex(population)
 
     for iteration in range(1, config.max_iterations + 1):
         context = environment.context(rng)
         if episode_probe is None or episode_probe():
             previous = None
-        matches = match_set(context, population)
+        matches = index.matches(context)
         if len(matches) == 0:
-            matches = np.array([covering(context, population, rng)])
+            slot = covering(context, population, rng)
+            index.refresh([slot])
+            matches = np.array([slot])
         winner, action = select_action(matches, population,
                                        config.bid_fraction, rng)
         reward, correct = environment.feedback(context, action)
@@ -337,6 +421,7 @@ def train(environment, config: LcsConfig) -> tuple[Population, LearningCurve]:
                 stats = MinerStats(patterns=mine_rewarded_patterns(
                     rewarded, CONTEXT_LENGTH))
             ga_discover(population, stats, rng, config)
+            index.refresh(slice(None))
             previous = None
 
     if block_size:
@@ -458,11 +543,19 @@ def population_from_csv(text: str) -> Population:
     if len(lines) < 2 or lines[1] != "condition,action,strength":
         raise ValueError("unexpected population CSV header")
     rules = []
-    for line in lines[2:]:
+    for number, line in enumerate(lines[2:], start=3):
         if not line:
             continue
-        condition, action, strength = line.split(",")
-        rules.append(ClassifierRule(condition, action, float(strength)))
+        fields = line.split(",")
+        try:
+            if len(fields) != 3:
+                raise ValueError(f"{len(fields)} fields, expected 3")
+            rule = ClassifierRule(fields[0], fields[1], float(fields[2]))
+            _rule_codes(rule)
+        except ValueError as err:
+            raise ValueError(f"population CSV line {number} {line!r}: "
+                             f"{err}") from None
+        rules.append(rule)
     return Population.from_rules(rules)
 
 

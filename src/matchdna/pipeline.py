@@ -567,7 +567,11 @@ def stage_train_lcs(config: dict, out_dir: Path) -> Path:
     with open(curve_path, "w") as fh:
         fh.write(curve_to_csv(curve))
     if curve.points:
-        log.info("lcs final proportion_correct %.3f", curve.points[-1][1])
+        log.info("lcs final proportion_correct %.3f; %d covering events, "
+                 "%d GA rounds, %d strengths clamped at zero",
+                 curve.points[-1][1], population.cover_count,
+                 lcs_config.max_iterations // lcs_config.ga_period,
+                 population.clamp_count)
     return curve_path
 
 

@@ -176,9 +176,10 @@ def _nearest_holder(agents, ball, kickable):
     """Agent id in possession: nearest within kickable range, ties by id."""
     best = None
     best_key = None
-    for a in sorted(agents, key=lambda s: s.id):
+    for a in agents:
         d = math.hypot(a.x - ball.x, a.y - ball.y)
-        if d <= kickable and (best_key is None or d < best_key):
+        if d <= kickable and (best_key is None or d < best_key or
+                              (d == best_key and a.id < best)):
             best, best_key = a.id, d
     return best
 

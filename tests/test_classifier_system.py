@@ -7,8 +7,12 @@ import pytest
 
 from matchdna.classifier_system import (
     ACTIONS,
+    CONTEXT_LENGTH,
+    EVAL_BLOCK,
+    REWARDED_HISTORY,
     ClassifierRule,
     LcsConfig,
+    LearningCurve,
     MinerStats,
     Population,
     SequenceReplayEnvironment,
@@ -19,6 +23,7 @@ from matchdna.classifier_system import (
     curve_to_csv,
     ga_discover,
     match_set,
+    mine_rewarded_patterns,
     population_from_csv,
     population_to_csv,
     select_action,
@@ -62,6 +67,50 @@ class TestMatchSet:
             rules_population([("AABCT", "G", 1.0)])
 
 
+class TestPopulationLoading:
+    """A loaded population must be one the matcher and the bid draw can
+    use; each refusal names the rule or the CSV line."""
+
+    @pytest.mark.parametrize("spec, problem", [
+        (("AACCT", "A", -5.0), "strength -5.0"),
+        (("AACCT", "A", float("nan")), "strength nan"),
+        (("AACCT", "A", float("inf")), "strength inf"),
+        (("AACCT", "X", 1.0), "action 'X'"),
+        (("AACCT", "AC", 1.0), "action 'AC'"),
+        (("AACC", "A", 1.0), "condition 'AACC' has 4 symbols"),
+        (("AACCTA", "A", 1.0), "condition 'AACCTA' has 6 symbols"),
+    ])
+    def test_from_rules_refuses(self, spec, problem):
+        with pytest.raises(ValueError, match="rule 1 ") as err:
+            rules_population([("#####", "G", 1.0), spec])
+        assert problem in str(err.value)
+
+    def test_from_rules_refuses_no_rules(self):
+        with pytest.raises(ValueError, match="at least one rule"):
+            Population.from_rules([])
+
+    @pytest.mark.parametrize("row, problem", [
+        ("AACCT,A,-5", "strength -5.0"),
+        ("AACCT,A,nan", "strength nan"),
+        ("AACCT,A,inf", "strength inf"),
+        ("AACCT,X,1.0", "action 'X'"),
+        ("AACCT,A,1.0,2.0", "4 fields, expected 3"),
+        ("AACCT,A", "2 fields, expected 3"),
+        ("AACC,A,1.0", "condition 'AACC' has 4 symbols"),
+        ("AACCT,A,strong", "could not convert"),
+    ])
+    def test_csv_refuses(self, row, problem):
+        text = ("# schema_version=1\ncondition,action,strength\n"
+                f"#####,G,1.0\n{row}\n")
+        with pytest.raises(ValueError, match="CSV line 4 ") as err:
+            population_from_csv(text)
+        assert problem in str(err.value)
+
+    def test_csv_refuses_no_rules(self):
+        with pytest.raises(ValueError, match="at least one rule"):
+            population_from_csv("# schema_version=1\ncondition,action,strength\n")
+
+
 class TestSelectAction:
     def test_bid_proportions(self):
         # bids 30 vs 10 -> selection probabilities 0.75 / 0.25
@@ -91,6 +140,61 @@ class TestSelectAction:
         winner, action = select_action(np.array([0]), pop, 0.1,
                                        np.random.default_rng(0))
         assert winner == 0 and action == "T"
+
+    class FixedDraw:
+        """Stands in for the generator: random() returns one fixed double."""
+
+        def __init__(self, u):
+            self.u = u
+
+        def random(self):
+            return self.u
+
+    def test_lowest_draw_skips_leading_zero_bids(self):
+        pop = rules_population([("#####", "A", 0.0), ("#####", "C", 0.0),
+                                ("#####", "G", 3.0), ("#####", "T", 0.0)])
+        assert select_action(np.arange(4), pop, 0.1, self.FixedDraw(0.0)) \
+            == (2, "G")
+
+    def test_highest_draw_lands_on_last_positive_bid(self):
+        # bids whose normalized cumulative sum ends below the largest
+        # double random() returns, followed by a zero-strength rule
+        u = np.nextafter(1.0, 0.0)
+        rng = np.random.default_rng(0)
+        while True:
+            strengths = np.append(rng.random(7) * 100, 0.0)
+            bids = 0.1 * strengths
+            if (bids / bids.sum()).cumsum()[-1] < u:
+                break
+        pop = rules_population([("#####", "A", v) for v in strengths])
+        assert select_action(np.arange(8), pop, 0.1, self.FixedDraw(u))[0] == 6
+
+    def test_draw_equals_generator_choice(self):
+        """Same winner and same generator state as
+        Generator.choice(matches, p=bids / total), over 20,000 seeded
+        match sets of 1-200 rules with strength scales from 1e-3 to 1e6
+        and some zero strengths."""
+        n = 200
+        data = np.random.default_rng(90210)
+        pop = Population(np.zeros((n, CONTEXT_LENGTH)), np.arange(n) % 4,
+                         np.zeros(n))
+        ours = np.random.default_rng(17)
+        numpy_choice = np.random.default_rng(17)
+        for case in range(20000):
+            size = int(data.integers(1, n + 1))
+            matches = np.sort(data.permutation(n)[:size])
+            strengths = data.random(n) * 10.0 ** data.uniform(-3, 6)
+            strengths[data.random(n) < data.choice([0.0, 0.5, 0.95])] = 0.0
+            strengths[matches[data.integers(size)]] += 1e-3
+            pop.strengths[:] = strengths
+            bid_fraction = float(data.uniform(0.01, 0.99))
+
+            winner, _action = select_action(matches, pop, bid_fraction, ours)
+            bids = bid_fraction * strengths[matches]
+            expected = int(numpy_choice.choice(matches, p=bids / bids.sum()))
+            assert winner == expected, case
+            assert ours.bit_generator.state == \
+                numpy_choice.bit_generator.state, case
 
 
 class TestBucketBrigade:
@@ -338,6 +442,132 @@ class TestTrain:
         pop_a, _ = train(SuffixOracleEnvironment(config), config)
         pop_b, _ = train(SuffixOracleEnvironment(other), other)
         assert population_to_csv(pop_a) != population_to_csv(pop_b)
+
+
+def reference_train(environment, config):
+    """train's loop as it was before the match index: match_set and
+    Generator.choice on every iteration.  Also returns how many draws took
+    the zero-bid fallback and the iteration each context first appeared."""
+    rng = np.random.default_rng(config.rng_seed)
+    population = Population.random(config, rng)
+    curve = LearningCurve()
+    episode_probe = getattr(environment, "new_episode", None)
+    previous = None
+    block_hits = 0
+    block_size = 0
+    rewarded = {}
+    fallbacks = 0
+    first_seen = {}
+
+    for iteration in range(1, config.max_iterations + 1):
+        context = environment.context(rng)
+        first_seen.setdefault(context, iteration)
+        if episode_probe is None or episode_probe():
+            previous = None
+        matches = match_set(context, population)
+        if len(matches) == 0:
+            matches = np.array([covering(context, population, rng)])
+        bids = config.bid_fraction * population.strengths[matches]
+        total = bids.sum()
+        if total <= 0.0:
+            fallbacks += 1
+            winner = int(matches[rng.integers(len(matches))])
+        else:
+            winner = int(rng.choice(matches, p=bids / total))
+        action = ACTIONS[population.actions[winner]]
+        reward, correct = environment.feedback(context, action)
+        bucket_brigade_update(population, winner, previous, reward,
+                              config.bid_fraction)
+        previous = winner
+
+        if reward > 0:
+            rewarded[context] = rewarded.get(context, 0) + 1
+            if len(rewarded) > REWARDED_HISTORY:
+                del rewarded[next(iter(rewarded))]
+
+        block_hits += int(correct)
+        block_size += 1
+        if block_size == EVAL_BLOCK:
+            curve.points.append((iteration, block_hits / EVAL_BLOCK))
+            block_hits = 0
+            block_size = 0
+
+        if iteration % config.ga_period == 0:
+            stats = None
+            getter = getattr(environment, "miner_stats", None)
+            if getter is not None:
+                stats = getter()
+            if stats is None:
+                stats = MinerStats(patterns=mine_rewarded_patterns(
+                    rewarded, CONTEXT_LENGTH))
+            ga_discover(population, stats, rng, config)
+            previous = None
+
+    if block_size:
+        curve.points.append((config.max_iterations, block_hits / block_size))
+    return population, curve, fallbacks, first_seen
+
+
+def replay_corpus(seed):
+    rng = np.random.default_rng(seed)
+    return [AnnotatedSequence(f"s{i}", "".join(rng.choice(list("ACGT-"), size=60)),
+                              [(int(t), "goal") for t in
+                               sorted(rng.choice(60, size=2, replace=False))])
+            for i in range(6)]
+
+
+REPLAY_STATS = MinerStats(patterns=[("CCT", 40), ("ACG", 30), ("GG", 10)],
+                          motifs=list(DEFAULT_MOTIFS))
+
+
+class TestIndexedLoopAgainstReference:
+    """train (match index, inlined draw) against the per-iteration loop,
+    with a population of 8 and a GA round every 50 iterations, so that
+    covering and index refreshes happen many times."""
+
+    # environment factory, config overrides; the zero-reward case drains
+    # strengths with a 0.9 bid and a rarer GA so that the all-zero-bid
+    # fallback is drawn
+    CASES = {
+        "suffix-oracle": (
+            lambda config, seed: SuffixOracleEnvironment(config), {}),
+        "zero-reward": (
+            lambda config, seed: ZeroRewardEnvironment(config),
+            dict(bid_fraction=0.9, ga_period=500, max_iterations=2000)),
+        "replay-miner-stats": (
+            lambda config, seed: SequenceReplayEnvironment(
+                replay_corpus(seed), config, REPLAY_STATS), {}),
+        "replay-rewarded-contexts": (
+            lambda config, seed: SequenceReplayEnvironment(
+                replay_corpus(seed), config), {}),
+    }
+
+    @pytest.mark.parametrize("case", list(CASES))
+    def test_population_and_curve_equal_reference(self, case):
+        make, overrides = self.CASES[case]
+        late_contexts = 0
+        fallbacks = 0
+        for seed in range(10):
+            config = LcsConfig(**{**dict(population_size=8, ga_period=50,
+                                         max_iterations=1500, rng_seed=seed),
+                                  **overrides})
+            got_pop, got_curve = train(make(config, seed), config)
+            ref_pop, ref_curve, ref_fallbacks, first_seen = \
+                reference_train(make(config, seed), config)
+            assert np.array_equal(got_pop.conditions, ref_pop.conditions), seed
+            assert np.array_equal(got_pop.actions, ref_pop.actions), seed
+            assert np.array_equal(got_pop.strengths, ref_pop.strengths), seed
+            assert got_pop.clamp_count == ref_pop.clamp_count, seed
+            assert got_pop.cover_count == ref_pop.cover_count, seed
+            assert got_curve.points == ref_curve.points, seed
+            late_contexts += sum(it > config.ga_period
+                                 for it in first_seen.values())
+            fallbacks += ref_fallbacks
+        if case == "zero-reward":
+            assert fallbacks > 0
+        else:
+            # contexts first seen only after a GA round rewrote conditions
+            assert late_contexts > 0
 
 
 class TestOracleEnvironment:

@@ -373,6 +373,22 @@ class TestPipelineRun:
             (tmp_path / "lcs/population.csv").read_text())
         assert len(population) == config["train_lcs"]["population_size"]
 
+    def test_train_lcs_logs_what_the_lcs_did(self, tmp_path, caplog):
+        from matchdna.classifier_system import SuffixOracleEnvironment, train
+        config = resolve_config({
+            "seed": 7, "out_dir": str(tmp_path),
+            "train_lcs": {"env": "oracle", "iters": 3000, "ga_period": 1000},
+        })
+        with caplog.at_level(logging.INFO, logger="matchdna.pipeline"):
+            run_stage("train-lcs", config, tmp_path)
+        lcs_config = pipeline._lcs_config(config["train_lcs"])
+        population, _curve = train(SuffixOracleEnvironment(lcs_config),
+                                   lcs_config)
+        assert population.cover_count > 0
+        assert (f"{population.cover_count} covering events, 3 GA rounds, "
+                f"{population.clamp_count} strengths clamped at zero"
+                in caplog.text)
+
 
 @pytest.fixture(scope="module")
 def mined_dir(tmp_path_factory):

@@ -72,6 +72,18 @@ class TestEncodeGame:
         with pytest.raises(ValueError):
             encode_game(synthetic_log(["a"]), 0)
 
+    @pytest.mark.parametrize("order", [("a", "b", "c"), ("c", "b", "a"),
+                                       ("b", "c", "a")])
+    def test_equidistant_holders_tie_by_id(self, order):
+        # b and c sit 0.5 from the ball, a is out of range; the lower id
+        # holds whatever order the log lists the agents in
+        place = {"a": (5.0, 0.0), "b": (0.5, 0.0), "c": (-0.5, 0.0)}
+        log = MatchLog(config=FieldConfig(cycle_count=1, rng_seed=0))
+        log.per_cycle_states.append((
+            [AgentState(aid, "home", *place[aid]) for aid in order],
+            BallState(0.0, 0.0)))
+        assert seqmod.possession_timeline(log) == ["b"]
+
 
 class TestEncodePlayer:
     def test_hand_built_accg(self):
