@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .fuzzy_ca import RuleSet, SUPPORTED_RULES, terminal_states
+from .fuzzy_ca import SUPPORTED_RULES, check_unit_interval, terminal_states
 from .mining import GOAL, THREAT
 from .sequences import IDLE
 
@@ -87,6 +87,13 @@ class FmacaTree:
             return 1 + max(walk(c) for c in node.children.values())
         return walk(self.root)
 
+    def node_count(self):
+        def walk(node):
+            if isinstance(node, Leaf):
+                return 1
+            return 1 + sum(walk(c) for c in node.children.values())
+        return walk(self.root)
+
 
 @dataclass(frozen=True)
 class FeedbackDecision:
@@ -109,6 +116,8 @@ def basin_purity(basin_ids, labels) -> float:
     divided by the number of patterns."""
     if len(basin_ids) == 0:
         raise ValueError("empty subset")
+    if len(labels) != len(basin_ids):
+        raise ValueError(f"{len(labels)} labels for {len(basin_ids)} basin ids")
     groups = {}
     for bid, label in zip(basin_ids, labels):
         groups.setdefault(bid, []).append(label)
@@ -131,6 +140,8 @@ def fitness(rules, patterns, labels):
     patterns = np.asarray(patterns, dtype=float)
     if patterns.ndim != 2:
         raise ValueError("fitness expects a 2-D pattern batch")
+    if len(labels) != len(patterns):
+        raise ValueError(f"{len(labels)} labels for {len(patterns)} patterns")
     rule_rows = np.atleast_2d(rules)
     m = len(patterns)
     terms, conv = terminal_states(np.tile(patterns, (len(rule_rows), 1)),
@@ -243,8 +254,7 @@ def build_tree(patterns, labels, K: int | None = None,
         raise ValueError("training set must be a non-empty 2-D array")
     if len(patterns) != len(labels):
         raise ValueError("patterns and labels must align")
-    if np.any(patterns < 0.0) or np.any(patterns > 1.0):
-        raise ValueError("features must lie in [0, 1]")
+    check_unit_interval(patterns, "features")
     if K is None:
         K = int(labels.max())
     if np.any(labels < 1) or np.any(labels > K):
@@ -291,9 +301,13 @@ def classify(tree: FmacaTree, pattern) -> int:
 def classify_batch(tree: FmacaTree, patterns) -> np.ndarray:
     """Vectorized routing: whole batches descend the tree level by level."""
     patterns = np.asarray(patterns, dtype=float)
+    if patterns.ndim != 2:
+        raise ValueError(f"classify_batch expects a 2-D pattern batch, got "
+                         f"shape {patterns.shape}")
     if patterns.shape[1] != tree.n_cells:
         raise ValueError(f"pattern has {patterns.shape[1]} cells, "
                          f"tree expects {tree.n_cells}")
+    check_unit_interval(patterns, "features")
     out = np.zeros(len(patterns), dtype=np.int64)
 
     def route(node, idx):

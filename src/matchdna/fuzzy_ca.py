@@ -16,6 +16,7 @@ other number is rejected.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import count, islice
 
 import numpy as np
 
@@ -99,9 +100,16 @@ class RuleSet:
         return self._numbers.ndim == 2
 
     def take(self, rows) -> "RuleSet":
-        """The rule rows that step the selected state rows; a rule vector
-        steps every row, so it is returned as is."""
-        return RuleSet(self._numbers[rows]) if self.is_matrix else self
+        """The rule rows that step the selected state rows, sliced from the
+        compiled masks; a rule vector steps every row, so it is returned
+        as is."""
+        if not self.is_matrix:
+            return self
+        part = object.__new__(RuleSet)
+        part.n = self.n
+        for name in ("_numbers", "_left", "_self", "_right", "_comp"):
+            setattr(part, name, getattr(self, name)[rows])
+        return part
 
     def __len__(self):
         return self.n
@@ -145,6 +153,13 @@ class RuleSet:
         dep[idx, idx] = self._self.astype(bool)
         dep[idx[:-1], idx[:-1] + 1] = self._right[:-1].astype(bool)
         return dep
+
+
+def check_unit_interval(values, what: str):
+    """Raise ValueError unless every value lies in [0, 1]; NaN does not."""
+    values = np.asarray(values, dtype=float)
+    if not ((values >= 0.0) & (values <= 1.0)).all():
+        raise ValueError(f"{what} must lie in [0, 1]")
 
 
 def eval_rule(rule: int, left: float, self_state: float, right: float) -> float:
@@ -239,8 +254,7 @@ def evolve(state, rules, max_steps: int = 1000) -> Trajectory:
         raise ValueError("evolve expects a single 1-D state")
     if cur.shape[0] != rs.n:
         raise ValueError(f"state has {cur.shape[0]} cells, rule vector has {rs.n}")
-    if np.any(cur < 0.0) or np.any(cur > 1.0):
-        raise ValueError("state values must lie in [0, 1]")
+    check_unit_interval(cur, "state values")
 
     states = np.array([cur])  # rows [0, t) are recorded
     for t in range(1, max_steps + 1):
@@ -257,6 +271,33 @@ def evolve(state, rules, max_steps: int = 1000) -> Trajectory:
     return Trajectory(states[:max_steps + 1], Terminal("truncated", steps=max_steps))
 
 
+def _orbit(rs: RuleSet, state: np.ndarray):
+    """The successors s(1), s(2), ... of a batch, stepped on demand."""
+    while True:
+        state = rs.apply(state)
+        yield state
+
+
+def _probe(first: np.ndarray, later, max_period: int):
+    """The period probe of a batch at s(T) = `first`, with s(T+1), s(T+2),
+    ... drawn from the iterable `later`.  A row's first j <= max_period
+    with s(T+j) within DEFAULT_TOLERANCE of s(T) closes its cycle,
+    represented by the lexmin of s(T)..s(T+j-1); a row with no such j is
+    truncated and keeps s(T).  Returns (terminals, converged)."""
+    out = first.copy()
+    found = np.zeros(len(first), dtype=bool)
+    stack = [first]
+    for s in islice(later, max_period):
+        hit = ~found & (np.abs(s - first).max(axis=1) <= DEFAULT_TOLERANCE)
+        if hit.any():
+            out[hit] = _lexmin(np.stack(stack)[:, hit])
+            found |= hit
+        if found.all():
+            break
+        stack.append(s)
+    return out, found
+
+
 def terminal_states(patterns: np.ndarray, rules, max_steps: int = 200,
                     max_period: int = 32) -> tuple[np.ndarray, np.ndarray]:
     """Terminal representative for every row of a pattern batch.
@@ -270,19 +311,31 @@ def terminal_states(patterns: np.ndarray, rules, max_steps: int = 200,
     (terminals, converged); cycle rows are represented by the
     lexicographically smallest state of the cycle, truncated rows by
     their last state.
+
+    A row whose orbit repeats bit for bit leaves the batch as soon as
+    the repeat is seen (Brent's checkpoint: s(t-1) is compared with the
+    state s(a) kept since step a, and the checkpoint moves on whenever
+    t-1-a reaches a power of two).  From a on the row is periodic with
+    period p = t-1-a, so every fixed-point and 2-cycle test it would
+    meet before max_steps repeats one it has already failed, and its
+    max_steps probe is read off the p states of its cycle.  The result
+    is exactly the one stepping to max_steps would give; rows that never
+    repeat exactly, such as drifting near-cycles, step to max_steps.
     """
     rs = RuleSet.coerce(rules)
     cur = np.array(patterns, dtype=float)
     if cur.ndim != 2:
         raise ValueError("terminal_states expects a 2-D pattern batch")
+    check_unit_interval(cur, "patterns")
     out = cur.copy()
     converged = np.zeros(cur.shape[0], dtype=bool)
     live = np.arange(cur.shape[0])  # pattern row of each batch row
     prev = None
-    for _ in range(max_steps):
+    mark, mark_step, span = cur, 0, 1  # Brent checkpoint s(a), a, next move
+    for t in range(1, max_steps + 1):
         if not live.size:
             break
-        nxt = rs.apply(cur)
+        nxt = rs.apply(cur)  # s(t); cur is s(t-1), prev s(t-2)
         fixed = np.abs(nxt - cur).max(axis=1) <= DEFAULT_TOLERANCE
         out[live[fixed]] = nxt[fixed]
         done = fixed
@@ -292,26 +345,30 @@ def terminal_states(patterns: np.ndarray, rules, max_steps: int = 200,
             if cyc2.any():
                 out[live[cyc2]] = _lexmin(np.stack([cur[cyc2], nxt[cyc2]]))
                 done = fixed | cyc2
+        converged[live[done]] = True
+        lag = t - 1 - mark_step
+        if lag:
+            # s(t-1) == s(a) bit for bit: from a on the row runs round the
+            # lag states s(a)..s(t-2), so its probe is read off them
+            rep = ~done & (cur == mark).all(axis=1)
+            if rep.any():
+                start = mark[rep]
+                cycle = np.stack([start, *islice(_orbit(rs.take(rep), start),
+                                                 lag - 1)])
+                phase = (max_steps - mark_step) % lag  # s(max_steps)'s index
+                later = (cycle[(phase + j) % lag] for j in count(1))
+                out[live[rep]], converged[live[rep]] = _probe(
+                    cycle[phase], later, max_period)
+                done = done | rep
         prev, cur = cur, nxt
+        if lag == span:
+            mark, mark_step, span = prev, t - 1, 2 * span
         if done.any():
-            converged[live[done]] = True
             keep = ~done
-            live, prev, cur, rs = live[keep], prev[keep], cur[keep], rs.take(keep)
+            live, prev, cur, mark, rs = (live[keep], prev[keep], cur[keep],
+                                         mark[keep], rs.take(keep))
     if live.size:
-        stack = [cur]
-        found = np.zeros(live.size, dtype=bool)
-        s = cur
-        for _ in range(max_period):
-            s = rs.apply(s)
-            hit = ~found & (np.abs(s - cur).max(axis=1) <= DEFAULT_TOLERANCE)
-            if hit.any():
-                out[live[hit]] = _lexmin(np.stack(stack)[:, hit])
-                converged[live[hit]] = True
-                found |= hit
-            if found.all():
-                break
-            stack.append(s)
-        out[live[~found]] = cur[~found]  # truncated: keep the last state reached
+        out[live], converged[live] = _probe(cur, _orbit(rs, cur), max_period)
     return out, converged
 
 

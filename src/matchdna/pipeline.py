@@ -22,6 +22,7 @@ import numpy as np
 from . import mining, sequences
 from .attractor_tree import (
     GaConfig,
+    basin_purity,
     classify_batch,
     encode_window,
     fit_window_classifier,
@@ -494,6 +495,9 @@ def stage_train_fmaca(config: dict, out_dir: Path) -> Path:
     class_ids = {name: cid for cid, name in tree.class_names.items()}
     wanted = np.array([class_ids[label] for label in labels])
     accuracy = float((predicted == wanted).mean())
+    # identical windows reach one leaf, so a window's minority labels are
+    # errors for every tree: this is the best accuracy any tree can reach
+    ceiling = basin_purity(windows, labels)
 
     fmaca_dir = out_dir / "fmaca"
     fmaca_dir.mkdir(exist_ok=True)
@@ -505,7 +509,8 @@ def stage_train_fmaca(config: dict, out_dir: Path) -> Path:
         "training_accuracy": round(accuracy, 6),
         "tree_depth": tree.depth(),
     })
-    log.info("fmaca training accuracy %.3f on %d windows", accuracy, len(windows))
+    log.info("fmaca training accuracy %.3f on %d windows (purity ceiling %.3f), "
+             "%d tree nodes", accuracy, len(windows), ceiling, tree.node_count())
     return tree_path
 
 

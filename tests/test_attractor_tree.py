@@ -12,6 +12,7 @@ from matchdna import attractor_tree as at
 from matchdna.attractor_tree import (
     FmacaTree,
     GaConfig,
+    Internal,
     Leaf,
     basin_purity,
     build_tree,
@@ -157,6 +158,17 @@ class TestPurity:
         assert basin_purity([ids[i] for i in order],
                             [labels[i] for i in order]) == pytest.approx(p)
 
+    def test_labels_must_match_basins(self):
+        with pytest.raises(ValueError, match="2 labels for 3 basin ids"):
+            basin_purity(["x", "x", "y"], [1, 2])
+
+    def test_fitness_labels_must_match_patterns(self):
+        # zip used to cut the pairing short: this scored 0.333
+        with pytest.raises(ValueError, match="2 labels for 3 patterns"):
+            fitness([204] * 5, np.zeros((3, 5)), [1, 2])
+        with pytest.raises(ValueError, match="4 labels for 3 patterns"):
+            fitness(np.full((2, 5), 204), np.zeros((3, 5)), [1, 2, 1, 2])
+
     def test_monotone_under_majority_move(self):
         # pattern of class 2 sits in a class-1 basin; moving it to a basin
         # where class 2 is the majority cannot lower purity
@@ -244,6 +256,11 @@ class TestBuildTree:
         with pytest.raises(ValueError):
             build_tree(np.array([[0.5, 1.7]]), [1])
 
+    def test_nan_feature_rejected(self):
+        patterns = np.array([[0.5, np.nan], [0.2, 0.4]])
+        with pytest.raises(ValueError, match=r"features must lie in \[0, 1\]"):
+            build_tree(patterns, [1, 2])
+
 
 class TestClassify:
     def test_single_leaf_classifies_everything(self):
@@ -254,6 +271,27 @@ class TestClassify:
         tree = FmacaTree(root=Leaf(1), n_cells=3)
         with pytest.raises(ValueError):
             classify(tree, [0.1, 0.5])
+
+    def test_batch_must_be_two_dimensional(self):
+        tree = FmacaTree(root=Leaf(1), n_cells=3)
+        with pytest.raises(ValueError, match="2-D pattern batch"):
+            classify_batch(tree, np.array([0.1, 0.5, 0.9]))
+
+    @pytest.mark.parametrize("bad", [2.0, np.nan, -0.5])
+    def test_features_outside_unit_interval_rejected(self, bad):
+        tree = FmacaTree(root=Leaf(1), n_cells=3)
+        with pytest.raises(ValueError, match=r"features must lie in \[0, 1\]"):
+            classify_batch(tree, np.array([[0.1, 0.5, 0.9], [0.1, bad, 0.9]]))
+
+    def test_node_count(self):
+        tree = FmacaTree(root=Leaf(1), n_cells=3)
+        assert tree.node_count() == 1 and tree.depth() == 1
+        inner = Internal(rules=[204] * 3, centroids=np.zeros((2, 3)), k=2,
+                         children={0: Leaf(1), 1: Leaf(2)})
+        root = Internal(rules=[204] * 3, centroids=np.zeros((2, 3)), k=2,
+                        children={0: inner, 1: Leaf(2)})
+        tree = FmacaTree(root=root, n_cells=3)
+        assert tree.node_count() == 5 and tree.depth() == 3
 
     def test_training_points_route_to_their_labels(self):
         rng = np.random.default_rng(50)

@@ -5,6 +5,8 @@ values for the rule vector <238, 254, 238, 252>; they were computed by
 hand from the bounded-sum semantics before the implementation existed.
 """
 
+from math import lcm
+
 import numpy as np
 import pytest
 
@@ -280,6 +282,215 @@ class TestRuleMatrix:
             for j in range(m):
                 want = min(list(stack[:, j]), key=tuple)
                 assert np.array_equal(best[j], want)
+
+
+def reference_terminal_states(patterns, rules, max_steps=200, max_period=32):
+    """terminal_states as it was before the exact early exit: every live
+    row steps to max_steps, then the period probe steps up to max_period
+    more.  A rule matrix is sliced and recompiled from its numbers."""
+    numbers = np.asarray(rules)
+    rs = RuleSet(numbers)
+    cur = np.array(patterns, dtype=float)
+    out = cur.copy()
+    converged = np.zeros(cur.shape[0], dtype=bool)
+    live = np.arange(cur.shape[0])
+    prev = None
+    tol = fuzzy_ca.DEFAULT_TOLERANCE
+    for _ in range(max_steps):
+        if not live.size:
+            break
+        nxt = rs.apply(cur)
+        fixed = np.abs(nxt - cur).max(axis=1) <= tol
+        out[live[fixed]] = nxt[fixed]
+        done = fixed
+        if prev is not None:
+            cyc2 = ~fixed & (np.abs(nxt - prev).max(axis=1) <= tol)
+            if cyc2.any():
+                out[live[cyc2]] = fuzzy_ca._lexmin(np.stack([cur[cyc2], nxt[cyc2]]))
+                done = fixed | cyc2
+        prev, cur = cur, nxt
+        if done.any():
+            converged[live[done]] = True
+            keep = ~done
+            live, prev, cur = live[keep], prev[keep], cur[keep]
+            if numbers.ndim == 2:
+                numbers = numbers[keep]
+                rs = RuleSet(numbers)
+    if live.size:
+        stack = [cur]
+        found = np.zeros(live.size, dtype=bool)
+        s = cur
+        for _ in range(max_period):
+            s = rs.apply(s)
+            hit = ~found & (np.abs(s - cur).max(axis=1) <= tol)
+            if hit.any():
+                out[live[hit]] = fuzzy_ca._lexmin(np.stack(stack)[:, hit])
+                converged[live[hit]] = True
+                found |= hit
+            if found.all():
+                break
+            stack.append(s)
+        out[live[~found]] = cur[~found]
+    return out, converged
+
+
+def assert_same_as_reference(patterns, rules, **kw):
+    """Bit-identical terminals (compared as int64) and converged flags."""
+    terms, conv = fuzzy_ca.terminal_states(patterns, rules, **kw)
+    want_terms, want_conv = reference_terminal_states(patterns, rules, **kw)
+    assert np.array_equal(terms.view(np.int64), want_terms.view(np.int64)), kw
+    assert np.array_equal(conv, want_conv), kw
+    return terms, conv
+
+
+# Blocks whose orbit is exactly periodic: rules, start state, period.  The
+# states lie on binary grids (multiples of 1/8 and 1/32), where bounded
+# sums and complements are exact, so the orbit repeats bit for bit.
+CYCLE_BLOCKS = {
+    2: ([51], [0.25]),
+    3: ([170, 3], [1.0, 0.0]),
+    4: ([170, 15], [0.125, 0.5]),
+    5: ([240, 250, 5, 1, 240], [0.125, 0.75, 0.6875, 0.5625, 0.3125]),
+    7: ([204, 5, 250, 3], [0.5, 0.375, 0.875, 0.5]),
+    11: ([204, 5, 250, 3], [0.25, 0.5, 0.125, 0.75]),
+    13: ([204, 5, 250, 3], [0.75, 0.75, 0.0, 0.125]),
+    32: ([204, 5, 250, 3], [0.4375, 0.8125, 0.875, 1.0]),
+    40: ([204, 5, 250, 3], [0.34375, 0.0625, 0.90625, 0.84375]),
+}
+
+# one planted row per tuple: its blocks cycle side by side, so the row's
+# period is the lcm of theirs (3 to 40)
+PLANTED_PERIODS = [(3,), (4,), (5,), (2, 3), (7,), (11,), (3, 4), (13,),
+                   (3, 5), (4, 5), (3, 7), (4, 7), (32,), (3, 11), (5, 7),
+                   (3, 13), (40,)]
+
+
+def planted_row(blocks, climb):
+    """Rules and start of a row made of cycle blocks and a climb, each
+    followed by a rule-0 cell.  Rule 0 reads nothing and holds 0, so its
+    neighbors see a null boundary and the parts step independently.  The
+    climb [204, 252] from [climb, 0] adds `climb` per step and fixes at 1
+    after 1 / climb steps: the transient before the row's cycle."""
+    rules, start = [], []
+    for period in blocks:
+        block_rules, block_start = CYCLE_BLOCKS[period]
+        rules += block_rules + [0]
+        start += block_start + [0.0]
+    return rules + [204, 252], start + [climb, 0.0]
+
+
+def planted_batch(periods, climbs):
+    """(patterns, rule matrix, periods) of planted rows, right-padded with
+    inert rule-0 cells at 0 to one width."""
+    rows = [planted_row(b, c) for b, c in zip(periods, climbs)]
+    n = max(len(r) for r, _s in rows)
+    rules = np.array([r + [0] * (n - len(r)) for r, _s in rows])
+    patterns = np.array([s + [0.0] * (n - len(s)) for _r, s in rows])
+    return patterns, rules, [lcm(*b) for b in periods]
+
+
+def brent_detection_step(start, period):
+    """The step at which terminal_states' checkpoint sees a row that is
+    periodic from `start`: the first checkpoint a = 2**j - 1 >= start
+    whose span 2**j covers the period, plus period + 1."""
+    span = 1
+    while span - 1 < start or span < period:
+        span *= 2
+    return span - 1 + period + 1
+
+
+class TestExactEarlyExit:
+    """terminal_states against the loop that steps every row to
+    max_steps: the same bytes, with fewer steps."""
+
+    def test_seeded_fuzz_matches_reference(self):
+        rng = np.random.default_rng(2024)
+        pool = np.array(sorted(SUPPORTED_RULES))
+        seen = set()
+        for case in range(500):
+            n = int(rng.integers(1, 9))
+            m = int(rng.integers(1, 30))
+            grid = case % 3
+            if grid == 0:
+                patterns = rng.integers(0, 6, size=(m, n)) * 0.2
+            elif grid == 1:
+                patterns = rng.random((m, n))
+            else:
+                patterns = rng.integers(0, 9, size=(m, n)) / 8
+            shape = (m, n) if case % 2 else n
+            rules = rng.choice(pool, size=shape)
+            _terms, conv = assert_same_as_reference(
+                patterns, rules, max_steps=int(rng.integers(1, 201)),
+                max_period=int(rng.integers(1, 33)))
+            seen.update(conv.tolist())
+        assert seen == {True, False}
+
+    @pytest.mark.parametrize("max_steps,max_period", [
+        (80, 32), (200, 32), (80, 8), (200, 12), (12, 32), (5, 40), (1, 32)])
+    def test_planted_cycles_match_reference(self, max_steps, max_period):
+        climbs = [2.0 ** -(i % 6) for i in range(len(PLANTED_PERIODS))]
+        patterns, rules, periods = planted_batch(PLANTED_PERIODS, climbs)
+        # evolve, which shares no stepping with terminal_states, confirms
+        # each row's planted period and its transient of at least one step
+        starts = []
+        for pattern, row_rules, period in zip(patterns, rules, periods):
+            traj = evolve(pattern, row_rules, max_steps=200)
+            assert (traj.terminal.kind, traj.terminal.period) == ("cycle", period)
+            assert traj.terminal.start >= 1
+            starts.append(traj.terminal.start)
+        periods, starts = np.array(periods), np.array(starts)
+        assert periods.min() == 3 and periods.max() == 40
+        _terms, conv = assert_same_as_reference(
+            patterns, rules, max_steps=max_steps, max_period=max_period)
+        # grid states never come within tolerance of one another, so a row
+        # converges only if it is on its cycle by max_steps and the cycle
+        # fits in max_period; a longer period stays truncated
+        want = (starts <= max_steps) & (periods <= max_period)
+        assert conv.tolist() == want.tolist()
+        detect = np.array([brent_detection_step(s, p)
+                           for s, p in zip(starts, periods)])
+        if max_steps in (12, 80):
+            # some rows leave at their repeat, and some are on their cycle
+            # by max_steps but are seen to repeat only after it
+            assert (detect <= max_steps).any()
+            assert ((starts <= max_steps) & (detect > max_steps)).any()
+
+    def test_period_five_batch_steps_less_than_half(self, monkeypatch):
+        patterns, rules, _periods = planted_batch([(5,)] * 4,
+                                                  [1.0, 0.5, 0.25, 0.125])
+        want = reference_terminal_states(patterns, rules, max_steps=80)
+        calls = []
+        apply = RuleSet.apply
+        monkeypatch.setattr(RuleSet, "apply",
+                            lambda self, state: calls.append(1) or apply(self, state))
+        terms, conv = fuzzy_ca.terminal_states(patterns, rules, max_steps=80)
+        assert np.array_equal(terms.view(np.int64), want[0].view(np.int64))
+        assert conv.all() and want[1].all()
+        assert len(calls) < 40
+
+    def test_take_slices_the_compiled_rules(self):
+        rng = np.random.default_rng(11)
+        numbers = rng.choice(sorted(SUPPORTED_RULES), size=(9, 4))
+        keep = rng.random(9) < 0.5
+        part = RuleSet(numbers).take(keep)
+        whole = RuleSet(numbers[keep])
+        assert part.rules == whole.rules and part.n == whole.n
+        batch = rng.random((int(keep.sum()), 4))
+        assert np.array_equal(part.apply(batch), whole.apply(batch))
+        vector = RuleSet(numbers[0])
+        assert vector.take(keep) is vector
+
+
+class TestUnitInterval:
+    @pytest.mark.parametrize("bad", [np.nan, 1.5, -0.1])
+    def test_out_of_range_or_nan_state_rejected(self, bad):
+        with pytest.raises(ValueError, match=r"state values must lie in \[0, 1\]"):
+            evolve([0.5, bad], [204, 204])
+        with pytest.raises(ValueError, match=r"patterns must lie in \[0, 1\]"):
+            fuzzy_ca.terminal_states([[0.5, 0.5], [0.5, bad]], [204, 204])
+
+    def test_bounds_are_inclusive(self):
+        fuzzy_ca.check_unit_interval([[0.0, 1.0]], "values")
 
 
 class TestRuleVectorText:

@@ -4,11 +4,13 @@ import hashlib
 import json
 import logging
 import shutil
+from collections import Counter
 from pathlib import Path
 
 import pytest
 
 from matchdna import pipeline
+from matchdna.attractor_tree import load_tree
 from matchdna.classifier_system import population_from_csv
 from matchdna.cli import main
 from matchdna.mining import GOAL, THREAT
@@ -388,6 +390,28 @@ class TestPipelineRun:
         assert (f"{population.cover_count} covering events, 3 GA rounds, "
                 f"{population.clamp_count} strengths clamped at zero"
                 in caplog.text)
+
+    def test_train_fmaca_logs_node_count_and_purity_ceiling(self, mined_dir,
+                                                            tmp_path, caplog):
+        out = tmp_path / "run"
+        shutil.copytree(mined_dir, out)
+        config = smoke_config(out)
+        with caplog.at_level(logging.INFO, logger="matchdna.pipeline"):
+            run_stage("train-fmaca", config, out)
+        window = config["train_fmaca"]["window"]
+        _games, players = pipeline._load_corpus(
+            out, load_manifest(out / "manifest.json"))
+        samples = set(pipeline._motif_windows(window)
+                      + pipeline._corpus_windows(players, window))
+        labels_of = {}
+        for text, label in samples:
+            labels_of.setdefault(text, Counter())[label] += 1
+        # a text seen with both labels costs one window
+        ceiling = sum(max(c.values()) for c in labels_of.values()) / len(samples)
+        assert ceiling < 1.0
+        tree = load_tree(out / "fmaca" / "tree.json")
+        assert (f"on {len(samples)} windows (purity ceiling {ceiling:.3f}), "
+                f"{tree.node_count()} tree nodes" in caplog.text)
 
 
 @pytest.fixture(scope="module")
