@@ -368,7 +368,8 @@ def fit_window_classifier(windows, labels,
 
 
 def ca_feedback(tree: FmacaTree, window: str) -> FeedbackDecision:
-    """Shot gate: proceed when the window classifies as the goal class.
+    """Shot gate: proceed when the window's last tree.window letters
+    classify as the goal class.
 
     A window shorter than the trained width carries no evidence, so the
     decision is proceed, flagged.

@@ -84,9 +84,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--letters", required=True, help="recent action letters")
 
     p = sub.add_parser("train-lcs", parents=[common],
-                       help="train the learning classifier system")
-    p.add_argument("--env", choices=("oracle", "match"),
-                   help="training environment")
+                       help="train the learning classifier system on the "
+                            "encoded corpus")
     p.add_argument("--iters", type=int, help="training iterations")
     p.add_argument("--ga-period", type=int, help="iterations between GA runs")
 
@@ -148,8 +147,7 @@ _STAGE_FLAGS = {
     "mine": ({"min_len": "min_len", "max_len": "max_len",
               "top": "top_patterns"}, _print_rates),
     "train-fmaca": ({}, _print_fmaca),
-    "train-lcs": ({"env": "env", "iters": "iters", "ga_period": "ga_period"},
-                  _print_curve),
+    "train-lcs": ({"iters": "iters", "ga_period": "ga_period"}, _print_curve),
     "diagnose": ({"cells": "n_cells", "generations": "generations"},
                  _print_edge_of_chaos),
 }

@@ -2,9 +2,11 @@
 train classifiers, and emit dynamics diagnostics.
 
 Stages communicate only through artifact files under one output
-directory, so any stage can be rerun or inspected in isolation.  Every
-artifact carries a schema_version and every random draw flows from a
-seed recorded in the resolved run config; the manifest's creation
+directory, so any stage can be rerun or inspected in isolation.  The
+manifest lists the corpus's match ids; each match's log, sequence and
+annotation files sit at fixed paths derived from its id (match_paths).
+Every artifact carries a schema_version and every random draw flows from
+a seed recorded in the resolved run config; the manifest's creation
 timestamp is the single nondeterministic field.
 """
 
@@ -16,6 +18,7 @@ import logging
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -34,7 +37,6 @@ from .classifier_system import (
     MinerStats,
     Population,
     SequenceReplayEnvironment,
-    SuffixOracleEnvironment,
     curve_to_csv,
     population_to_csv,
     train,
@@ -48,7 +50,7 @@ from .simulator import AWAY, HOME, FieldConfig, load_match_log, run_match, save_
 log = logging.getLogger(__name__)
 
 CONFIG_SCHEMA_VERSION = 1
-MANIFEST_SCHEMA_VERSION = 1
+MANIFEST_SCHEMA_VERSION = 2
 REPORT_SCHEMA_VERSION = 1
 
 STAGES = ("simulate", "encode", "mine", "train-fmaca", "train-lcs", "diagnose")
@@ -82,21 +84,14 @@ DEFAULT_CONFIG = {
         "seed": None,
     },
     "train_lcs": {
-        "env": "match",
-        "population_size": 200,
         "iters": 20000,
         "ga_period": 4000,
-        "bid_fraction": 0.1,
-        "reward_win": 1000.0,
-        "reward_play": 50.0,
-        "mutation_rate": 0.02,
         "seed": None,
     },
     "diagnose": {
         "n_cells": 8,
         "population_size": 30,
         "generations": 12,
-        "window": 10,
         "run_steps": 400,
         "trials": 5,
         "seed": None,
@@ -198,31 +193,40 @@ def write_resolved_config(config: dict, out_dir: Path) -> Path:
 
 # ----- corpus manifest ------------------------------------------------------
 
-@dataclass
-class ManifestEntry:
-    match_id: str
-    log_path: str
-    sequence_path: str | None = None
-    annotations_path: str | None = None
+class MatchPaths(NamedTuple):
+    log: Path
+    sequence: Path
+    annotations: Path
+
+
+def match_paths(out_dir, match_id: str) -> MatchPaths:
+    """Where one match's log, sequence and annotation files live."""
+    out = Path(out_dir)
+    return MatchPaths(out / "logs" / f"{match_id}.jsonl",
+                      out / "sequences" / f"{match_id}.fasta",
+                      out / "annotations" / f"{match_id}.json")
 
 
 @dataclass
 class CorpusManifest:
+    """The corpus's match ids; window_cycles is set once encode has run."""
     window_cycles: int | None = None
     created_at: str = ""
     entries: list = field(default_factory=list)
 
     def validate(self, base_dir) -> None:
-        base = Path(base_dir)
-        ids = [e.match_id for e in self.entries]
-        if len(set(ids)) != len(ids):
-            raise ValueError("manifest match_ids are not unique")
-        for entry in self.entries:
-            for attr in ("log_path", "sequence_path", "annotations_path"):
-                rel = getattr(entry, attr)
-                if rel is not None and not (base / rel).exists():
+        """Ids are unique, every log exists and, once encoded, every
+        sequence and annotation file too."""
+        if len(set(self.entries)) != len(self.entries):
+            raise ValueError("manifest match ids are not unique")
+        for match_id in self.entries:
+            paths = match_paths(base_dir, match_id)
+            if self.window_cycles is None:
+                paths = paths[:1]
+            for path in paths:
+                if not path.exists():
                     raise FileNotFoundError(
-                        f"manifest references missing {attr} {rel!r}")
+                        f"manifest match {match_id} has no file {path}")
 
 
 def save_manifest(manifest: CorpusManifest, path) -> None:
@@ -230,7 +234,7 @@ def save_manifest(manifest: CorpusManifest, path) -> None:
         "schema_version": MANIFEST_SCHEMA_VERSION,
         "created_at": manifest.created_at,
         "window_cycles": manifest.window_cycles,
-        "entries": [vars(e) for e in manifest.entries],
+        "entries": manifest.entries,
     })
 
 
@@ -239,7 +243,7 @@ def load_manifest(path) -> CorpusManifest:
     return CorpusManifest(
         window_cycles=doc["window_cycles"],
         created_at=doc["created_at"],
-        entries=[ManifestEntry(**e) for e in doc["entries"]],
+        entries=doc["entries"],
     )
 
 
@@ -256,8 +260,6 @@ def stage_simulate(config: dict, out_dir: Path) -> Path:
     n_matches = _at_least(config, "simulate", "matches", 1)
     cycles = _at_least(config, "simulate", "cycles", 1)
     players_per_team = _at_least(config, "simulate", "players_per_team", 1)
-    logs_dir = out_dir / "logs"
-    logs_dir.mkdir(parents=True, exist_ok=True)
     manifest = CorpusManifest(created_at=_timestamp())
     for i in range(n_matches):
         match_id = f"m{i:03d}"
@@ -273,9 +275,10 @@ def stage_simulate(config: dict, out_dir: Path) -> Path:
             error = match_log.error
             raise RuntimeError(f"match {match_id} aborted at cycle {error['cycle']}: "
                                f"{error['type']}: {error['message']}")
-        rel = f"logs/{match_id}.jsonl"
-        save_match_log(match_log, out_dir / rel)
-        manifest.entries.append(ManifestEntry(match_id=match_id, log_path=rel))
+        log_path = match_paths(out_dir, match_id).log
+        log_path.parent.mkdir(exist_ok=True)
+        save_match_log(match_log, log_path)
+        manifest.entries.append(match_id)
         log.info("simulated %s: score %s", match_id, match_log.score)
     manifest_path = out_dir / "manifest.json"
     save_manifest(manifest, manifest_path)
@@ -308,30 +311,30 @@ def annotate_log(match_log, window_cycles: int) -> list:
 
 def stage_encode(config: dict, out_dir: Path) -> Path:
     """Encode every logged match into game/player sequences plus
-    goal/threat window annotations; fill the manifest paths in."""
-    window_cycles = int(config["encode"]["window_cycles"])
+    goal/threat window annotations; record the window size in the
+    manifest."""
+    window_cycles = _at_least(config, "encode", "window_cycles", 1)
     manifest_path = out_dir / "manifest.json"
     manifest = load_manifest(manifest_path)
+    # encode rewrites the encoded files, so only the logs must exist
+    manifest.window_cycles = None
     manifest.validate(out_dir)
-    (out_dir / "sequences").mkdir(exist_ok=True)
-    (out_dir / "annotations").mkdir(exist_ok=True)
-    for entry in manifest.entries:
-        match_log = load_match_log(out_dir / entry.log_path)
-        game = encode_game(match_log, window_cycles, game_id=entry.match_id)
+    for match_id in manifest.entries:
+        paths = match_paths(out_dir, match_id)
+        match_log = load_match_log(paths.log)
+        game = encode_game(match_log, window_cycles, game_id=match_id)
         agents, _ball = match_log.per_cycle_states[0]
         players = [encode_player(match_log, game, a.id)
                    for a in sorted(agents, key=lambda a: a.id)]
-        seq_rel = f"sequences/{entry.match_id}.fasta"
-        sequences.write_fasta([game] + players, out_dir / seq_rel)
-        ann_rel = f"annotations/{entry.match_id}.json"
-        _write_json(out_dir / ann_rel, {
+        paths.sequence.parent.mkdir(exist_ok=True)
+        sequences.write_fasta([game] + players, paths.sequence)
+        paths.annotations.parent.mkdir(exist_ok=True)
+        _write_json(paths.annotations, {
             "schema_version": REPORT_SCHEMA_VERSION,
-            "match_id": entry.match_id,
+            "match_id": match_id,
             "window_cycles": window_cycles,
             "events": annotate_log(match_log, window_cycles),
         })
-        entry.sequence_path = seq_rel
-        entry.annotations_path = ann_rel
     manifest.window_cycles = window_cycles
     manifest.created_at = _timestamp()
     save_manifest(manifest, manifest_path)
@@ -361,19 +364,14 @@ def _load_corpus(out_dir: Path, manifest: CorpusManifest):
     otherwise a ValueError names the file."""
     games = []
     players = []
-    for entry in manifest.entries:
-        if entry.sequence_path is None or entry.annotations_path is None:
-            raise FileNotFoundError(
-                f"match {entry.match_id} has no encoded sequences; "
-                "run the encode stage first")
-        ann_path = out_dir / entry.annotations_path
+    for match_id in manifest.entries:
+        _log_path, seq_path, ann_path = match_paths(out_dir, match_id)
         doc = _read_json(ann_path, REPORT_SCHEMA_VERSION, "annotations")
         if doc.get("window_cycles") != manifest.window_cycles:
             raise ValueError(f"{ann_path}: window_cycles "
                              f"{doc.get('window_cycles')!r} does not match "
                              f"the manifest's {manifest.window_cycles!r}")
         events = [(int(w), str(label)) for w, label in doc["events"]]
-        seq_path = out_dir / entry.sequence_path
         records = sequences.read_fasta(seq_path)
         if not records or not records[0][0].startswith("game:"):
             raise ValueError(f"{seq_path}: the first sequence is not a game")
@@ -515,16 +513,9 @@ def stage_train_fmaca(config: dict, out_dir: Path) -> Path:
 
 
 def _lcs_config(params: dict) -> LcsConfig:
-    return LcsConfig(
-        population_size=int(params["population_size"]),
-        bid_fraction=float(params["bid_fraction"]),
-        ga_period=int(params["ga_period"]),
-        max_iterations=int(params["iters"]),
-        reward_win=float(params["reward_win"]),
-        reward_play=float(params["reward_play"]),
-        mutation_rate=float(params["mutation_rate"]),
-        rng_seed=int(params["seed"]),
-    )
+    return LcsConfig(ga_period=int(params["ga_period"]),
+                     max_iterations=int(params["iters"]),
+                     rng_seed=int(params["seed"]))
 
 
 def _miner_stats_from_report(path) -> MinerStats:
@@ -534,31 +525,22 @@ def _miner_stats_from_report(path) -> MinerStats:
 
 
 def stage_train_lcs(config: dict, out_dir: Path) -> Path:
-    """Train the classifier system on replayed corpus sequences (or the
-    built-in oracle) and write the population and learning curve."""
-    params = config["train_lcs"]
+    """Train the classifier system on the corpus's player sequences,
+    replayed with the mined patterns seeding its GA, and write the
+    population and learning curve."""
     _at_least(config, "train_lcs", "iters", 1)
-    lcs_config = _lcs_config(params)
-    env_name = params["env"]
-    environment = None
-    if env_name == "oracle":
-        environment = SuffixOracleEnvironment(lcs_config)
-    elif env_name == "match":
-        manifest = _encoded_manifest(config, out_dir)
-        _games, players = _load_corpus(out_dir, manifest)
-        stats = _miner_stats_from_report(out_dir / "mining" / "report.json")
-        try:
-            environment = SequenceReplayEnvironment(players, lcs_config, stats)
-        except ValueError:
-            # an all-idle corpus (possession never held for a window
-            # majority) has nothing to learn from; write the seeded
-            # starting population untrained rather than aborting the run
-            log.warning("corpus has no usable context windows; "
-                        "writing untrained population")
-    else:
-        raise ValueError(f"unknown environment {env_name!r}")
-
-    if environment is None:
+    lcs_config = _lcs_config(config["train_lcs"])
+    manifest = _encoded_manifest(config, out_dir)
+    _games, players = _load_corpus(out_dir, manifest)
+    stats = _miner_stats_from_report(out_dir / "mining" / "report.json")
+    try:
+        environment = SequenceReplayEnvironment(players, lcs_config, stats)
+    except ValueError:
+        # an all-idle corpus (possession never held for a window
+        # majority) has nothing to learn from; write the seeded
+        # starting population untrained rather than aborting the run
+        log.warning("corpus has no usable context windows; "
+                    "writing untrained population")
         rng = np.random.default_rng(lcs_config.rng_seed)
         population = Population.random(lcs_config, rng)
         curve = LearningCurve(points=[])
@@ -588,8 +570,7 @@ def stage_diagnose(config: dict, out_dir: Path) -> Path:
     ga = GaConfig(population_size=int(params["population_size"]),
                   generations=int(params["generations"]),
                   rng_seed=int(params["seed"]))
-    diag = DiagnosticsConfig(window=int(params["window"]),
-                             run_steps=int(params["run_steps"]),
+    diag = DiagnosticsConfig(run_steps=int(params["run_steps"]),
                              trials=int(params["trials"]),
                              rng_seed=int(params["seed"]))
     rows = ga_diagnostics(n_cells, ga, diag)

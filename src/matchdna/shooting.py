@@ -1,8 +1,10 @@
 """Scripted shooting behavior: a finite-state policy that finds the ball,
 approaches it, rounds it until ball and goal are both in view, aligns,
 asks an optional feedback hook whether to shoot, and kicks at the goal.
-The hook takes the letter window and returns a verdict whose `proceed`
-is false to veto the shot (attractor_tree.ca_feedback's FeedbackDecision).
+The hook takes the agent's letter history (its last 64 letters, oldest
+first) and returns a verdict whose `proceed` is false to veto the shot
+(attractor_tree.ca_feedback's FeedbackDecision, which reads as many
+trailing letters as its tree was trained on).
 
 Rounding, aligning and shooting are driven by five-letter action macros;
 each letter maps to one cycle's command:
@@ -12,8 +14,8 @@ each letter maps to one cycle's command:
     G  gentle kick toward the goal (power 30)
     T  sidestep: low-power dash (power 30), the orbit/closing step
 
-The policy records every letter it emits; the trailing letters form the
-context window handed to the feedback hook before a shot.
+The policy records every letter it emits; that history is handed to the
+feedback hook before a shot.
 
 `act` receives 0-2 references to the simulator's snapshot of the previous
 cycle, an (AgentState list, BallState) pair; the policy keeps the last
@@ -49,7 +51,6 @@ SHOOT_MACRO = "AATAA"
 FOV_HALF_ANGLE = 45.0
 STOP_PROXIMITY = 20.0           # proximity metric: 100 / distance_in_meters
 SCAN_STEP = 45.0
-FEEDBACK_WINDOW = 5
 
 
 @dataclass
@@ -159,7 +160,7 @@ class ShootingPolicy:
         if mem.state == ALIGN:
             if mem.macro:
                 return [self._step_macro(mem, rel_ball, rel_goal)]
-            if self._vetoed(agent_id, mem):
+            if self._vetoed(mem):
                 mem.flip = not mem.flip
                 self._enter_round(mem, rel_goal)
                 return [self._step_macro(mem, rel_ball, rel_goal)]
@@ -184,9 +185,8 @@ class ShootingPolicy:
         return self._emit(mem, letter,
                           self._letter_command(letter, rel_ball, rel_goal))
 
-    def _vetoed(self, agent_id, mem) -> bool:
+    def _vetoed(self, mem) -> bool:
         if self.feedback is None:
             return False
-        window = self.letters_of(agent_id)[-FEEDBACK_WINDOW:]
-        return not self.feedback(window).proceed
+        return not self.feedback("".join(mem.letters)).proceed
 

@@ -11,15 +11,20 @@ import pytest
 
 from matchdna import pipeline
 from matchdna.attractor_tree import load_tree
-from matchdna.classifier_system import population_from_csv
+from matchdna.classifier_system import (
+    LcsConfig,
+    SequenceReplayEnvironment,
+    population_from_csv,
+    train,
+)
 from matchdna.cli import main
 from matchdna.mining import GOAL, THREAT
 from matchdna.pipeline import (
     CorpusManifest,
-    ManifestEntry,
     StageError,
     annotate_log,
     load_manifest,
+    match_paths,
     pipeline_run,
     resolve_config,
     run_stage,
@@ -117,33 +122,76 @@ class TestResolveConfig:
         config = resolve_config({"train_lcs": {"seed": 123}})
         assert config["train_lcs"]["seed"] == 123
 
+    @pytest.mark.parametrize("section, key", [
+        ("train_lcs", "env"), ("train_lcs", "population_size"),
+        ("train_lcs", "bid_fraction"), ("train_lcs", "reward_win"),
+        ("train_lcs", "reward_play"), ("train_lcs", "mutation_rate"),
+        ("diagnose", "window")])
+    def test_removed_key_rejected(self, section, key):
+        # the learners' own defaults hold these values; a config that sets
+        # one is refused rather than silently ignored
+        with pytest.raises(ValueError,
+                           match=f"unknown config key '{section}.{key}'"):
+            resolve_config({section: {key: 1}})
+
 
 class TestManifest:
-    def entry(self, tmp_path, name="m000"):
-        (tmp_path / "logs").mkdir(exist_ok=True)
-        (tmp_path / f"logs/{name}.jsonl").write_text("{}\n")
-        return ManifestEntry(match_id=name, log_path=f"logs/{name}.jsonl")
+    def touch(self, path):
+        path.parent.mkdir(exist_ok=True)
+        path.write_text("{}\n")
+
+    def logged(self, tmp_path, *ids):
+        """A manifest over ids, each with a log file."""
+        for match_id in ids:
+            self.touch(match_paths(tmp_path, match_id).log)
+        return CorpusManifest(entries=list(ids))
 
     def test_round_trip(self, tmp_path):
-        manifest = CorpusManifest(window_cycles=10, created_at="t0",
-                                  entries=[self.entry(tmp_path)])
+        manifest = self.logged(tmp_path, "m000", "m001")
+        manifest.created_at = "t0"
         save_manifest(manifest, tmp_path / "manifest.json")
+        doc = json.loads((tmp_path / "manifest.json").read_text())
+        assert doc == {"schema_version": 2, "created_at": "t0",
+                       "window_cycles": None, "entries": ["m000", "m001"]}
         back = load_manifest(tmp_path / "manifest.json")
-        assert back.window_cycles == 10
-        assert back.entries[0].match_id == "m000"
+        assert back == manifest
         back.validate(tmp_path)
 
     def test_duplicate_ids_rejected(self, tmp_path):
-        e = self.entry(tmp_path)
-        manifest = CorpusManifest(entries=[e, e])
+        manifest = self.logged(tmp_path, "m000")
+        manifest.entries *= 2
         with pytest.raises(ValueError, match="unique"):
             manifest.validate(tmp_path)
 
     def test_missing_path_rejected(self, tmp_path):
-        manifest = CorpusManifest(entries=[
-            ManifestEntry(match_id="m0", log_path="logs/nope.jsonl")])
-        with pytest.raises(FileNotFoundError):
+        manifest = self.logged(tmp_path, "m000")
+        manifest.entries.append("m001")
+        with pytest.raises(FileNotFoundError) as err:
             manifest.validate(tmp_path)
+        assert str(err.value) == ("manifest match m001 has no file "
+                                  f"{tmp_path / 'logs/m001.jsonl'}")
+
+    def test_encoded_files_checked_once_window_set(self, tmp_path):
+        manifest = self.logged(tmp_path, "m000")
+        manifest.validate(tmp_path)  # not encoded yet: logs suffice
+        manifest.window_cycles = 10
+        paths = match_paths(tmp_path, "m000")
+        for missing in (paths.sequence, paths.annotations):
+            with pytest.raises(FileNotFoundError) as err:
+                manifest.validate(tmp_path)
+            assert str(err.value) == f"manifest match m000 has no file {missing}"
+            self.touch(missing)
+        manifest.validate(tmp_path)
+
+    def test_schema_1_manifest_refused(self, tmp_path):
+        # the earlier layout stored three paths per match
+        self.logged(tmp_path, "m000")
+        (tmp_path / "manifest.json").write_text(json.dumps({
+            "schema_version": 1, "created_at": "", "window_cycles": None,
+            "entries": [{"match_id": "m000", "log_path": "logs/m000.jsonl",
+                         "sequence_path": None, "annotations_path": None}]}))
+        with pytest.raises(ValueError, match="unsupported manifest schema_version"):
+            load_manifest(tmp_path / "manifest.json")
 
     def test_schema_version_checked(self, tmp_path):
         (tmp_path / "manifest.json").write_text(
@@ -207,11 +255,13 @@ class TestPipelineRun:
 
     def test_artifacts_declare_schema_version(self, pipeline_dir):
         out, _config, _artifacts = pipeline_dir
-        for rel in ("manifest.json", "annotations/m000.json",
+        for rel in ("annotations/m000.json",
                     "mining/report.json", "fmaca/tree.json",
                     "fmaca/metrics.json"):
             doc = json.loads((out / rel).read_text())
             assert doc["schema_version"] == 1, rel
+        doc = json.loads((out / "manifest.json").read_text())
+        assert doc["schema_version"] == 2
         for rel in ("sequences/m000.fasta", "lcs/population.csv",
                     "lcs/curve.csv", "diagnostics/ga_diagnostics.csv"):
             first = (out / rel).read_text().splitlines()[0]
@@ -223,8 +273,8 @@ class TestPipelineRun:
         out, _config, _artifacts = pipeline_dir
         manifest = load_manifest(out / "manifest.json")
         manifest.validate(out)
-        entry = manifest.entries[0]
-        assert entry.sequence_path and entry.annotations_path
+        assert manifest.entries == ["m000"]
+        assert manifest.window_cycles == 10
 
     def test_rerun_is_deterministic_except_timestamps(self, pipeline_dir,
                                                       tmp_path):
@@ -267,6 +317,7 @@ class TestPipelineRun:
         assert "simulate.matches must be >= 1, got 0" in str(err.value)
 
     @pytest.mark.parametrize("stage, section, key, value, low", [
+        ("encode", "encode", "window_cycles", 0, 1),
         ("mine", "mine", "top_patterns", -1, 0),
         ("train-fmaca", "train_fmaca", "window", 0, 1),
         ("train-lcs", "train_lcs", "iters", 0, 1),
@@ -277,10 +328,9 @@ class TestPipelineRun:
                                                       section, key, value,
                                                       low):
         # an empty directory: the value is refused before the stage reads
-        # its inputs; the oracle environment would need no inputs at all
+        # its inputs or creates a directory
         config = smoke_config(tmp_path)
         config[section][key] = value
-        config["train_lcs"]["env"] = "oracle"
         with pytest.raises(StageError) as err:
             run_stage(stage, config, tmp_path)
         assert isinstance(err.value.cause, ValueError)
@@ -373,21 +423,25 @@ class TestPipelineRun:
                                "iteration,proportion_correct"]
         population = population_from_csv(
             (tmp_path / "lcs/population.csv").read_text())
-        assert len(population) == config["train_lcs"]["population_size"]
+        assert len(population) == LcsConfig().population_size
 
-    def test_train_lcs_logs_what_the_lcs_did(self, tmp_path, caplog):
-        from matchdna.classifier_system import SuffixOracleEnvironment, train
-        config = resolve_config({
-            "seed": 7, "out_dir": str(tmp_path),
-            "train_lcs": {"env": "oracle", "iters": 3000, "ga_period": 1000},
-        })
+    def test_train_lcs_logs_what_the_lcs_did(self, mined_dir, tmp_path, caplog):
+        out = tmp_path / "run"
+        shutil.copytree(mined_dir, out)
+        config = smoke_config(out)
+        config["train_lcs"].update(iters=3000, ga_period=1000)
         with caplog.at_level(logging.INFO, logger="matchdna.pipeline"):
-            run_stage("train-lcs", config, tmp_path)
+            run_stage("train-lcs", config, out)
         lcs_config = pipeline._lcs_config(config["train_lcs"])
-        population, _curve = train(SuffixOracleEnvironment(lcs_config),
-                                   lcs_config)
-        assert population.cover_count > 0
-        assert (f"{population.cover_count} covering events, 3 GA rounds, "
+        _games, players = pipeline._load_corpus(
+            out, load_manifest(out / "manifest.json"))
+        stats = pipeline._miner_stats_from_report(out / "mining/report.json")
+        population, curve = train(
+            SequenceReplayEnvironment(players, lcs_config, stats), lcs_config)
+        # the whole line, so the final block's score ties it to this run
+        # even where the counts are zero
+        assert (f"lcs final proportion_correct {curve.points[-1][1]:.3f}; "
+                f"{population.cover_count} covering events, 3 GA rounds, "
                 f"{population.clamp_count} strengths clamped at zero"
                 in caplog.text)
 
@@ -470,8 +524,8 @@ class TestBoundaryChecks:
         out, config = self.copy(mined_dir, tmp_path)
         (out / "sequences/m000.fasta").unlink()
         for stage in ("mine", "train-fmaca", "train-lcs"):
-            self.fails(stage, config, out,
-                       "manifest references missing sequence_path")
+            self.fails(stage, config, out, "manifest match m000 has no file "
+                       f"{out / 'sequences/m000.fasta'}")
 
     def test_player_letter_outside_alphabet(self, mined_dir, tmp_path):
         out, config = self.copy(mined_dir, tmp_path)
@@ -526,12 +580,21 @@ class TestBuildCorpus:
     def test_single_match_manifest(self, tmp_path):
         manifest = self.build(tmp_path, {"seed": 3, "simulate": {
             "matches": 1, "cycles": 120}})
-        assert len(manifest.entries) == 1
-        entry = manifest.entries[0]
-        assert entry.match_id == "m000"
-        for rel in (entry.log_path, entry.sequence_path,
-                    entry.annotations_path):
-            assert (tmp_path / rel).exists()
+        assert manifest.entries == ["m000"]
+        for path in match_paths(tmp_path, "m000"):
+            assert path.exists()
+
+    def test_reencode_rewrites_deleted_files(self, tmp_path):
+        file_config = {"seed": 3, "simulate": {"matches": 1, "cycles": 120}}
+        self.build(tmp_path, file_config)
+        paths = match_paths(tmp_path, "m000")
+        before = [paths.sequence.read_bytes(), paths.annotations.read_bytes()]
+        paths.sequence.unlink()
+        paths.annotations.unlink()
+        config = resolve_config({**file_config, "out_dir": str(tmp_path)})
+        run_stage("encode", config, tmp_path)
+        assert [paths.sequence.read_bytes(),
+                paths.annotations.read_bytes()] == before
 
     def test_seeds_offset_from_master(self, tmp_path):
         self.build(tmp_path, {"seed": 11, "simulate": {"matches": 2,
@@ -598,12 +661,19 @@ class TestCli:
                      "--letters", "TCCCTA"]) == 0
         assert "1 match(es)" in capsys.readouterr().out
 
-    def test_train_lcs_oracle_quick(self, tmp_path, capsys):
-        code = main(["train-lcs", "--env", "oracle", "--iters", "2000",
-                     "--seed", "11", "--out-dir", str(tmp_path)])
+    def test_train_lcs_quick_on_corpus(self, mined_dir, tmp_path, capsys):
+        out = tmp_path / "run"
+        shutil.copytree(mined_dir, out)
+        code = main(["train-lcs", "--iters", "2000", "--seed", "11",
+                     "--out-dir", str(out)])
         assert code == 0
-        assert (tmp_path / "lcs/curve.csv").exists()
+        assert (out / "lcs/curve.csv").exists()
         assert "proportion_correct" in capsys.readouterr().out
+
+    def test_env_flag_removed(self, capsys):
+        with pytest.raises(SystemExit):
+            main(["train-lcs", "--env", "oracle"])
+        assert "unrecognized arguments: --env" in capsys.readouterr().err
 
     def test_feedback_on_trained_tree(self, pipeline_dir, capsys):
         out, _config, _artifacts = pipeline_dir
@@ -619,6 +689,15 @@ class TestCli:
         code = main(["pipeline", "--config", str(config_path)])
         assert code == 1
         assert "unknown config key" in capsys.readouterr().err
+
+    def test_removed_config_key_reported(self, tmp_path, capsys):
+        config_path = tmp_path / "old.json"
+        config_path.write_text('{"train_lcs": {"bid_fraction": 0.2}}')
+        code = main(["train-lcs", "--config", str(config_path),
+                     "--out-dir", str(tmp_path / "run")])
+        assert code == 1
+        assert ("unknown config key 'train_lcs.bid_fraction'"
+                in capsys.readouterr().err)
 
     def test_every_stage_subcommand_summary(self, tmp_path, capsys):
         # expected lines recorded before the stage subcommands shared one
@@ -648,8 +727,7 @@ class TestCli:
             (["train-fmaca"],
              ["training accuracy 1.000 on 14 windows (depth 4)",
               f"wrote {out}/fmaca/tree.json"]),
-            (["train-lcs", "--env", "match", "--iters", "1500",
-              "--ga-period", "500"],
+            (["train-lcs", "--iters", "1500", "--ga-period", "500"],
              ["proportion_correct 0.506 at iteration 1500",
               f"wrote {out}/lcs/curve.csv"]),
             (["diagnose", "--cells", "6", "--generations", "2"],

@@ -81,7 +81,8 @@ class TestRoundAndShoot:
         # goal dead ahead (rel 0) -> counterclockwise macro AAACT, then
         # align ATACT, then shoot AATAA capped by the strong kick
         assert policy.letters_of("a") == "AAACT" + "ATACT" + "AATAA" + "G"
-        assert windows == ["ATACT"]
+        # the hook gets the whole letter history at the shot decision
+        assert windows == ["AAACTATACT"]
         kicks = [c for c in cmds if c is not None and c.kind == "kick"]
         assert kicks[-1].x == 100
 
@@ -116,6 +117,27 @@ class TestRoundAndShoot:
         drive(policy, perc, 15)
         # the align window ATACT is vetoed, so the clockwise macro follows
         assert policy.letters_of("a") == "AAACT" + "ATACT" + "AGGGT"
+        assert policy.memory("a").flip
+
+    def test_wide_tree_vetoes_through_policy(self):
+        # a 10-letter tree judges the round and align macros together; a
+        # 5-letter window would only ever be flagged as too short
+        tree = fit_window_classifier(
+            ["AAACTATACT", "AAACTATACC", "AAACTTTACT",
+             "-----TCCCT", "-----CACCT", "-----GCCCT"],
+            ["threat", "threat", "threat", "goal", "goal", "goal"],
+            ga=GaConfig(population_size=10, generations=5, rng_seed=0))
+        assert tree.window == 10
+        assert not ca_feedback(tree, "AAACTATACT").proceed
+        cfg = FieldConfig(cycle_count=64, rng_seed=0)
+        decisions = []
+        policy = ShootingPolicy(
+            cfg, feedback=lambda w: decisions.append(ca_feedback(tree, w))
+            or decisions[-1])
+        drive(policy, perception((3, 0), (0, 0), 0.0), 15)
+        assert policy.letters_of("a") == "AAACT" + "ATACT" + "AGGGT"
+        assert len(decisions) == 1
+        assert not decisions[0].proceed and not decisions[0].flagged
         assert policy.memory("a").flip
 
     def test_acts_from_stale_snapshot_when_no_perception(self):
