@@ -72,6 +72,7 @@ from .attractor_tree import (
     fit_window_classifier,
     group_basins,
     load_tree,
+    purity_ceiling,
     save_tree,
 )
 from .diagnostics import (

@@ -130,6 +130,18 @@ def basin_purity(basin_ids, labels) -> float:
     return total / len(basin_ids)
 
 
+def purity_ceiling(patterns, labels) -> float:
+    """The highest basin purity any rule vector can reach on a subset.
+
+    Identical rows step identically, so they always share a basin; the
+    purity with every distinct row in a basin of its own is therefore an
+    upper bound on `fitness`, reached when no two distinct rows merge
+    into a mixed basin.
+    """
+    return basin_purity([tuple(row) for row in np.asarray(patterns).tolist()],
+                        labels)
+
+
 def fitness(rules, patterns, labels):
     """Purity of the attractor-basin distribution induced by a rule vector.
 
@@ -194,11 +206,17 @@ def group_basins(terminals, k: int, seed=0):
     return _nearest(terminals, centroids), centroids
 
 
-def _evolve_rules(patterns, labels, ga: GaConfig, rng, on_generation=None) -> list:
+def _evolve_rules(patterns, labels, ga: GaConfig, rng, on_generation=None,
+                  ceiling: float = 1.0) -> list:
     """GA search for a rule vector maximizing basin purity on the subset.
 
     Each generation scores the rule vectors it has not seen yet in one
     fitness call; the subset is fixed, so earlier scores are reused.
+
+    The search stops after the generation whose best fitness reaches
+    `ceiling`.  Given the subset's `purity_ceiling`, no later generation
+    can score higher, so the returned rule vector is the one a run of
+    every generation returns.
     """
     n = patterns.shape[1]
     pop = rng.choice(_RULE_POOL, size=(ga.population_size, n))
@@ -215,7 +233,7 @@ def _evolve_rules(patterns, labels, ga: GaConfig, rng, on_generation=None) -> li
             best_fit, best_rules = float(fits[top]), pop[top].copy()
         if on_generation is not None:
             on_generation(gen, [int(r) for r in best_rules], best_fit)
-        if best_fit >= 1.0:
+        if best_fit >= ceiling:
             break
         nxt = [pop[top].copy()]  # elitism
         while len(nxt) < ga.population_size:
@@ -246,8 +264,15 @@ def _majority(labels) -> int:
 
 
 def build_tree(patterns, labels, K: int | None = None,
-               ga: GaConfig = GaConfig()) -> FmacaTree:
-    """Recursive attractor-basin partitioning of a labeled pattern set."""
+               ga: GaConfig = GaConfig(), on_generation=None) -> FmacaTree:
+    """Recursive attractor-basin partitioning of a labeled pattern set.
+
+    Each internal node's GA stops once its best rule vector reaches the
+    node subset's `purity_ceiling`.  That vector can no longer be beaten,
+    and the node's GA generator is not drawn from afterwards, so the tree
+    is the one running every generation would build.  `on_generation`,
+    if given, is called for every GA generation run, node after node.
+    """
     patterns = np.asarray(patterns, dtype=float)
     labels = np.asarray(labels, dtype=np.int64)
     if patterns.ndim != 2 or len(patterns) == 0:
@@ -272,7 +297,9 @@ def build_tree(patterns, labels, K: int | None = None,
             return Leaf(_majority(subset_labels), pure=False, size=len(idx))
         ga_seed, km_seed, child_seed = seed_seq.spawn(3)
         rng = np.random.default_rng(ga_seed)
-        rules = _evolve_rules(patterns[idx], subset_labels, ga, rng)
+        ceiling = purity_ceiling(patterns[idx], subset_labels)
+        rules = _evolve_rules(patterns[idx], subset_labels, ga, rng,
+                              on_generation=on_generation, ceiling=ceiling)
         terms, _conv = terminal_states(patterns[idx], rules,
                                        max_steps=TERMINAL_MAX_STEPS)
         assignment, centroids = group_basins(terms, len(present), km_seed)
@@ -348,10 +375,10 @@ def encode_window(window: str) -> np.ndarray:
         raise ValueError(f"symbol {err.args[0]!r} outside play alphabet") from None
 
 
-def fit_window_classifier(windows, labels,
-                          ga: GaConfig = GaConfig()) -> FmacaTree:
+def fit_window_classifier(windows, labels, ga: GaConfig = GaConfig(),
+                          on_generation=None) -> FmacaTree:
     """Train a tree on letter windows labeled "goal" (class 1) or
-    "threat" (class 2)."""
+    "threat" (class 2); `on_generation` is build_tree's GA hook."""
     if not windows:
         raise ValueError("no training windows")
     width = len(windows[0])
@@ -360,7 +387,8 @@ def fit_window_classifier(windows, labels,
     name_to_id = {GOAL: 1, THREAT: 2}
     patterns = np.array([encode_window(w) for w in windows])
     y = np.array([name_to_id[label] for label in labels])
-    tree = build_tree(patterns, y, K=len(name_to_id), ga=ga)
+    tree = build_tree(patterns, y, K=len(name_to_id), ga=ga,
+                      on_generation=on_generation)
     tree.window = width
     tree.class_names = {v: k for k, v in name_to_id.items()}
     tree.goal_class = name_to_id[GOAL]

@@ -25,10 +25,10 @@ import numpy as np
 from . import mining, sequences
 from .attractor_tree import (
     GaConfig,
-    basin_purity,
     classify_batch,
     encode_window,
     fit_window_classifier,
+    purity_ceiling,
     save_tree,
 )
 from .classifier_system import (
@@ -44,7 +44,7 @@ from .classifier_system import (
 from .diagnostics import DiagnosticsConfig, diagnostics_to_csv, ga_diagnostics
 from .mining import DEFAULT_MOTIFS, GOAL, THREAT, AnnotatedSequence, PatternQuery
 from .sequences import ACTIONS, IDLE, encode_game, encode_player
-from .shooting import ShootingPolicy
+from .shooting import LETTER_HISTORY, ShootingPolicy
 from .simulator import AWAY, HOME, FieldConfig, load_match_log, run_match, save_match_log
 
 log = logging.getLogger(__name__)
@@ -476,6 +476,11 @@ def stage_train_fmaca(config: dict, out_dir: Path) -> Path:
     from the corpus plus the motif-table exemplars."""
     params = config["train_fmaca"]
     window = _at_least(config, "train_fmaca", "window", 1)
+    if window > LETTER_HISTORY:
+        # the shooting policy keeps only this many letters, so a wider
+        # tree could never judge a shot
+        raise ValueError(f"train_fmaca.window must be <= {LETTER_HISTORY}, "
+                         f"got {window}")
     manifest = _encoded_manifest(config, out_dir)
     _games, players = _load_corpus(out_dir, manifest)
 
@@ -487,15 +492,18 @@ def stage_train_fmaca(config: dict, out_dir: Path) -> Path:
     ga = GaConfig(population_size=int(params["population_size"]),
                   generations=int(params["generations"]),
                   rng_seed=int(params["seed"]))
-    tree = fit_window_classifier(windows, labels, ga=ga)
+    generations = []  # one entry per GA generation run, over all nodes
+    tree = fit_window_classifier(windows, labels, ga=ga,
+                                 on_generation=lambda *g: generations.append(g))
 
-    predicted = classify_batch(tree, np.array([encode_window(w) for w in windows]))
+    patterns = np.array([encode_window(w) for w in windows])
+    predicted = classify_batch(tree, patterns)
     class_ids = {name: cid for cid, name in tree.class_names.items()}
     wanted = np.array([class_ids[label] for label in labels])
     accuracy = float((predicted == wanted).mean())
     # identical windows reach one leaf, so a window's minority labels are
     # errors for every tree: this is the best accuracy any tree can reach
-    ceiling = basin_purity(windows, labels)
+    ceiling = purity_ceiling(patterns, labels)
 
     fmaca_dir = out_dir / "fmaca"
     fmaca_dir.mkdir(exist_ok=True)
@@ -508,7 +516,8 @@ def stage_train_fmaca(config: dict, out_dir: Path) -> Path:
         "tree_depth": tree.depth(),
     })
     log.info("fmaca training accuracy %.3f on %d windows (purity ceiling %.3f), "
-             "%d tree nodes", accuracy, len(windows), ceiling, tree.node_count())
+             "%d tree nodes, %d GA generations", accuracy, len(windows), ceiling,
+             tree.node_count(), len(generations))
     return tree_path
 
 

@@ -1,10 +1,10 @@
 """Scripted shooting behavior: a finite-state policy that finds the ball,
 approaches it, rounds it until ball and goal are both in view, aligns,
 asks an optional feedback hook whether to shoot, and kicks at the goal.
-The hook takes the agent's letter history (its last 64 letters, oldest
-first) and returns a verdict whose `proceed` is false to veto the shot
-(attractor_tree.ca_feedback's FeedbackDecision, which reads as many
-trailing letters as its tree was trained on).
+The hook takes the agent's letter history (its last LETTER_HISTORY
+letters, oldest first) and returns a verdict whose `proceed` is false to
+veto the shot (attractor_tree.ca_feedback's FeedbackDecision, which reads
+as many trailing letters as its tree was trained on).
 
 Rounding, aligning and shooting are driven by five-letter action macros;
 each letter maps to one cycle's command:
@@ -51,6 +51,8 @@ SHOOT_MACRO = "AATAA"
 FOV_HALF_ANGLE = 45.0
 STOP_PROXIMITY = 20.0           # proximity metric: 100 / distance_in_meters
 SCAN_STEP = 45.0
+
+LETTER_HISTORY = 64             # letters kept and handed to the feedback hook
 
 
 @dataclass
@@ -118,7 +120,7 @@ class ShootingPolicy:
 
     def _emit(self, mem, letter, command):
         mem.letters.append(letter)
-        del mem.letters[:-64]
+        del mem.letters[:-LETTER_HISTORY]
         return command
 
     # ----- policy entry -------------------------------------------------------

@@ -22,6 +22,7 @@ from matchdna.attractor_tree import (
     fit_window_classifier,
     fitness,
     group_basins,
+    purity_ceiling,
     tree_to_dict,
 )
 from matchdna.diagnostics import DiagnosticsConfig, ga_diagnostics
@@ -135,6 +136,75 @@ class TestGaPinned:
         assert isinstance(scores, np.ndarray) and scores.shape == (16,)
         assert scores.tolist() == [fitness(r, patterns, labels) for r in rules]
         assert isinstance(fitness(rules[0], patterns, labels), float)
+
+
+class TestCeilingStop:
+    """The GA stops once its best reaches the subset's purity ceiling,
+    and the stop moves no output."""
+
+    def test_stops_at_ceiling_with_the_pinned_answer(self):
+        patterns, labels = make_contradictory_dataset()
+        assert purity_ceiling(patterns, labels) == 10 / 12
+        gens = []
+        rules = at._evolve_rules(patterns, labels,
+                                 GaConfig(population_size=8, generations=6, rng_seed=3),
+                                 np.random.default_rng(11),
+                                 on_generation=lambda g, r, f: gens.append(g),
+                                 ceiling=purity_ceiling(patterns, labels))
+        # test_generation_bests: the full run's answer, first found at gen 1
+        assert rules == [170, 1, 204]
+        assert gens == [0, 1]
+
+    @staticmethod
+    def fuzz_case(seed):
+        rng = np.random.default_rng(seed)
+        K = int(rng.integers(2, 4))
+        m, n = int(rng.integers(4, 12)), int(rng.integers(2, 6))
+        if seed % 2:
+            patterns = rng.integers(0, 6, size=(m, n)) * 0.2  # the 0.2 grid
+        else:
+            patterns = rng.random((m, n))
+        labels = rng.integers(1, K + 1, size=m)
+        # some rows again, each under another label
+        again = rng.choice(m, size=int(rng.integers(0, m // 2 + 1)), replace=False)
+        shift = rng.integers(1, K, size=len(again))
+        patterns = np.vstack([patterns, patterns[again]])
+        labels = np.concatenate([labels, (labels[again] - 1 + shift) % K + 1])
+        ga = GaConfig(population_size=int(rng.integers(4, 9)),
+                      generations=int(rng.integers(2, 7)), rng_seed=seed)
+        return patterns, labels, K, ga
+
+    def test_tree_equals_every_generation_reference(self, monkeypatch):
+        cases, stopped_early = 120, 0
+        for seed in range(cases):
+            patterns, labels, K, ga = self.fuzz_case(seed)
+            ran = []
+            tree = build_tree(patterns, labels, K=K, ga=ga,
+                              on_generation=lambda *g: ran.append(g))
+            with monkeypatch.context() as patch:
+                # the reference never stops: every node runs every generation
+                patch.setattr(at, "purity_ceiling", lambda p, y: float("inf"))
+                full = []
+                reference = build_tree(patterns, labels, K=K, ga=ga,
+                                       on_generation=lambda *g: full.append(g))
+            assert tree_to_dict(tree) == tree_to_dict(reference), seed
+            assert len(full) % ga.generations == 0
+            stopped_early += len(ran) < len(full)
+        # the stop is exercised, not just harmless
+        assert stopped_early >= cases // 2
+
+    def test_ceiling_bounds_fitness(self):
+        rng = np.random.default_rng(5)
+        for seed in range(20):
+            patterns, labels, _K, _ga = self.fuzz_case(seed)
+            rules = rng.choice(sorted(SUPPORTED_RULES), size=(32, patterns.shape[1]))
+            assert (fitness(rules, patterns, labels)
+                    <= purity_ceiling(patterns, labels)).all()
+
+    def test_distinct_rows_have_ceiling_one(self):
+        rng = np.random.default_rng(6)
+        patterns = rng.random((30, 4))
+        assert purity_ceiling(patterns, rng.integers(1, 4, size=30)) == 1.0
 
 
 class TestPurity:

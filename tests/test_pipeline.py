@@ -10,7 +10,12 @@ from pathlib import Path
 import pytest
 
 from matchdna import pipeline
-from matchdna.attractor_tree import load_tree
+from matchdna.attractor_tree import (
+    GaConfig,
+    fit_window_classifier,
+    load_tree,
+    tree_to_dict,
+)
 from matchdna.classifier_system import (
     LcsConfig,
     SequenceReplayEnvironment,
@@ -30,6 +35,7 @@ from matchdna.pipeline import (
     run_stage,
     save_manifest,
 )
+from matchdna.shooting import LETTER_HISTORY
 from matchdna.simulator import (
     AWAY,
     HOME,
@@ -337,6 +343,18 @@ class TestPipelineRun:
         assert f"{section}.{key} must be >= {low}, got {value}" in str(err.value)
         assert list(tmp_path.iterdir()) == []
 
+    def test_window_wider_than_letter_history_fails_before_any_work(
+            self, tmp_path):
+        # the shooting policy hands the gate only LETTER_HISTORY letters,
+        # so a wider tree could never veto a shot
+        config = smoke_config(tmp_path)
+        config["train_fmaca"]["window"] = LETTER_HISTORY + 1
+        with pytest.raises(StageError) as err:
+            run_stage("train-fmaca", config, tmp_path)
+        assert isinstance(err.value.cause, ValueError)
+        assert "train_fmaca.window must be <= 64, got 65" in str(err.value)
+        assert list(tmp_path.iterdir()) == []
+
     def test_short_lookback_fails_naming_it(self, mined_dir, tmp_path):
         out = tmp_path / "run"
         shutil.copytree(mined_dir, out)
@@ -466,6 +484,30 @@ class TestPipelineRun:
         tree = load_tree(out / "fmaca" / "tree.json")
         assert (f"on {len(samples)} windows (purity ceiling {ceiling:.3f}), "
                 f"{tree.node_count()} tree nodes" in caplog.text)
+
+
+    def test_train_fmaca_logs_generations_run(self, mined_dir, tmp_path,
+                                              caplog):
+        out = tmp_path / "run"
+        shutil.copytree(mined_dir, out)
+        config = smoke_config(out)
+        with caplog.at_level(logging.INFO, logger="matchdna.pipeline"):
+            run_stage("train-fmaca", config, out)
+        params, window = config["train_fmaca"], config["train_fmaca"]["window"]
+        _games, players = pipeline._load_corpus(
+            out, load_manifest(out / "manifest.json"))
+        samples = list(dict.fromkeys(pipeline._motif_windows(window)
+                                     + pipeline._corpus_windows(players, window)))
+        ran = []
+        tree = fit_window_classifier(
+            [text for text, _label in samples],
+            [label for _text, label in samples],
+            ga=GaConfig(population_size=params["population_size"],
+                        generations=params["generations"], rng_seed=params["seed"]),
+            on_generation=lambda *g: ran.append(g))
+        assert tree_to_dict(tree) == tree_to_dict(load_tree(out / "fmaca" / "tree.json"))
+        assert (f"{tree.node_count()} tree nodes, {len(ran)} GA generations"
+                in caplog.text)
 
 
 @pytest.fixture(scope="module")

@@ -94,6 +94,16 @@ class TestRoundAndShoot:
         drive(policy, perc, 5)
         assert policy.letters_of("a") == "AGGGT"
 
+    def test_hook_sees_at_most_letter_history(self):
+        windows = []
+        policy = ShootingPolicy(
+            FieldConfig(cycle_count=200, rng_seed=0),
+            feedback=lambda w: windows.append(w) or FeedbackDecision(proceed=False))
+        drive(policy, perception((3, 0), (0, 0), 0.0), 200)
+        # every veto sends the agent round again, so the history fills up
+        assert max(len(w) for w in windows) == shooting.LETTER_HISTORY
+        assert len(policy.letters_of("a")) == shooting.LETTER_HISTORY
+
     def test_veto_reverses_direction(self):
         cfg = FieldConfig(cycle_count=64, rng_seed=0)
         answers = iter([FeedbackDecision(proceed=False), FeedbackDecision(proceed=True)])
