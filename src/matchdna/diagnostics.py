@@ -7,6 +7,14 @@ MI_LAG steps apart with cells as the samples.  Normalized MI divides by
 the smaller marginal entropy so that an exact copy scores 1; constant
 patterns score 0 by convention.
 
+A probe steps its trials as one deterministic batch, so the run is a
+transient followed by a cycle.  Stepping stops at the batch's first
+exact repeat, and each distinct state's window entropy and lag-pair MI
+are computed once, then gathered by a step -> state index to the full
+run_steps length.  The reductions then see the same array, element for
+element, that stepping to run_steps gives, so every reported float is
+unchanged; a batch that never repeats is stepped to run_steps.
+
 EDGE_OF_CHAOS_ENTROPY is the reference entropy level that evolved
 rule populations are reported to approach; it is context for reading
 reports, not a gate.
@@ -90,11 +98,11 @@ def site_entropy(window_bits) -> float:
         raise ValueError("window must be a non-empty 1-D or 2-D bit array")
     if not np.isin(b, (0, 1)).all():
         raise ValueError("window must hold only 0/1 bits")
-    return _entropy_report(b[:, None, :], len(b)).mean_entropy
+    return _entropy_report(b[:, None, :], np.arange(len(b)), len(b)).mean_entropy
 
 
 def mutual_information(p1, p2) -> float:
-    """Normalized MI between two equal-length bit patterns.
+    """Normalized MI between two equal-length 0/1 bit patterns.
 
     Cells are the samples of the joint distribution.  The plug-in MI is
     divided by min(H(p1), H(p2)); if either marginal is constant the
@@ -106,6 +114,8 @@ def mutual_information(p1, p2) -> float:
         raise ValueError("patterns must have equal lengths")
     if a.size == 0:
         raise ValueError("patterns must be non-empty")
+    if not (np.isin(a, (0, 1)).all() and np.isin(b, (0, 1)).all()):
+        raise ValueError("patterns must hold only 0/1 bits")
     return float(_normalized_mi(a, b))
 
 
@@ -134,66 +144,110 @@ def _normalized_mi(a, b) -> np.ndarray:
                                          0.0, 1.0), 0.0)
 
 
-def _trial_bit_series(rules, config: DiagnosticsConfig) -> np.ndarray:
-    """Binarized trajectories after the transient, shape (T, trials, n).
+def _trial_bit_series(rules, config: DiagnosticsConfig) -> tuple[np.ndarray, np.ndarray]:
+    """Binarized trial trajectories as (bits, index): the trial series
+    is bits[index], shape (T, trials, n), the run after its transient.
 
     Each trial starts from its own seeded uniform state; all trials step
     together as one batch.  Up to `window` leading steps are dropped,
     keeping at least one window's worth of samples.
+
+    A deterministic batch runs a transient and then a cycle, so stepping
+    stops at the batch's first exact repeat, found with Brent's
+    checkpoint: s(t) is compared with the state s(a) kept since step a,
+    and the checkpoint moves on whenever t-a reaches a power of two.
+    From the repeat's period p the transient mu is the first i with
+    s(i) == s(i+p); steps mu..mu+p-1 are the cycle, and step t >= mu
+    maps to state mu + (t-mu) % p.  `bits` holds the distinct states
+    and then up to window-1 states of continuation, so every window
+    that starts at one of them lies whole in `bits`; `index` maps each
+    step of the series to its distinct state.  Stepping is exact and
+    deterministic, so s(t) equals s(mu + (t-mu) % p) bit for bit and
+    bits[index] is, element for element, the series that stepping to
+    run_steps gives; the reductions below therefore return the same
+    floats.  A batch that never repeats steps to run_steps and is its
+    own index.
     """
     rs = RuleSet.coerce(rules)
     seqs = np.random.SeedSequence(config.rng_seed).spawn(config.trials)
     cur = np.vstack([np.random.default_rng(s).random(rs.n) for s in seqs])
-    states = np.empty((config.run_steps + 1, config.trials, rs.n))
-    states[0] = cur
+    states = [cur]
+    mark, mark_step, span = cur, 0, 1  # Brent checkpoint s(a), a, next move
+    period = 0
     for t in range(1, config.run_steps + 1):
-        states[t] = cur = rs.apply(cur)
-    return binarize(states[min(config.window, len(states) - config.window):])
+        cur = rs.apply(cur)
+        if (cur == mark).all():
+            period = t - mark_step
+            break
+        states.append(cur)
+        if t - mark_step == span:
+            mark, mark_step, span = cur, t, 2 * span
+    states = np.array(states)
+    index = np.arange(config.run_steps + 1)
+    distinct = len(states)
+    if period:
+        # s(i) == s(i+p) for i < a, else the cycle starts at a itself
+        same = (states[period:] == states[:-period]).all(axis=(1, 2))
+        mu = int(np.argmax(np.append(same, True)))
+        distinct = mu + period
+        index = np.where(index < distinct, index, mu + (index - mu) % period)
+    bits = binarize(states[index[:distinct + config.window - 1]])
+    return bits, index[min(config.window, len(index) - config.window):]
 
 
-def _entropy_report(series, w: int) -> EntropyReport:
-    """Moving-window site entropy of a trial series, averaged within
-    trials, mean/std across."""
+def _entropy_report(bits, index, w: int) -> EntropyReport:
+    """Moving-window site entropy of the trial series bits[index],
+    averaged within trials, mean/std across.
+
+    A window's one-counts depend only on the state it starts from, so
+    they are counted once per row of `bits` and gathered to every
+    window start of the series by `index`; the reduction then runs on
+    the same (windows, trials, n) array as on the stepped-out series.
+    """
     # rolling per-cell one-counts via cumulative sums
-    csum = np.cumsum(series, axis=0, dtype=np.int64)
+    csum = np.cumsum(bits, axis=0, dtype=np.int64)
     pad = np.zeros((1,) + csum.shape[1:], dtype=np.int64)
     csum = np.concatenate([pad, csum], axis=0)
-    counts = csum[w:] - csum[:-w]          # (windows, trials, n)
+    counts = csum[w:] - csum[:-w]          # (window starts, trials, n)
     h_table = _h_bernoulli(np.arange(w + 1) / w)
-    per_trial = h_table[counts].mean(axis=(0, 2))
+    per_trial = h_table[counts][index[:len(index) - w + 1]].mean(axis=(0, 2))
     return EntropyReport(mean_entropy=float(per_trial.mean()),
                          std_dev=float(per_trial.std()),
                          per_trial=[float(v) for v in per_trial])
 
 
-def _mi_report(series) -> MiReport:
-    """Mean normalized MI between states MI_LAG steps apart, per trial.
+def _mi_report(bits, index) -> MiReport:
+    """Mean normalized MI between states MI_LAG steps apart, per trial,
+    of the trial series bits[index].
 
-    A trial series keeps at least `window` >= 2 rows, so every trial has
-    a lagged pair.
+    A lag pair's MI depends only on its first state, so it is computed
+    once per row of `bits` and gathered by `index`, as in
+    _entropy_report.  A trial series keeps at least `window` >= 2 rows,
+    so every trial has a lagged pair.
     """
-    per_trial = _normalized_mi(series[:-MI_LAG], series[MI_LAG:]).mean(axis=0)
+    per_pair = _normalized_mi(bits[:-MI_LAG], bits[MI_LAG:])
+    per_trial = per_pair[index[:len(index) - MI_LAG]].mean(axis=0)
     return MiReport(mean_mi=float(per_trial.mean()),
                     per_trial=[float(v) for v in per_trial])
 
 
 def measure_entropy(rules, config: DiagnosticsConfig = DiagnosticsConfig()) -> EntropyReport:
     """Moving-window site entropy, averaged within trials, mean/std across."""
-    return _entropy_report(_trial_bit_series(rules, config), config.window)
+    return _entropy_report(*_trial_bit_series(rules, config), config.window)
 
 
 def measure_mi(rules, config: DiagnosticsConfig = DiagnosticsConfig()) -> MiReport:
     """Mean normalized MI between states at lag MI_LAG, per trial."""
-    return _mi_report(_trial_bit_series(rules, config))
+    return _mi_report(*_trial_bit_series(rules, config))
 
 
 # ----- per-generation GA diagnostics ------------------------------------------
 
 def rule_vector_diagnostics(rules, config: DiagnosticsConfig, generation: int = 0) -> dict:
     """One CSV row: entropy and MI of a single simulated trial series."""
-    series = _trial_bit_series(rules, config)
-    ent = _entropy_report(series, config.window)
-    mi = _mi_report(series)
+    bits, index = _trial_bit_series(rules, config)
+    ent = _entropy_report(bits, index, config.window)
+    mi = _mi_report(bits, index)
     return {"generation": generation, "n": len(RuleSet.coerce(rules)),
             "mean_entropy": ent.mean_entropy, "std_entropy": ent.std_dev,
             "mean_mi": mi.mean_mi}

@@ -112,6 +112,8 @@ def _runs(starts, k: int) -> list[tuple[int, int]]:
     """Tandem runs among the ascending occurrence starts of a length-k
     pattern: scanning left to right, a start followed by copies at +k,
     +2k, ... opens a run of >= 2 copies, and the scan resumes after it."""
+    if len(starts) < 2:
+        return []
     present = set(starts)
     runs = []
     resume = 0

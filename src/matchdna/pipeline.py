@@ -576,12 +576,15 @@ def stage_diagnose(config: dict, out_dir: Path) -> Path:
     entropy/MI of the best vector."""
     params = config["diagnose"]
     n_cells = _at_least(config, "diagnose", "n_cells", 1)
-    ga = GaConfig(population_size=int(params["population_size"]),
-                  generations=int(params["generations"]),
-                  rng_seed=int(params["seed"]))
-    diag = DiagnosticsConfig(run_steps=int(params["run_steps"]),
-                             trials=int(params["trials"]),
-                             rng_seed=int(params["seed"]))
+    ga = GaConfig(
+        population_size=_at_least(config, "diagnose", "population_size", 2),
+        generations=_at_least(config, "diagnose", "generations", 1),
+        rng_seed=int(params["seed"]))
+    diag = DiagnosticsConfig(
+        run_steps=_at_least(config, "diagnose", "run_steps",
+                            DiagnosticsConfig.window),
+        trials=_at_least(config, "diagnose", "trials", 1),
+        rng_seed=int(params["seed"]))
     rows = ga_diagnostics(n_cells, ga, diag)
     diag_dir = out_dir / "diagnostics"
     diag_dir.mkdir(exist_ok=True)

@@ -5,6 +5,7 @@ The entropy of a 9-zeros-one-one window is the frozen oracle value
 """
 
 import collections
+import hashlib
 import math
 
 import numpy as np
@@ -22,6 +23,7 @@ from matchdna.diagnostics import (
     site_entropy,
 )
 from matchdna.attractor_tree import GaConfig
+from matchdna.fuzzy_ca import SUPPORTED_RULES, RuleSet
 
 NINE_ZEROS_ONE_ONE_H = 0.4689955935892812
 
@@ -103,6 +105,13 @@ class TestMutualInformation:
         with pytest.raises(ValueError):
             mutual_information([0, 1], [0, 1, 1])
 
+    @pytest.mark.parametrize("a, b", [([0.4, 0.6, 0.4, 0.6], [0.4, 0.6, 0.4, 0.6]),
+                                      ([0, 1, 0, 1], [0, 2, 0, 2]),
+                                      ([0, 1, -1, 1], [0, 1, 1, 1])])
+    def test_non_bit_input_rejected(self, a, b):
+        with pytest.raises(ValueError, match="patterns must hold only 0/1 bits"):
+            mutual_information(a, b)
+
 
 SMALL = dict(window=10, run_steps=200, trials=5, rng_seed=31)
 
@@ -163,6 +172,102 @@ class TestRuleVectorDiagnostics:
             "std_entropy": ent.std_dev, "mean_mi": mi.mean_mi}
 
 
+def reference_series(rules, config):
+    """Every trial stepped through all run_steps, binarized after the
+    transient: the full-length (T, trials, n) series, and whether the
+    batch repeats a state exactly within run_steps."""
+    rs = RuleSet.coerce(rules)
+    seqs = np.random.SeedSequence(config.rng_seed).spawn(config.trials)
+    cur = np.vstack([np.random.default_rng(s).random(rs.n) for s in seqs])
+    states = np.empty((config.run_steps + 1, config.trials, rs.n))
+    states[0] = cur
+    for t in range(1, config.run_steps + 1):
+        states[t] = cur = rs.apply(cur)
+    repeats = len({state.tobytes() for state in states}) < len(states)
+    return (binarize(states[min(config.window, len(states) - config.window):]),
+            repeats)
+
+
+def reference_entropy(series, w):
+    csum = np.cumsum(series, axis=0, dtype=np.int64)
+    pad = np.zeros((1,) + csum.shape[1:], dtype=np.int64)
+    csum = np.concatenate([pad, csum], axis=0)
+    counts = csum[w:] - csum[:-w]
+    h_table = diag._h_bernoulli(np.arange(w + 1) / w)
+    per_trial = h_table[counts].mean(axis=(0, 2))
+    return float(per_trial.mean()), float(per_trial.std()), \
+        [float(v) for v in per_trial]
+
+
+def reference_mi(series):
+    per_trial = diag._normalized_mi(series[:-diag.MI_LAG],
+                                    series[diag.MI_LAG:]).mean(axis=0)
+    return float(per_trial.mean()), [float(v) for v in per_trial]
+
+
+class TestStoppedSeries:
+    """The probes stop stepping at the batch's first exact repeat; every
+    float must equal the one a full-length run gives."""
+
+    def check(self, rules, cfg):
+        series, repeats = reference_series(rules, cfg)
+        mean_h, std_h, per_h = reference_entropy(series, cfg.window)
+        mean_mi, per_mi = reference_mi(series)
+        ent = measure_entropy(rules, cfg)
+        mi = measure_mi(rules, cfg)
+        assert (ent.mean_entropy, ent.std_dev, ent.per_trial) == \
+            (mean_h, std_h, per_h)
+        assert (mi.mean_mi, mi.per_trial) == (mean_mi, per_mi)
+        assert diag.rule_vector_diagnostics(rules, cfg, generation=1) == {
+            "generation": 1, "n": len(rules), "mean_entropy": mean_h,
+            "std_entropy": std_h, "mean_mi": mean_mi}
+        return repeats
+
+    def test_fuzz_equals_full_length_reference(self):
+        rng = np.random.default_rng(14)
+        rules = sorted(SUPPORTED_RULES)
+        stopped = 0
+        for case in range(240):
+            n = int(rng.integers(2, 10))
+            window = int(rng.integers(2, 12))
+            # a short run often ends before the batch repeats
+            top = window + 8 if case % 3 == 0 else 500
+            cfg = DiagnosticsConfig(window=window,
+                                    run_steps=int(rng.integers(window, top)),
+                                    trials=int(rng.integers(1, 6)),
+                                    rng_seed=case)
+            stopped += self.check([int(r) for r in rng.choice(rules, n)], cfg)
+        assert 200 <= stopped < 240  # both kinds of run are covered
+
+    def test_run_ends_before_any_repeat(self):
+        # a left shift of 9 random cells only empties after 9 steps
+        cfg = DiagnosticsConfig(window=3, run_steps=6, trials=2, rng_seed=4)
+        assert not self.check([170] * 9, cfg)
+
+    def test_single_trial(self):
+        cfg = DiagnosticsConfig(window=5, run_steps=80, trials=1, rng_seed=5)
+        assert self.check([250, 1, 3, 5, 3, 250, 252, 204], cfg)
+
+    @pytest.mark.parametrize("rules", [[204] * 5, [51] * 5, [170] * 5,
+                                       [250, 1, 3, 5, 3]])
+    def test_window_equals_run_steps(self, rules):
+        self.check(rules, DiagnosticsConfig(window=7, run_steps=7, trials=3,
+                                            rng_seed=6))
+
+    def test_default_probe_steps_to_the_repeat_only(self, monkeypatch):
+        calls = []
+        apply = RuleSet.apply
+
+        def counting(self, state):
+            calls.append(len(state))
+            return apply(self, state)
+
+        monkeypatch.setattr(RuleSet, "apply", counting)
+        diag.rule_vector_diagnostics([250, 1, 3, 5, 3, 250, 252, 204],
+                                     DiagnosticsConfig())
+        assert 0 < len(calls) <= 64
+
+
 class TestConfigValidation:
     @pytest.mark.parametrize("kw", [dict(window=1), dict(run_steps=5, window=10),
                                     dict(trials=0)])
@@ -189,6 +294,13 @@ class TestGaDiagnostics:
         assert lines[0] == "# schema_version=1"
         assert lines[1] == "generation,n,mean_entropy,std_entropy,mean_mi"
         assert len(lines) == 2 + len(rows)
+
+    def test_pinned_csv_digest(self):
+        text = diagnostics_to_csv(ga_diagnostics(
+            8, GaConfig(population_size=30, generations=12, rng_seed=3),
+            DiagnosticsConfig(rng_seed=3)))
+        assert hashlib.sha256(text.encode()).hexdigest() == \
+            "2257b4e2c37b1eb3a24dac0e97ae0029ae520c64ba053762b0dc60c5ae88e62b"
 
     def test_deterministic(self):
         kw = dict(n=4,

@@ -329,7 +329,11 @@ class TestPipelineRun:
         ("train-lcs", "train_lcs", "iters", 0, 1),
         ("simulate", "simulate", "cycles", 0, 1),
         ("simulate", "simulate", "players_per_team", 0, 1),
-        ("diagnose", "diagnose", "n_cells", 0, 1)])
+        ("diagnose", "diagnose", "n_cells", 0, 1),
+        ("diagnose", "diagnose", "population_size", 1, 2),
+        ("diagnose", "diagnose", "generations", 0, 1),
+        ("diagnose", "diagnose", "run_steps", 5, 10),
+        ("diagnose", "diagnose", "trials", 0, 1)])
     def test_out_of_range_value_fails_before_any_work(self, tmp_path, stage,
                                                       section, key, value,
                                                       low):
