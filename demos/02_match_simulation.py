@@ -13,9 +13,8 @@ from matchdna.shooting import ShootingPolicy
 
 def play(seed: int):
     config = FieldConfig(cycle_count=600, rng_seed=seed, players_per_team=2)
-    home = ShootingPolicy(config, team=HOME)
-    away = ShootingPolicy(config, team=AWAY)
-    return run_match(home, away, config)
+    return run_match(ShootingPolicy(team=HOME), ShootingPolicy(team=AWAY),
+                     config)
 
 
 def main():

@@ -20,8 +20,8 @@ from matchdna.shooting import ShootingPolicy
 
 def main():
     config = FieldConfig(cycle_count=1000, rng_seed=13, players_per_team=2)
-    log = run_match(ShootingPolicy(config, team=HOME),
-                    ShootingPolicy(config, team=AWAY), config)
+    log = run_match(ShootingPolicy(team=HOME), ShootingPolicy(team=AWAY),
+                    config)
     print(f"score {log.score}, {len(log.per_cycle_states)} cycles")
 
     game = encode_game(log, window_cycles=10, game_id="demo")

@@ -45,7 +45,16 @@ from .diagnostics import DiagnosticsConfig, diagnostics_to_csv, ga_diagnostics
 from .mining import DEFAULT_MOTIFS, GOAL, THREAT, AnnotatedSequence, PatternQuery
 from .sequences import ACTIONS, IDLE, encode_game, encode_player
 from .shooting import LETTER_HISTORY, ShootingPolicy
-from .simulator import AWAY, HOME, FieldConfig, load_match_log, run_match, save_match_log
+from .simulator import (
+    AWAY,
+    FIELD_LENGTH,
+    HOME,
+    MAX_PLAYERS_PER_TEAM,
+    FieldConfig,
+    load_match_log,
+    run_match,
+    save_match_log,
+)
 
 log = logging.getLogger(__name__)
 
@@ -110,11 +119,15 @@ class StageError(RuntimeError):
 
 # ----- run config ---------------------------------------------------------
 
-def _at_least(config: dict, section: str, key: str, low: int) -> int:
-    """config[section][key] as an int, refused below `low` by name."""
+def _checked(config: dict, section: str, key: str, low: int,
+             high: int | None = None) -> int:
+    """config[section][key] as an int, refused by name below `low` or
+    above `high`."""
     value = int(config[section][key])
     if value < low:
         raise ValueError(f"{section}.{key} must be >= {low}, got {value}")
+    if high is not None and value > high:
+        raise ValueError(f"{section}.{key} must be <= {high}, got {value}")
     return value
 
 
@@ -257,9 +270,10 @@ def stage_simulate(config: dict, out_dir: Path) -> Path:
     """Run the seeded match corpus; write one JSONL log per match plus the
     manifest skeleton."""
     sim = config["simulate"]
-    n_matches = _at_least(config, "simulate", "matches", 1)
-    cycles = _at_least(config, "simulate", "cycles", 1)
-    players_per_team = _at_least(config, "simulate", "players_per_team", 1)
+    n_matches = _checked(config, "simulate", "matches", 1)
+    cycles = _checked(config, "simulate", "cycles", 1)
+    players_per_team = _checked(config, "simulate", "players_per_team", 1,
+                                MAX_PLAYERS_PER_TEAM)
     manifest = CorpusManifest(created_at=_timestamp())
     for i in range(n_matches):
         match_id = f"m{i:03d}"
@@ -268,9 +282,8 @@ def stage_simulate(config: dict, out_dir: Path) -> Path:
             rng_seed=int(sim["master_seed"]) + i,
             players_per_team=players_per_team,
         )
-        home = ShootingPolicy(field_config, team=HOME)
-        away = ShootingPolicy(field_config, team=AWAY)
-        match_log = run_match(home, away, field_config)
+        match_log = run_match(ShootingPolicy(HOME), ShootingPolicy(AWAY),
+                              field_config)
         if not match_log.valid:
             error = match_log.error
             raise RuntimeError(f"match {match_id} aborted at cycle {error['cycle']}: "
@@ -290,7 +303,7 @@ def annotate_log(match_log, window_cycles: int) -> list:
     threat entry per window with an effective attacking kick close to the
     opponent goal line."""
     events = []
-    threat_line = match_log.config.length / 2.0 - THREAT_DISTANCE
+    threat_line = FIELD_LENGTH / 2.0 - THREAT_DISTANCE
     threat_windows = set()
     first_agents, _ball = match_log.per_cycle_states[0]
     teams = {agent.id: agent.team for agent in first_agents}
@@ -313,7 +326,7 @@ def stage_encode(config: dict, out_dir: Path) -> Path:
     """Encode every logged match into game/player sequences plus
     goal/threat window annotations; record the window size in the
     manifest."""
-    window_cycles = _at_least(config, "encode", "window_cycles", 1)
+    window_cycles = _checked(config, "encode", "window_cycles", 1)
     manifest_path = out_dir / "manifest.json"
     manifest = load_manifest(manifest_path)
     # encode rewrites the encoded files, so only the logs must exist
@@ -396,11 +409,12 @@ def stage_mine(config: dict, out_dir: Path) -> Path:
     """Mine player sequences for frequent patterns and tandem runs and
     score the motif tables against the annotated corpus."""
     params = config["mine"]
-    top_patterns = _at_least(config, "mine", "top_patterns", 0)
+    top_patterns = _checked(config, "mine", "top_patterns", 0)
+    min_len = _checked(config, "mine", "min_len", 1)
+    query = PatternQuery(min_len, _checked(config, "mine", "max_len", min_len))
     manifest = _encoded_manifest(config, out_dir)
     games, players = _load_corpus(out_dir, manifest)
 
-    query = PatternQuery(int(params["min_len"]), int(params["max_len"]))
     report = mining.mine_report([(s.sequence_id, s.letters) for s in players],
                                 query)
     totals = {}
@@ -474,13 +488,13 @@ def _corpus_windows(players: list, window: int) -> list:
 def stage_train_fmaca(config: dict, out_dir: Path) -> Path:
     """Fit the attractor-basin window classifier on goal/threat windows
     from the corpus plus the motif-table exemplars."""
-    params = config["train_fmaca"]
-    window = _at_least(config, "train_fmaca", "window", 1)
-    if window > LETTER_HISTORY:
-        # the shooting policy keeps only this many letters, so a wider
-        # tree could never judge a shot
-        raise ValueError(f"train_fmaca.window must be <= {LETTER_HISTORY}, "
-                         f"got {window}")
+    # the shooting policy keeps only LETTER_HISTORY letters, so a wider
+    # tree could never judge a shot
+    window = _checked(config, "train_fmaca", "window", 1, LETTER_HISTORY)
+    ga = GaConfig(
+        population_size=_checked(config, "train_fmaca", "population_size", 2),
+        generations=_checked(config, "train_fmaca", "generations", 1),
+        rng_seed=int(config["train_fmaca"]["seed"]))
     manifest = _encoded_manifest(config, out_dir)
     _games, players = _load_corpus(out_dir, manifest)
 
@@ -489,9 +503,6 @@ def stage_train_fmaca(config: dict, out_dir: Path) -> Path:
     windows = [text for text, _label in samples]
     labels = [label for _text, label in samples]
 
-    ga = GaConfig(population_size=int(params["population_size"]),
-                  generations=int(params["generations"]),
-                  rng_seed=int(params["seed"]))
     generations = []  # one entry per GA generation run, over all nodes
     tree = fit_window_classifier(windows, labels, ga=ga,
                                  on_generation=lambda *g: generations.append(g))
@@ -537,7 +548,8 @@ def stage_train_lcs(config: dict, out_dir: Path) -> Path:
     """Train the classifier system on the corpus's player sequences,
     replayed with the mined patterns seeding its GA, and write the
     population and learning curve."""
-    _at_least(config, "train_lcs", "iters", 1)
+    _checked(config, "train_lcs", "iters", 1)
+    _checked(config, "train_lcs", "ga_period", 1)
     lcs_config = _lcs_config(config["train_lcs"])
     manifest = _encoded_manifest(config, out_dir)
     _games, players = _load_corpus(out_dir, manifest)
@@ -575,15 +587,15 @@ def stage_diagnose(config: dict, out_dir: Path) -> Path:
     """Evolve a rule vector on the synthetic task and log per-generation
     entropy/MI of the best vector."""
     params = config["diagnose"]
-    n_cells = _at_least(config, "diagnose", "n_cells", 1)
+    n_cells = _checked(config, "diagnose", "n_cells", 1)
     ga = GaConfig(
-        population_size=_at_least(config, "diagnose", "population_size", 2),
-        generations=_at_least(config, "diagnose", "generations", 1),
+        population_size=_checked(config, "diagnose", "population_size", 2),
+        generations=_checked(config, "diagnose", "generations", 1),
         rng_seed=int(params["seed"]))
     diag = DiagnosticsConfig(
-        run_steps=_at_least(config, "diagnose", "run_steps",
-                            DiagnosticsConfig.window),
-        trials=_at_least(config, "diagnose", "trials", 1),
+        run_steps=_checked(config, "diagnose", "run_steps",
+                           DiagnosticsConfig.window),
+        trials=_checked(config, "diagnose", "trials", 1),
         rng_seed=int(params["seed"]))
     rows = ga_diagnostics(n_cells, ga, diag)
     diag_dir = out_dir / "diagnostics"

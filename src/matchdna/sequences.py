@@ -62,11 +62,8 @@ class PlayerSequence:
 def possession_timeline(log: MatchLog) -> list:
     """Holder id (or None) at the end of every cycle, recomputed from the
     recorded states so that encoding works on reloaded logs."""
-    kickable = log.config.kickable_distance
-    timeline = []
-    for agents, ball in log.per_cycle_states:
-        timeline.append(_nearest_holder(agents, ball, kickable))
-    return timeline
+    return [_nearest_holder(agents, ball)
+            for agents, ball in log.per_cycle_states]
 
 
 def _window_count(cycles: int, window_cycles: int) -> int:

@@ -28,9 +28,10 @@ import math
 from dataclasses import dataclass, field
 
 from .simulator import (
-    Command,
-    FieldConfig,
+    AWAY,
+    FIELD_LENGTH,
     HOME,
+    Command,
     dash,
     kick,
     normalize_heading,
@@ -67,11 +68,12 @@ class _AgentMemory:
 class ShootingPolicy:
     """One policy instance drives any number of agents of one team."""
 
-    def __init__(self, config: FieldConfig, team: str = HOME, feedback=None):
-        self.config = config
+    def __init__(self, team: str, feedback=None):
+        if team not in (HOME, AWAY):
+            raise ValueError(f"team must be {HOME!r} or {AWAY!r}, got {team!r}")
         self.team = team
         self.feedback = feedback
-        goal_x = config.length / 2 if team == HOME else -config.length / 2
+        goal_x = FIELD_LENGTH / 2 if team == HOME else -FIELD_LENGTH / 2
         self.goal = (goal_x, 0.0)
         self._memory = {}
 

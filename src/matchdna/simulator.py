@@ -13,6 +13,12 @@ what they perceive.  How many copies an agent gets each cycle is drawn
 from the perception stream in blocks of cycle_count cycles; a block takes
 the same values, in the same order, as one draw per agent per cycle.
 
+Every match plays on one field with one physics, the module constants
+FIELD_LENGTH, FIELD_WIDTH, GOAL_WIDTH, KICKABLE_DISTANCE, DASH_GAIN,
+KICK_GAIN, BALL_DECAY and PLAYER_DECAY.  A FieldConfig holds only what a
+run varies: cycle_count, rng_seed and players_per_team.  The match log's
+header records those three values and the schema version.
+
 Conventions: x runs along the field length, y across the width, the
 origin is the center spot.  The home team attacks +x.  Headings are
 degrees in [-180, 180), 0 pointing at +x, measured counterclockwise.
@@ -22,11 +28,24 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 
-SCHEMA_VERSION = 1
+SCHEMA_VERSION = 2
+
+FIELD_LENGTH = 105.0
+FIELD_WIDTH = 68.0
+GOAL_WIDTH = 14.0
+KICKABLE_DISTANCE = 1.0
+DASH_GAIN = 0.01      # meters per power unit per cycle
+KICK_GAIN = 0.05      # ball impulse per power unit
+BALL_DECAY = 0.94
+PLAYER_DECAY = 0.4
+
+# agent ids, home team first; each team takes at most half of them
+AGENT_IDS = "abcdefghijklmnopqrstuvwxyz"
+MAX_PLAYERS_PER_TEAM = len(AGENT_IDS) // 2
 
 # command argument ranges (min, max)
 TURN_RANGE = (-180.0, 180.0)
@@ -51,30 +70,18 @@ def clamp(value, lo, hi):
 
 @dataclass(frozen=True)
 class FieldConfig:
-    length: float = 105.0
-    width: float = 68.0
-    goal_width: float = 14.0
-    kickable_distance: float = 1.0
+    """What one match varies; the field and its physics are constants."""
     cycle_count: int = 6000
     rng_seed: int = 0
     players_per_team: int = 2
-    dash_gain: float = 0.01   # meters per power unit per cycle
-    kick_gain: float = 0.05   # ball impulse per power unit
-    ball_decay: float = 0.94
-    player_decay: float = 0.4
-    perception_jitter: bool = True
 
     def __post_init__(self):
-        if self.length <= 0 or self.width <= 0:
-            raise ValueError("field dimensions must be positive")
-        if not 0 < self.goal_width < self.width:
-            raise ValueError("goal_width must be in (0, width)")
-        if self.kickable_distance <= 0:
-            raise ValueError("kickable_distance must be positive")
         if self.cycle_count <= 0:
             raise ValueError("cycle_count must be positive")
-        if self.players_per_team < 1:
-            raise ValueError("players_per_team must be >= 1")
+        if not 1 <= self.players_per_team <= MAX_PLAYERS_PER_TEAM:
+            raise ValueError(f"players_per_team must be in "
+                             f"[1, {MAX_PLAYERS_PER_TEAM}], "
+                             f"got {self.players_per_team}")
 
 
 @dataclass
@@ -172,14 +179,14 @@ class MatchLog:
     error: dict | None = None  # why an invalid log stopped: type, message, cycle
 
 
-def _nearest_holder(agents, ball, kickable):
+def _nearest_holder(agents, ball):
     """Agent id in possession: nearest within kickable range, ties by id."""
     best = None
     best_key = None
     for a in agents:
         d = math.hypot(a.x - ball.x, a.y - ball.y)
-        if d <= kickable and (best_key is None or d < best_key or
-                              (d == best_key and a.id < best)):
+        if d <= KICKABLE_DISTANCE and (best_key is None or d < best_key or
+                                       (d == best_key and a.id < best)):
             best, best_key = a.id, d
     return best
 
@@ -193,18 +200,15 @@ class World:
         self.cycle = 0
         self.score = {HOME: 0, AWAY: 0}
         self.agents = {}
-        letters = "abcdefghijklmnopqrstuvwxyz"
         n = config.players_per_team
-        if 2 * n > len(letters):
-            raise ValueError("too many players for letter ids")
         for i in range(n):
-            self.agents[letters[i]] = AgentState(letters[i], HOME,
-                                                 -config.length / 4,
-                                                 (i - (n - 1) / 2) * 8.0, 0.0)
+            self.agents[AGENT_IDS[i]] = AgentState(AGENT_IDS[i], HOME,
+                                                   -FIELD_LENGTH / 4,
+                                                   (i - (n - 1) / 2) * 8.0, 0.0)
         for i in range(n):
-            aid = letters[n + i]
+            aid = AGENT_IDS[n + i]
             self.agents[aid] = AgentState(aid, AWAY,
-                                          config.length / 4,
+                                          FIELD_LENGTH / 4,
                                           (i - (n - 1) / 2) * 8.0, -180.0)
         if positions:
             for aid, pos in positions.items():
@@ -246,15 +250,13 @@ class World:
     def deliver_perceptions(self):
         """Agent id -> 0-2 references to `snap`, the state the log records
         for the previous cycle: {0,1,2} with probabilities {0.1, 0.8, 0.1}
-        (long-run mean one per cycle), or exactly one without jitter.
+        (long-run mean one per cycle).
 
         The counts are drawn from the perception stream in blocks of
         cycle_count rows, one count per agent in id order; each call takes
         one row, and a new block is drawn when the last is used up.  A block draws the same values,
         in the same order, as one draw per agent per call would."""
         snap = self.snap
-        if not self.config.perception_jitter:
-            return {aid: [snap] for aid in self._ids}
         if not self._perception_counts:
             block = self._rng_perc.choice(
                 3, size=(self.config.cycle_count, len(self._ids)),
@@ -267,7 +269,6 @@ class World:
 
     def step(self):
         """Advance one cycle; returns the events it produced."""
-        cfg = self.config
         events = []
         cycle = self.cycle
 
@@ -289,13 +290,13 @@ class World:
             events.append(MatchEvent(cycle, "idle"))
 
         # agent motion with speed decay
-        half_l, half_w = cfg.length / 2, cfg.width / 2
+        half_l, half_w = FIELD_LENGTH / 2, FIELD_WIDTH / 2
         for a in self.agents.values():
             if a.speed != 0.0:
                 rad = math.radians(a.heading)
                 a.x = clamp(a.x + a.speed * math.cos(rad), -half_l, half_l)
                 a.y = clamp(a.y + a.speed * math.sin(rad), -half_w, half_w)
-                a.speed *= cfg.player_decay
+                a.speed *= PLAYER_DECAY
                 if abs(a.speed) < 1e-9:
                     a.speed = 0.0
 
@@ -308,7 +309,7 @@ class World:
                (line_x < 0 and bx1 <= line_x < bx0):
                 t = (line_x - bx0) / (bx1 - bx0)
                 y_cross = by0 + t * (by1 - by0)
-                if abs(y_cross) <= cfg.goal_width / 2:
+                if abs(y_cross) <= GOAL_WIDTH / 2:
                     goal_team = team
                     bx1, by1 = line_x, y_cross
                 break
@@ -322,8 +323,8 @@ class World:
         else:
             self.ball.x = clamp(bx1, -half_l, half_l)
             self.ball.y = clamp(by1, -half_w, half_w)
-            self.ball.vx *= cfg.ball_decay
-            self.ball.vy *= cfg.ball_decay
+            self.ball.vx *= BALL_DECAY
+            self.ball.vy *= BALL_DECAY
             self._update_possession(cycle, events)
 
         self._queues = {aid: [] for aid in self.agents}
@@ -337,14 +338,14 @@ class World:
             a.heading = normalize_heading(a.heading + cmd.x)
             events.append(MatchEvent(cycle, "turn", agent=aid))
         elif cmd.kind == "dash":
-            a.speed = cmd.x * self.config.dash_gain
+            a.speed = cmd.x * DASH_GAIN
             events.append(MatchEvent(cycle, "move", agent=aid))
         elif cmd.kind == "kick":
             dist = math.hypot(a.x - self.ball.x, a.y - self.ball.y)
-            effective = dist <= self.config.kickable_distance
+            effective = dist <= KICKABLE_DISTANCE
             if effective:
                 rad = math.radians(normalize_heading(a.heading + cmd.y))
-                impulse = cmd.x * self.config.kick_gain
+                impulse = cmd.x * KICK_GAIN
                 self.ball.vx += impulse * math.cos(rad)
                 self.ball.vy += impulse * math.sin(rad)
                 self._pending_pass = (aid, cycle)
@@ -352,8 +353,7 @@ class World:
         # catch is accepted and consumes the movement slot but has no effect
 
     def _update_possession(self, cycle, events):
-        holder = _nearest_holder(self.agents.values(), self.ball,
-                                 self.config.kickable_distance)
+        holder = _nearest_holder(self.agents.values(), self.ball)
         if holder is not None and holder != self._holder:
             events.append(MatchEvent(cycle, "possession_change", agent=holder))
             if self._pending_pass:
@@ -468,8 +468,15 @@ def save_match_log(log: MatchLog, path):
         fh.write(log_to_jsonl(log))
 
 
+_CONFIG_KEYS = sorted(f.name for f in fields(FieldConfig))
+
+
 def load_match_log(path) -> MatchLog:
-    lines = []
+    """The MatchLog a file of log_to_jsonl's lines holds.  A line that is
+    not JSON, a header config whose keys are not FieldConfig's, and a
+    missing or unexpected field raise ValueError naming the file and the
+    line."""
+    lines, numbers = [], []
     with open(path) as fh:
         for number, line in enumerate(fh, 1):
             if not line.strip():
@@ -479,27 +486,39 @@ def load_match_log(path) -> MatchLog:
             except json.JSONDecodeError as err:
                 raise ValueError(f"match log {path} line {number} is not valid "
                                  f"JSON: {err.msg} (column {err.colno})") from err
+            numbers.append(number)
     if not lines:
         raise ValueError(f"empty match log {path}")
-    header = lines[0]
-    if header.get("schema_version") != SCHEMA_VERSION:
-        raise ValueError(f"unsupported schema_version in {path}")
-    config = FieldConfig(**header["config"])
-    log = MatchLog(config=config)
-    tail = lines[-1]
-    if "outcome" not in tail:
+    header, tail = lines[0], lines[-1]
+    version = header.get("schema_version") if isinstance(header, dict) else None
+    if version != SCHEMA_VERSION:
+        raise ValueError(f"match log {path}: unsupported schema_version "
+                         f"{version!r}, this code reads {SCHEMA_VERSION}")
+    if not isinstance(tail, dict) or "outcome" not in tail:
         raise ValueError(f"match log {path} has no closing outcome line")
-    log.outcome = tail["outcome"]
-    log.score = tuple(tail["score"])
-    log.valid = tail.get("valid", True)
-    log.error = tail.get("error")
-    states, events = log.per_cycle_states, log.events
-    for row in lines[1:-1]:
-        agents = [AgentState(d["id"], d["team"], d["x"], d["y"],
-                             d["heading"], d.get("speed", 0.0))
-                  for d in row["agents"]]
-        b = row["ball"]
-        states.append((agents, BallState(b["x"], b["y"], b["vx"], b["vy"])))
-        for ed in row["events"]:
-            events.append(MatchEvent(**ed))
+    index = 0  # the line being read, named if a field is missing or unexpected
+    try:
+        config = header["config"]
+        if sorted(config) != _CONFIG_KEYS:
+            raise ValueError(f"header config keys {sorted(config)} are not "
+                             f"{_CONFIG_KEYS}")
+        log = MatchLog(config=FieldConfig(**config))
+        index = len(lines) - 1
+        log.outcome = tail["outcome"]
+        log.score = tuple(tail["score"])
+        log.valid = tail["valid"]
+        log.error = tail.get("error")
+        states, events = log.per_cycle_states, log.events
+        for index in range(1, len(lines) - 1):
+            row = lines[index]
+            agents = [AgentState(d["id"], d["team"], d["x"], d["y"],
+                                 d["heading"], d["speed"])
+                      for d in row["agents"]]
+            b = row["ball"]
+            states.append((agents, BallState(b["x"], b["y"], b["vx"], b["vy"])))
+            for ed in row["events"]:
+                events.append(MatchEvent(**ed))
+    except (KeyError, TypeError, ValueError) as err:
+        what = f"missing field {err}" if isinstance(err, KeyError) else str(err)
+        raise ValueError(f"match log {path} line {numbers[index]}: {what}") from err
     return log

@@ -35,9 +35,10 @@ from matchdna.pipeline import (
     run_stage,
     save_manifest,
 )
-from matchdna.shooting import LETTER_HISTORY
+from matchdna.shooting import LETTER_HISTORY, ShootingPolicy
 from matchdna.simulator import (
     AWAY,
+    FIELD_LENGTH,
     HOME,
     FieldConfig,
     MatchEvent,
@@ -45,6 +46,7 @@ from matchdna.simulator import (
     load_match_log,
     run_match,
 )
+from test_simulator import body_digest
 
 SMOKE = {
     "seed": 7,
@@ -56,9 +58,9 @@ SMOKE = {
 # the corpus of TestBuildCorpus.test_pinned_corpus_at_default_cycle_count
 PINNED_CORPUS = {
     "logs/m000.jsonl":
-        "0b04592f9af81d6f4d9c86c3c28a392aa9f12ece25c13edb1afbe60a05ad2484",
+        "5d54c5e85ba8b90acf1f950f30d44149a6dd39ecc46701dca2c9d6f5a28ca97c",
     "logs/m001.jsonl":
-        "0bf628162f73e04f00614f166d9ede4dc06eab60695c37e402c13b8121360dca",
+        "566be106c26b11cc6e12dd67ccbec41ebed1da8c866b2d2e8dfeaebcedad84af",
     "sequences/m000.fasta":
         "820184a0cb192f96dbdc940b6ea17bddb069a572d74953c5f26597698bc3368d",
     "sequences/m001.fasta":
@@ -67,6 +69,13 @@ PINNED_CORPUS = {
         "a9da0785cb00f7a567f5524ba119a33414a9d9c87f91abe18eb1cbabf2960c85",
     "annotations/m001.json":
         "39e09091bc5c2f2fe6a081f96824a3518976bc4f425b82995d40e634d87cfa28",
+}
+# the same logs' lines after the header (test_simulator.body_digest)
+PINNED_LOG_BODIES = {
+    "logs/m000.jsonl":
+        "3012e28000476273645b61eb193ffc39d6d954efc08f61e27becc8a58f7df8d1",
+    "logs/m001.jsonl":
+        "7c42d39a921f79d90819cdaa8bcd1c574493c90df9ea5d5e10286880208d56f8",
 }
 
 
@@ -210,9 +219,7 @@ class TestManifest:
 class TestAnnotateLog:
     def run_small_match(self, seed=3):
         config = FieldConfig(cycle_count=150, rng_seed=seed)
-        from matchdna.shooting import ShootingPolicy
-        return run_match(ShootingPolicy(config, HOME),
-                         ShootingPolicy(config, AWAY), config)
+        return run_match(ShootingPolicy(HOME), ShootingPolicy(AWAY), config)
 
     def test_one_goal_annotation_per_goal_event(self):
         log = self.run_small_match()
@@ -233,7 +240,7 @@ class TestAnnotateLog:
         log.events = [MatchEvent(cycle=2, kind="kick", agent="a",
                                  effective=True)]
         agents, ball = log.per_cycle_states[2]
-        ball.x = config.length / 2 - 5.0  # deep in the attacking third
+        ball.x = FIELD_LENGTH / 2 - 5.0  # deep in the attacking third
         assert (0, THREAT) in annotate_log(log, 10)
         ball.x = 0.0  # midfield kick: no threat
         assert annotate_log(log, 10) == []
@@ -244,7 +251,7 @@ class TestAnnotateLog:
         log.events = [MatchEvent(cycle=1, kind="kick", agent="a", effective=True),
                       MatchEvent(cycle=2, kind="kick", agent="a", effective=True)]
         for cycle in (1, 2):
-            log.per_cycle_states[cycle][1].x = config.length / 2 - 1.0
+            log.per_cycle_states[cycle][1].x = FIELD_LENGTH / 2 - 1.0
         events = annotate_log(log, 10)
         assert events == [(0, THREAT)]
 
@@ -273,7 +280,7 @@ class TestPipelineRun:
             first = (out / rel).read_text().splitlines()[0]
             assert first == "# schema_version=1", rel
         first = (out / "logs/m000.jsonl").read_text().splitlines()[0]
-        assert json.loads(first)["schema_version"] == 1
+        assert json.loads(first)["schema_version"] == 2
 
     def test_manifest_complete_after_encode(self, pipeline_dir):
         out, _config, _artifacts = pipeline_dir
@@ -322,21 +329,27 @@ class TestPipelineRun:
         assert err.value.stage == "simulate"
         assert "simulate.matches must be >= 1, got 0" in str(err.value)
 
-    @pytest.mark.parametrize("stage, section, key, value, low", [
-        ("encode", "encode", "window_cycles", 0, 1),
-        ("mine", "mine", "top_patterns", -1, 0),
-        ("train-fmaca", "train_fmaca", "window", 0, 1),
-        ("train-lcs", "train_lcs", "iters", 0, 1),
-        ("simulate", "simulate", "cycles", 0, 1),
-        ("simulate", "simulate", "players_per_team", 0, 1),
-        ("diagnose", "diagnose", "n_cells", 0, 1),
-        ("diagnose", "diagnose", "population_size", 1, 2),
-        ("diagnose", "diagnose", "generations", 0, 1),
-        ("diagnose", "diagnose", "run_steps", 5, 10),
-        ("diagnose", "diagnose", "trials", 0, 1)])
+    @pytest.mark.parametrize("stage, section, key, value, bound", [
+        ("encode", "encode", "window_cycles", 0, ">= 1"),
+        ("mine", "mine", "top_patterns", -1, ">= 0"),
+        ("mine", "mine", "min_len", 0, ">= 1"),
+        ("mine", "mine", "max_len", 1, ">= 2"),  # below the default min_len
+        ("train-fmaca", "train_fmaca", "window", 0, ">= 1"),
+        ("train-fmaca", "train_fmaca", "population_size", 1, ">= 2"),
+        ("train-fmaca", "train_fmaca", "generations", 0, ">= 1"),
+        ("train-lcs", "train_lcs", "iters", 0, ">= 1"),
+        ("train-lcs", "train_lcs", "ga_period", 0, ">= 1"),
+        ("simulate", "simulate", "cycles", 0, ">= 1"),
+        ("simulate", "simulate", "players_per_team", 0, ">= 1"),
+        ("simulate", "simulate", "players_per_team", 14, "<= 13"),
+        ("diagnose", "diagnose", "n_cells", 0, ">= 1"),
+        ("diagnose", "diagnose", "population_size", 1, ">= 2"),
+        ("diagnose", "diagnose", "generations", 0, ">= 1"),
+        ("diagnose", "diagnose", "run_steps", 5, ">= 10"),
+        ("diagnose", "diagnose", "trials", 0, ">= 1")])
     def test_out_of_range_value_fails_before_any_work(self, tmp_path, stage,
                                                       section, key, value,
-                                                      low):
+                                                      bound):
         # an empty directory: the value is refused before the stage reads
         # its inputs or creates a directory
         config = smoke_config(tmp_path)
@@ -344,7 +357,7 @@ class TestPipelineRun:
         with pytest.raises(StageError) as err:
             run_stage(stage, config, tmp_path)
         assert isinstance(err.value.cause, ValueError)
-        assert f"{section}.{key} must be >= {low}, got {value}" in str(err.value)
+        assert f"{section}.{key} must be {bound}, got {value}" in str(err.value)
         assert list(tmp_path.iterdir()) == []
 
     def test_window_wider_than_letter_history_fails_before_any_work(
@@ -380,7 +393,7 @@ class TestPipelineRun:
 
     def test_aborted_match_names_cause_and_cycle(self, tmp_path, monkeypatch):
         class FailsAtCycle:
-            def __init__(self, field_config, team):
+            def __init__(self, team):
                 pass
 
             def act(self, agent_id, perceptions, cycle):
@@ -670,6 +683,9 @@ class TestBuildCorpus:
                    for pattern in ("logs/*.jsonl", "sequences/*.fasta",
                                    "annotations/*.json")
                    for p in sorted(tmp_path.glob(pattern))}
+        bodies = {rel: body_digest((tmp_path / rel).read_text())
+                  for rel in PINNED_LOG_BODIES}
+        assert bodies == PINNED_LOG_BODIES
         assert digests == PINNED_CORPUS
 
 

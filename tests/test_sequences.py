@@ -141,7 +141,7 @@ class TestEncodePlayer:
 
 class TestInvariants:
     def test_lengths_match_and_alphabet_closed(self):
-        cfg = FieldConfig(cycle_count=120, rng_seed=21, perception_jitter=True)
+        cfg = FieldConfig(cycle_count=120, rng_seed=21)
         log = run_match(Barrage(31), Barrage(32), cfg)
         game = encode_game(log, 15)
         assert len(game.letters) == 8
@@ -155,7 +155,7 @@ class TestInvariants:
                     assert letter == "-"
 
     def test_deterministic(self):
-        cfg = FieldConfig(cycle_count=60, rng_seed=5, perception_jitter=True)
+        cfg = FieldConfig(cycle_count=60, rng_seed=5)
         log = run_match(Barrage(7), Barrage(8), cfg)
         assert encode_game(log, 10) == encode_game(log, 10)
 

@@ -9,7 +9,7 @@ from matchdna.attractor_tree import (
     ca_feedback,
     fit_window_classifier,
 )
-from matchdna.simulator import AgentState, BallState, FieldConfig, run_match
+from matchdna.simulator import AWAY, HOME, AgentState, BallState, FieldConfig, run_match
 from matchdna import shooting
 from matchdna.shooting import ShootingPolicy
 
@@ -34,18 +34,28 @@ def drive(policy, perc, n, agent_id="a"):
     return out
 
 
+class TestTeam:
+    def test_goal_is_the_opponents(self):
+        assert ShootingPolicy(HOME).goal == (52.5, 0.0)
+        assert ShootingPolicy(AWAY).goal == (-52.5, 0.0)
+
+    @pytest.mark.parametrize("args", [(FieldConfig(), HOME), ("left",)])
+    def test_other_team_refused_by_name(self, args):
+        # a config in the team's place is refused, not taken for a team
+        with pytest.raises(ValueError, match="team must be 'home' or 'away'"):
+            ShootingPolicy(*args)
+
+
 class TestFindBall:
     def test_scans_when_ball_behind(self):
-        cfg = FieldConfig(cycle_count=10, rng_seed=0)
-        policy = ShootingPolicy(cfg)
+        policy = ShootingPolicy(HOME)
         perc = perception((-10, 0), (0, 0), 0.0)  # ball directly behind
         cmds = drive(policy, perc, 2)
         assert cmds[0].kind == "turn" and cmds[0].x == shooting.SCAN_STEP
         assert policy.letters_of("a").startswith("AA")
 
     def test_ball_in_view_advances_to_approach(self):
-        cfg = FieldConfig(cycle_count=10, rng_seed=0)
-        policy = ShootingPolicy(cfg)
+        policy = ShootingPolicy(HOME)
         perc = perception((20, 0), (0, 0), 0.0)
         cmds = drive(policy, perc, 1)
         assert cmds[0].kind == "dash" and cmds[0].x == 100
@@ -54,16 +64,14 @@ class TestFindBall:
 
 class TestApproach:
     def test_turns_to_align_before_dashing(self):
-        cfg = FieldConfig(cycle_count=10, rng_seed=0)
-        policy = ShootingPolicy(cfg)
+        policy = ShootingPolicy(HOME)
         perc = perception((0, 20), (0, 0), 0.0)  # ball 90 degrees left but in FOV?
         # 90 > fov half angle, so this is still find-ball territory
         cmds = drive(policy, perc, 1)
         assert cmds[0].kind == "turn"
 
     def test_stops_when_proximity_exceeds_threshold(self):
-        cfg = FieldConfig(cycle_count=10, rng_seed=0)
-        policy = ShootingPolicy(cfg)
+        policy = ShootingPolicy(HOME)
         # 3 m away: proximity 33 > 20, skip straight to rounding
         perc = perception((3, 0), (0, 0), 0.0)
         drive(policy, perc, 1)
@@ -72,10 +80,9 @@ class TestApproach:
 
 class TestRoundAndShoot:
     def test_full_letter_script_goal_ahead(self):
-        cfg = FieldConfig(cycle_count=64, rng_seed=0)
         windows = []
         policy = ShootingPolicy(
-            cfg, feedback=lambda w: windows.append(w) or FeedbackDecision(proceed=True))
+            HOME, feedback=lambda w: windows.append(w) or FeedbackDecision(proceed=True))
         perc = perception((3, 0), (0, 0), 0.0)
         cmds = drive(policy, perc, 16)
         # goal dead ahead (rel 0) -> counterclockwise macro AAACT, then
@@ -87,8 +94,7 @@ class TestRoundAndShoot:
         assert kicks[-1].x == 100
 
     def test_clockwise_macro_when_goal_right(self):
-        cfg = FieldConfig(cycle_count=10, rng_seed=0)
-        policy = ShootingPolicy(cfg)
+        policy = ShootingPolicy(HOME)
         # heading 90 puts the goal (at bearing 0) to the agent's right
         perc = perception((0, 3), (0, 0), 90.0)
         drive(policy, perc, 5)
@@ -97,7 +103,7 @@ class TestRoundAndShoot:
     def test_hook_sees_at_most_letter_history(self):
         windows = []
         policy = ShootingPolicy(
-            FieldConfig(cycle_count=200, rng_seed=0),
+            HOME,
             feedback=lambda w: windows.append(w) or FeedbackDecision(proceed=False))
         drive(policy, perception((3, 0), (0, 0), 0.0), 200)
         # every veto sends the agent round again, so the history fills up
@@ -105,9 +111,8 @@ class TestRoundAndShoot:
         assert len(policy.letters_of("a")) == shooting.LETTER_HISTORY
 
     def test_veto_reverses_direction(self):
-        cfg = FieldConfig(cycle_count=64, rng_seed=0)
         answers = iter([FeedbackDecision(proceed=False), FeedbackDecision(proceed=True)])
-        policy = ShootingPolicy(cfg, feedback=lambda w: next(answers))
+        policy = ShootingPolicy(HOME, feedback=lambda w: next(answers))
         perc = perception((3, 0), (0, 0), 0.0)
         drive(policy, perc, 30)
         letters = policy.letters_of("a")
@@ -121,8 +126,7 @@ class TestRoundAndShoot:
             ["threat", "threat", "threat", "goal", "goal", "goal"],
             ga=GaConfig(population_size=10, generations=5, rng_seed=0))
         assert not ca_feedback(tree, "ATACT").proceed
-        cfg = FieldConfig(cycle_count=64, rng_seed=0)
-        policy = ShootingPolicy(cfg, feedback=lambda w: ca_feedback(tree, w))
+        policy = ShootingPolicy(HOME, feedback=lambda w: ca_feedback(tree, w))
         perc = perception((3, 0), (0, 0), 0.0)
         drive(policy, perc, 15)
         # the align window ATACT is vetoed, so the clockwise macro follows
@@ -139,10 +143,9 @@ class TestRoundAndShoot:
             ga=GaConfig(population_size=10, generations=5, rng_seed=0))
         assert tree.window == 10
         assert not ca_feedback(tree, "AAACTATACT").proceed
-        cfg = FieldConfig(cycle_count=64, rng_seed=0)
         decisions = []
         policy = ShootingPolicy(
-            cfg, feedback=lambda w: decisions.append(ca_feedback(tree, w))
+            HOME, feedback=lambda w: decisions.append(ca_feedback(tree, w))
             or decisions[-1])
         drive(policy, perception((3, 0), (0, 0), 0.0), 15)
         assert policy.letters_of("a") == "AAACT" + "ATACT" + "AGGGT"
@@ -151,8 +154,7 @@ class TestRoundAndShoot:
         assert policy.memory("a").flip
 
     def test_acts_from_stale_snapshot_when_no_perception(self):
-        cfg = FieldConfig(cycle_count=10, rng_seed=0)
-        policy = ShootingPolicy(cfg)
+        policy = ShootingPolicy(HOME)
         assert policy.act("a", [], 0) is None  # nothing ever seen
         perc = perception((20, 0), (0, 0), 0.0)
         policy.act("a", [perc], 1)
@@ -162,9 +164,8 @@ class TestRoundAndShoot:
 
 class TestScriptedGoal:
     def test_shooter_scores_against_null_defense(self):
-        cfg = FieldConfig(cycle_count=500, rng_seed=3, players_per_team=1,
-                          perception_jitter=True)
-        policy = ShootingPolicy(cfg, team="home")
+        cfg = FieldConfig(cycle_count=500, rng_seed=3, players_per_team=1)
+        policy = ShootingPolicy(team="home")
         log = run_match(policy, None, cfg,
                         positions={"a": (40.0, 0.0, 0.0), "b": (45.0, 20.0, 0.0)},
                         ball=(40.5, 0.0))

@@ -35,7 +35,7 @@ from matchdna.shooting import ShootingPolicy
 
 
 def small_config(**kw):
-    defaults = dict(cycle_count=50, rng_seed=42, perception_jitter=False)
+    defaults = dict(cycle_count=50, rng_seed=42)
     defaults.update(kw)
     return FieldConfig(**defaults)
 
@@ -242,16 +242,8 @@ class TestStep:
 
 
 class TestPerceptions:
-    def test_jitter_disabled_means_one_each(self):
-        w = World(small_config(cycle_count=7))
-        for _ in range(20):  # past cycle_count, as a jittered world refills
-            percs = w.deliver_perceptions()
-            assert list(percs) == sorted(w.agents)
-            assert all(len(v) == 1 and v[0] is w.snap for v in percs.values())
-            w.step()
-
     def test_jitter_long_run_mean(self):
-        w = World(small_config(cycle_count=1000, perception_jitter=True))
+        w = World(small_config(cycle_count=1000))
         totals = {aid: 0 for aid in w.agents}
         for _ in range(1000):
             for aid, snaps in w.deliver_perceptions().items():
@@ -262,9 +254,11 @@ class TestPerceptions:
 
     def test_snapshot_contents(self):
         w = World(small_config(), ball=(1.0, 2.0))
-        agents, ball = w.deliver_perceptions()["a"][0]
+        agents, ball = w.snap
         assert (ball.x, ball.y) == (1.0, 2.0)
         assert [a.id for a in agents] == sorted(w.agents)
+        assert all(s is w.snap for snaps in w.deliver_perceptions().values()
+                   for s in snaps)
 
 
 class TestPerceptionStream:
@@ -302,7 +296,7 @@ class TestPerceptionTiming:
                 seen.extend((cycle, state_values(p)) for p in perceptions)
                 return super().act(agent_id, perceptions, cycle)
 
-        log = run_match(Recorder(cfg, sim.HOME), Recorder(cfg, sim.AWAY), cfg)
+        log = run_match(Recorder(sim.HOME), Recorder(sim.AWAY), cfg)
         goals = [e.cycle for e in log.events if e.kind == "goal"]
         assert goals
         initial = state_values(World(cfg).snapshot())
@@ -350,7 +344,7 @@ class TestRunMatch:
         assert tail == '{"outcome":"draw","score":[0,0],"valid":true}'
 
     def test_replay_determinism(self):
-        cfg = small_config(cycle_count=60, perception_jitter=True, rng_seed=9)
+        cfg = small_config(cycle_count=60, rng_seed=9)
         a = run_match(Barrage(1), Barrage(2), cfg)
         b = run_match(Barrage(1), Barrage(2), cfg)
         assert log_to_jsonl(a) == log_to_jsonl(b)
@@ -376,7 +370,7 @@ class TestRunMatch:
 
 class TestSerialization:
     def test_round_trip(self, tmp_path):
-        cfg = small_config(cycle_count=30, perception_jitter=True)
+        cfg = small_config(cycle_count=30)
         log = run_match(Barrage(3), Barrage(4), cfg)
         path = tmp_path / "match.jsonl"
         sim.save_match_log(log, path)
@@ -394,12 +388,25 @@ class TestSerialization:
     def test_header_schema_version(self, tmp_path):
         log = run_match(None, None, small_config(cycle_count=2))
         text = log_to_jsonl(log)
-        assert '"schema_version":1' in text.splitlines()[0]
+        assert text.splitlines()[0] == (
+            '{"config":{"cycle_count":2,"players_per_team":2,"rng_seed":42},'
+            '"schema_version":2}')
+
+    def test_schema_1_log_refused_naming_file(self, tmp_path):
+        lines = log_to_jsonl(run_match(None, None, small_config())).splitlines()
+        header = json.loads(lines[0])
+        header["schema_version"] = 1
+        header["config"].update(length=105.0, width=68.0, perception_jitter=True)
+        path = tmp_path / "old.jsonl"
+        path.write_text("\n".join([json.dumps(header)] + lines[1:]) + "\n")
+        with pytest.raises(ValueError,
+                           match=r"old\.jsonl: unsupported schema_version 1"):
+            load_match_log(path)
 
     def test_cut_mid_line_names_file_and_line(self, tmp_path):
         cfg = FieldConfig(cycle_count=200, rng_seed=7)
-        text = log_to_jsonl(run_match(ShootingPolicy(cfg, sim.HOME),
-                                      ShootingPolicy(cfg, sim.AWAY), cfg))
+        text = log_to_jsonl(run_match(ShootingPolicy(sim.HOME),
+                                      ShootingPolicy(sim.AWAY), cfg))
         cut = text[:len(text) // 2]
         assert not cut.endswith("\n")
         path = tmp_path / "half.jsonl"
@@ -415,6 +422,43 @@ class TestSerialization:
         lines = log_to_jsonl(log).splitlines(keepends=True)
         path.write_text("".join(lines[:50]))
         with pytest.raises(ValueError, match="cut.jsonl has no closing outcome line"):
+            load_match_log(path)
+
+    def test_last_line_not_an_object_names_file(self, tmp_path):
+        lines = log_to_jsonl(run_match(None, None, small_config())).splitlines()
+        path = tmp_path / "number.jsonl"
+        path.write_text("\n".join(lines[:-1] + ["7"]) + "\n")
+        with pytest.raises(ValueError,
+                           match="number.jsonl has no closing outcome line"):
+            load_match_log(path)
+
+    @pytest.mark.parametrize("line, edit, message", [
+        (7, lambda row: row.pop("ball"), "missing field 'ball'"),
+        (7, lambda row: row["agents"][1].pop("x"), "missing field 'x'"),
+        (7, lambda row: row["agents"][0].pop("speed"), "missing field 'speed'"),
+        (7, lambda row: row["events"][0].update(foo=1),
+         "unexpected keyword argument 'foo'"),
+        (1, lambda head: head["config"].update(foo=1), "header config keys"),
+        (1, lambda head: head["config"].pop("rng_seed"), "header config keys"),
+        (53, lambda tail: tail.pop("score"), "missing field 'score'"),
+        (53, lambda tail: tail.pop("valid"), "missing field 'valid'")],
+        ids=["row-ball", "agent-x", "agent-speed", "event-key", "config-extra",
+             "config-rng_seed", "tail-score", "tail-valid"])
+    def test_malformed_field_names_file_and_line(self, tmp_path, line, edit,
+                                                 message):
+        # a 50-cycle log with a blank line after the header, which the
+        # line numbers count: line 1 is the header, 7 the row of cycle 4
+        # and 53 the closing outcome line
+        cfg = FieldConfig(cycle_count=50, rng_seed=3)
+        lines = log_to_jsonl(run_match(ShootingPolicy(sim.HOME),
+                                       ShootingPolicy(sim.AWAY), cfg)).splitlines()
+        lines.insert(1, "")
+        doc = json.loads(lines[line - 1])
+        edit(doc)
+        lines[line - 1] = json.dumps(doc)
+        path = tmp_path / "bad.jsonl"
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ValueError, match=rf"bad\.jsonl line {line}: .*{message}"):
             load_match_log(path)
 
     def test_heading_stays_normalized_under_fuzz(self):
@@ -518,8 +562,8 @@ class TestWriterAgainstReference:
 
     def test_load_of_save_returns_the_match(self, tmp_path):
         cfg = FieldConfig(cycle_count=300, rng_seed=7, players_per_team=2)
-        log = run_match(ShootingPolicy(cfg, sim.HOME),
-                        ShootingPolicy(cfg, sim.AWAY), cfg)
+        log = run_match(ShootingPolicy(sim.HOME),
+                        ShootingPolicy(sim.AWAY), cfg)
         path = tmp_path / "match.jsonl"
         sim.save_match_log(log, path)
         loaded = load_match_log(path)
@@ -537,21 +581,31 @@ class TestWriterAgainstReference:
             (log.score, log.outcome, log.valid, log.error)
 
 
+def body_digest(text):
+    """SHA-256 of a serialized log's lines after the header."""
+    return hashlib.sha256(text.partition("\n")[2].encode()).hexdigest()
+
+
 class TestPinnedBytes:
     """SHA-256 of whole serialized matches, recorded once and kept: a
     change to simulator output shows across commits, not only between
-    two runs of the same code."""
+    two runs of the same code.  The digest of the lines after the header
+    is pinned apart, so a change to the header alone shows as one."""
 
-    def digest(self, log):
-        return hashlib.sha256(log_to_jsonl(log).encode()).hexdigest()
+    def digests(self, log):
+        text = log_to_jsonl(log)
+        return hashlib.sha256(text.encode()).hexdigest(), body_digest(text)
 
     def test_shooting_match(self):
         cfg = FieldConfig(cycle_count=300, rng_seed=7, players_per_team=2)
-        log = run_match(ShootingPolicy(cfg, sim.HOME),
-                        ShootingPolicy(cfg, sim.AWAY), cfg)
+        log = run_match(ShootingPolicy(sim.HOME),
+                        ShootingPolicy(sim.AWAY), cfg)
         assert log.score == (2, 2)
-        assert self.digest(log) == \
-            "4e7feb48eb1ae4402fbf966bae3390ac3ff4bea2d643db1d07903c0588dc7039"
+        whole, body = self.digests(log)
+        assert body == \
+            "7598a4fd0674685df4eac448bd7b9aa3e67130233f1af00a8a5fcab5dbccf9c0"
+        assert whole == \
+            "6555e13e142d182a10978f4265d1db65a7685d3c2ec475aeab7c5143facc21c9"
 
     def test_barrage_match(self):
         # agents start at the ball, so clamped kicks land and goals follow;
@@ -561,5 +615,8 @@ class TestPinnedBytes:
                         positions={"a": (0, 0, 0), "b": (1.0, 0, 180)},
                         ball=(0.5, 0.0))
         assert any(e.kind == "kick" and e.effective for e in log.events)
-        assert self.digest(log) == \
-            "3f68bc50d600dc9294da302f593b0730c0968add1438aeb8c13c542df6f0893d"
+        whole, body = self.digests(log)
+        assert body == \
+            "90f253b18b62bd34e94fe86102145f20bc2193d752fe988c6fdd2a7261773e9c"
+        assert whole == \
+            "d35209372e13897ac23b7566e09fe58b445e7cd6d73f5fb89747975444497354"
