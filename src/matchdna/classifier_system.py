@@ -20,12 +20,19 @@ internally (normalized cumsum, one double, right-sided searchsorted):
 the same double and the same winner, without re-checking p per call.
 That needs finite, non-negative strengths, which the bucket brigade
 keeps and Population.from_rules checks.
+
+LcsConfig holds what a run sets: ga_period, max_iterations and
+rng_seed.  population_size, bid_fraction, reward_win, reward_play and
+mutation_rate are class constants on it, readable from any config but
+not settable.  The credit rule, bucket_brigade_update, works on a plain
+strength array, so any learner that keeps strengths can share it.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import ClassVar
 
 import numpy as np
 
@@ -58,26 +65,19 @@ class ClassifierRule:
 
 @dataclass(frozen=True)
 class LcsConfig:
-    population_size: int = 200
-    bid_fraction: float = 0.1
+    population_size: ClassVar[int] = 200
+    bid_fraction: ClassVar[float] = 0.1
+    reward_win: ClassVar[float] = 1000.0
+    reward_play: ClassVar[float] = 50.0
+    mutation_rate: ClassVar[float] = 0.02
+
     ga_period: int = 4000
     max_iterations: int = 50000
-    reward_win: float = 1000.0
-    reward_play: float = 50.0
-    mutation_rate: float = 0.02
     rng_seed: int = 0
 
     def __post_init__(self):
-        if self.population_size < 4:
-            raise ValueError("population_size must be >= 4")
-        if not 0.0 < self.bid_fraction < 1.0:
-            raise ValueError("bid_fraction must be in (0, 1)")
         if self.ga_period < 1:
             raise ValueError("ga_period must be >= 1")
-        if not self.reward_win > self.reward_play > 0:
-            raise ValueError("need reward_win > reward_play > 0")
-        if not 0.0 <= self.mutation_rate <= 1.0:
-            raise ValueError("mutation_rate must be in [0, 1]")
 
 
 @dataclass
@@ -205,18 +205,21 @@ def select_action(matches: np.ndarray, population: Population,
     return winner, ACTIONS[population.actions[winner]]
 
 
-def bucket_brigade_update(population: Population, winner: int,
+def bucket_brigade_update(strengths: np.ndarray, winner: int,
                           previous: int | None, reward: float,
-                          bid_fraction: float):
-    """Winner pays its bid backward, then banks the external reward."""
-    bid = bid_fraction * population.strengths[winner]
-    population.strengths[winner] -= bid
+                          bid_fraction: float) -> bool:
+    """Winner pays its bid backward, then banks the external reward.
+    Updates `strengths` in place; True when the winner was clamped at
+    zero."""
+    bid = bid_fraction * strengths[winner]
+    strengths[winner] -= bid
     if previous is not None:
-        population.strengths[previous] += bid
-    population.strengths[winner] += reward
-    if population.strengths[winner] < 0.0:
-        population.strengths[winner] = 0.0
-        population.clamp_count += 1
+        strengths[previous] += bid
+    strengths[winner] += reward
+    if strengths[winner] < 0.0:
+        strengths[winner] = 0.0
+        return True
+    return False
 
 
 def covering(context: str, population: Population, rng) -> int:
@@ -366,8 +369,9 @@ def train(environment, config: LcsConfig) -> tuple[Population, LearningCurve]:
 
     The environment supplies `context(rng) -> str` and
     `feedback(context, action) -> (reward, correct)`; it may also expose
-    `miner_stats() -> MinerStats`.  Without one, discovery is seeded from
-    the most frequent recently rewarded contexts.
+    `miner_stats() -> MinerStats`, read once before the first iteration.
+    When that gives no stats, train keeps a history of recently rewarded
+    contexts instead, and discovery is seeded from the most frequent.
 
     Bids chain backward only within an episode.  An environment that
     walks a sequence exposes `new_episode() -> bool` (queried right
@@ -381,7 +385,11 @@ def train(environment, config: LcsConfig) -> tuple[Population, LearningCurve]:
     previous = None
     block_hits = 0
     block_size = 0
-    rewarded = {}  # context -> reward count, in first-rewarded order
+    getter = getattr(environment, "miner_stats", None)
+    stats = getter() if getter is not None else None
+    # context -> reward count, in first-rewarded order; kept only when
+    # there are no miner stats to seed discovery
+    rewarded = {} if stats is None else None
     index = _MatchIndex(population)
 
     for iteration in range(1, config.max_iterations + 1):
@@ -396,11 +404,12 @@ def train(environment, config: LcsConfig) -> tuple[Population, LearningCurve]:
         winner, action = select_action(matches, population,
                                        config.bid_fraction, rng)
         reward, correct = environment.feedback(context, action)
-        bucket_brigade_update(population, winner, previous, reward,
-                              config.bid_fraction)
+        population.clamp_count += bucket_brigade_update(
+            population.strengths, winner, previous, reward,
+            config.bid_fraction)
         previous = winner
 
-        if reward > 0:
+        if reward > 0 and rewarded is not None:
             rewarded[context] = rewarded.get(context, 0) + 1
             if len(rewarded) > REWARDED_HISTORY:
                 del rewarded[next(iter(rewarded))]
@@ -413,11 +422,7 @@ def train(environment, config: LcsConfig) -> tuple[Population, LearningCurve]:
             block_size = 0
 
         if iteration % config.ga_period == 0:
-            stats = None
-            getter = getattr(environment, "miner_stats", None)
-            if getter is not None:
-                stats = getter()
-            if stats is None:
+            if rewarded is not None:
                 stats = MinerStats(patterns=mine_rewarded_patterns(
                     rewarded, CONTEXT_LENGTH))
             ga_discover(population, stats, rng, config)
@@ -450,21 +455,6 @@ class SuffixOracleEnvironment:
     def feedback(self, context: str, action: str):
         correct = self.FAMILIES[context[-3:]] == action
         return (self.config.reward_play if correct else 0.0), correct
-
-
-class ZeroRewardEnvironment:
-    """Same contexts as the suffix oracle but no reward ever; strengths
-    can only leak through dissipated bids."""
-
-    def __init__(self, config: LcsConfig):
-        self._oracle = SuffixOracleEnvironment(config)
-
-    def context(self, rng) -> str:
-        return self._oracle.context(rng)
-
-    def feedback(self, context: str, action: str):
-        _reward, correct = self._oracle.feedback(context, action)
-        return 0.0, correct
 
 
 class SequenceReplayEnvironment:

@@ -119,11 +119,19 @@ class StageError(RuntimeError):
 
 # ----- run config ---------------------------------------------------------
 
+def _integer(name: str, value) -> int:
+    """`value`, refused by name unless it is an int; a bool is not one,
+    and nothing is rounded."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    return value
+
+
 def _checked(config: dict, section: str, key: str, low: int,
              high: int | None = None) -> int:
-    """config[section][key] as an int, refused by name below `low` or
-    above `high`."""
-    value = int(config[section][key])
+    """config[section][key], refused by name unless it is an int from
+    `low` to `high`."""
+    value = _integer(f"{section}.{key}", config[section][key])
     if value < low:
         raise ValueError(f"{section}.{key} must be >= {low}, got {value}")
     if high is not None and value > high:
@@ -160,18 +168,15 @@ def resolve_config(file_config: dict | None = None,
     if resolved["schema_version"] != CONFIG_SCHEMA_VERSION:
         raise ValueError(f"unsupported config schema_version "
                          f"{resolved['schema_version']!r}")
-    seed = int(resolved["seed"])
-    resolved["seed"] = seed
+    seed = _integer("seed", resolved["seed"])
     # stage seeds default to fixed offsets so the resolved file is fully
     # explicit and two stages never share a stream by accident
-    if resolved["simulate"]["master_seed"] is None:
-        resolved["simulate"]["master_seed"] = seed
-    if resolved["train_fmaca"]["seed"] is None:
-        resolved["train_fmaca"]["seed"] = seed + 1
-    if resolved["train_lcs"]["seed"] is None:
-        resolved["train_lcs"]["seed"] = seed + 2
-    if resolved["diagnose"]["seed"] is None:
-        resolved["diagnose"]["seed"] = seed + 3
+    for offset, (section, key) in enumerate((
+            ("simulate", "master_seed"), ("train_fmaca", "seed"),
+            ("train_lcs", "seed"), ("diagnose", "seed"))):
+        if resolved[section][key] is None:
+            resolved[section][key] = seed + offset
+        _integer(f"{section}.{key}", resolved[section][key])
     return resolved
 
 
@@ -358,8 +363,8 @@ def _encoded_manifest(config: dict, out_dir: Path) -> CorpusManifest:
     """The validated manifest of the encoded corpus.  Annotation window
     indices only mean something at the window size they were encoded
     with, so the manifest's window_cycles must equal the config's."""
+    wanted = _checked(config, "encode", "window_cycles", 1)
     manifest = load_manifest(out_dir / "manifest.json")
-    wanted = int(config["encode"]["window_cycles"])
     if manifest.window_cycles != wanted:
         raise ValueError(f"manifest window_cycles {manifest.window_cycles!r} does "
                          f"not match config encode.window_cycles {wanted}; "
@@ -408,10 +413,12 @@ def _load_corpus(out_dir: Path, manifest: CorpusManifest):
 def stage_mine(config: dict, out_dir: Path) -> Path:
     """Mine player sequences for frequent patterns and tandem runs and
     score the motif tables against the annotated corpus."""
-    params = config["mine"]
     top_patterns = _checked(config, "mine", "top_patterns", 0)
     min_len = _checked(config, "mine", "min_len", 1)
     query = PatternQuery(min_len, _checked(config, "mine", "max_len", min_len))
+    # a motif's rate looks back over its whole template
+    longest = max(len(motif.template) for motif in DEFAULT_MOTIFS)
+    lookback = _checked(config, "mine", "lookback", longest)
     manifest = _encoded_manifest(config, out_dir)
     games, players = _load_corpus(out_dir, manifest)
 
@@ -425,11 +432,6 @@ def stage_mine(config: dict, out_dir: Path) -> Path:
 
     # motifs speak the action alphabet, so rates are taken over player
     # sequences (each carries its game's event windows)
-    lookback = int(params["lookback"])
-    longest = max(len(motif.template) for motif in DEFAULT_MOTIFS)
-    if lookback < longest:
-        raise ValueError(f"mine.lookback {lookback} is shorter than the "
-                         f"longest motif template ({longest} letters)")
     labels = {label for seq in players for _index, label in seq.events}
     rates = []
     for motif in DEFAULT_MOTIFS:

@@ -17,7 +17,6 @@ from matchdna.classifier_system import (
     Population,
     SequenceReplayEnvironment,
     SuffixOracleEnvironment,
-    ZeroRewardEnvironment,
     bucket_brigade_update,
     covering,
     curve_to_csv,
@@ -35,6 +34,21 @@ from matchdna.sequences import PlayerSequence
 
 def rules_population(specs):
     return Population.from_rules([ClassifierRule(c, a, s) for c, a, s in specs])
+
+
+class ZeroRewardEnvironment:
+    """Same contexts as the suffix oracle but no reward ever; strengths
+    can only leak through dissipated bids."""
+
+    def __init__(self, config: LcsConfig):
+        self._oracle = SuffixOracleEnvironment(config)
+
+    def context(self, rng) -> str:
+        return self._oracle.context(rng)
+
+    def feedback(self, context: str, action: str):
+        _reward, correct = self._oracle.feedback(context, action)
+        return 0.0, correct
 
 
 class TestMatchSet:
@@ -199,34 +213,42 @@ class TestSelectAction:
 
 class TestBucketBrigade:
     def test_bid_flows_to_previous_winner(self):
-        pop = rules_population([("#####", "A", 100.0), ("#####", "C", 50.0)])
-        bucket_brigade_update(pop, winner=0, previous=1, reward=0.0,
-                              bid_fraction=0.1)
-        assert pop.strengths[0] == pytest.approx(90.0)
-        assert pop.strengths[1] == pytest.approx(60.0)
+        strengths = np.array([100.0, 50.0])
+        clamped = bucket_brigade_update(strengths, winner=0, previous=1,
+                                        reward=0.0, bid_fraction=0.1)
+        assert strengths.tolist() == pytest.approx([90.0, 60.0])
+        assert clamped is False
 
     def test_reward_added_after_bid(self):
-        pop = rules_population([("#####", "A", 100.0)])
-        bucket_brigade_update(pop, winner=0, previous=None, reward=1000.0,
-                              bid_fraction=0.1)
-        assert pop.strengths[0] == pytest.approx(1090.0)
+        strengths = np.array([100.0])
+        bucket_brigade_update(strengths, winner=0, previous=None,
+                              reward=1000.0, bid_fraction=0.1)
+        assert strengths[0] == pytest.approx(1090.0)
 
     def test_total_strength_conserved_with_previous(self):
-        pop = rules_population([("#####", "A", 80.0), ("#####", "C", 20.0)])
-        before = pop.strengths.sum()
-        bucket_brigade_update(pop, 0, 1, reward=0.0, bid_fraction=0.1)
-        assert pop.strengths.sum() == pytest.approx(before)
+        strengths = np.array([80.0, 20.0])
+        before = strengths.sum()
+        bucket_brigade_update(strengths, 0, 1, reward=0.0, bid_fraction=0.1)
+        assert strengths.sum() == pytest.approx(before)
 
     def test_first_step_dissipates_bid(self):
-        pop = rules_population([("#####", "A", 80.0)])
-        bucket_brigade_update(pop, 0, None, reward=0.0, bid_fraction=0.1)
-        assert pop.strengths[0] == pytest.approx(72.0)
+        strengths = np.array([80.0])
+        bucket_brigade_update(strengths, 0, None, reward=0.0, bid_fraction=0.1)
+        assert strengths[0] == pytest.approx(72.0)
 
     def test_strengths_never_negative(self):
-        pop = rules_population([("#####", "A", 10.0)])
+        strengths = np.array([10.0])
         for _ in range(200):
-            bucket_brigade_update(pop, 0, None, reward=0.0, bid_fraction=0.5)
-        assert pop.strengths[0] >= 0.0
+            bucket_brigade_update(strengths, 0, None, reward=0.0,
+                                  bid_fraction=0.5)
+        assert strengths[0] >= 0.0
+
+    def test_negative_reward_clamps_winner_at_zero(self):
+        strengths = np.array([10.0, 5.0])
+        clamped = bucket_brigade_update(strengths, 0, 1, reward=-50.0,
+                                        bid_fraction=0.1)
+        assert clamped is True
+        assert strengths.tolist() == pytest.approx([0.0, 6.0])
 
 
 class TestCovering:
@@ -255,33 +277,35 @@ class TestCovering:
 
 
 class TestGaDiscover:
-    def config(self, **kw):
-        base = dict(population_size=8, rng_seed=0)
-        base.update(kw)
-        return LcsConfig(**base)
+    def config(self):
+        return LcsConfig(rng_seed=0)
 
-    def test_identical_parents_give_identical_offspring_without_mutation(self):
+    def test_identical_parents_give_identical_offspring_without_mutation(
+            self, monkeypatch):
+        monkeypatch.setattr(LcsConfig, "mutation_rate", 0.0)
         pop = rules_population([("AC-GT", "G", 10.0)] * 8)
         ga_discover(pop, MinerStats(), np.random.default_rng(0),
-                    self.config(mutation_rate=0.0))
+                    self.config())
         for rule in pop.rules():
             assert rule.condition == "AC-GT"
             assert rule.action == "G"
 
-    def test_mutation_rate_bound(self):
+    def test_mutation_rate_bound(self, monkeypatch):
+        monkeypatch.setattr(LcsConfig, "mutation_rate", 0.2)
         changed = 0
         trials = 300
         for seed in range(trials):
             pop = rules_population([("AAAAA", "A", 10.0)] * 8)
             ga_discover(pop, MinerStats(), np.random.default_rng(seed),
-                        self.config(mutation_rate=0.2))
+                        self.config())
             for rule in pop.rules()[:2]:  # the replaced quartile
                 changed += sum(ch != "A" for ch in rule.condition)
         # each position mutates at 0.2 and lands off-'A' 5/6 of the time
         rate = changed / (trials * 2 * 5)
         assert abs(rate - 0.2 * 5 / 6) < 0.03
 
-    def test_offspring_strength_is_parent_average(self):
+    def test_offspring_strength_is_parent_average(self, monkeypatch):
+        monkeypatch.setattr(LcsConfig, "mutation_rate", 0.0)
         pop = rules_population([
             ("AAAAA", "A", 0.0),
             ("CCCCC", "C", 0.0),
@@ -289,7 +313,7 @@ class TestGaDiscover:
             ("TTTTT", "T", 40.0),
         ])
         ga_discover(pop, MinerStats(), np.random.default_rng(1),
-                    LcsConfig(population_size=4, mutation_rate=0.0))
+                    self.config())
         assert pop.strengths[0] == pytest.approx(40.0)
 
     def test_replaces_exactly_the_weakest_quartile(self):
@@ -363,13 +387,18 @@ class ScriptedEnvironment:
 
 
 class TestTrain:
-    def small(self, **kw):
-        base = dict(population_size=24, max_iterations=6000, ga_period=2000,
-                    rng_seed=9)
-        base.update(kw)
-        return LcsConfig(**base)
+    @pytest.fixture
+    def small(self, monkeypatch):
+        """Configs over a 24-rule population."""
+        monkeypatch.setattr(LcsConfig, "population_size", 24)
 
-    def test_ga_fires_only_at_period_multiples(self, monkeypatch):
+        def make(**kw):
+            return LcsConfig(**{**dict(max_iterations=6000, ga_period=2000,
+                                       rng_seed=9), **kw})
+        return make
+
+    def test_ga_fires_only_at_period_multiples(self, small,
+                                              monkeypatch):
         import matchdna.classifier_system as cs
         calls = []
         real = cs.ga_discover
@@ -379,23 +408,23 @@ class TestTrain:
             return real(pop, stats, rng, config)
 
         monkeypatch.setattr(cs, "ga_discover", spy)
-        cs.train(ScriptedEnvironment([0.0]), self.small())
+        cs.train(ScriptedEnvironment([0.0]), small())
         assert len(calls) == 3  # 2000, 4000, 6000
 
         calls.clear()
         cs.train(ScriptedEnvironment([0.0]),
-                 self.small(max_iterations=1999))
+                 small(max_iterations=1999))
         assert calls == []
 
-    def test_population_size_constant_and_strengths_nonnegative(self):
-        config = self.small()
+    def test_population_size_constant_and_strengths_nonnegative(self, small):
+        config = small()
         env = SuffixOracleEnvironment(config)
         pop, _curve = train(env, config)
         assert len(pop) == config.population_size
         assert (pop.strengths >= 0.0).all()
 
-    def test_zero_reward_environment_stays_at_chance(self):
-        config = self.small(max_iterations=5000, ga_period=9000)
+    def test_zero_reward_environment_stays_at_chance(self, small):
+        config = small(max_iterations=5000, ga_period=9000)
         pop, curve = train(ZeroRewardEnvironment(config), config)
         assert (pop.strengths >= 0.0).all()
         # every opening bid dissipates, so total strength drains
@@ -403,6 +432,41 @@ class TestTrain:
         assert pop.strengths.sum() < 0.9 * 24 * 100.0
         # nothing to learn from: accuracy hovers at the 1-in-4 baseline
         assert all(abs(p - 0.25) < 0.1 for p in curve.proportions())
+
+    def test_clamped_updates_are_counted(self, small):
+        # a reward below minus the winner's strength clamps every update
+        config = small(max_iterations=300)
+        pop, _curve = train(ScriptedEnvironment([-1000.0]), config)
+        assert pop.clamp_count == 300
+        assert (pop.strengths >= 0.0).all()
+
+    def test_miner_stats_read_once_and_history_skipped(self, small,
+                                                       monkeypatch):
+        import matchdna.classifier_system as cs
+        mined = []
+        real = cs.mine_rewarded_patterns
+
+        def spy(rewarded, length):
+            mined.append(len(rewarded))
+            return real(rewarded, length)
+
+        monkeypatch.setattr(cs, "mine_rewarded_patterns", spy)
+
+        class WithStats(SuffixOracleEnvironment):
+            reads = 0
+
+            def miner_stats(self):
+                self.reads += 1
+                return MinerStats(patterns=[("CCT", 5)])
+
+        config = small()
+        env = WithStats(config)
+        train(env, config)
+        assert env.reads == 1
+        assert mined == []
+        # without miner stats, every GA round mines the rewarded history
+        train(SuffixOracleEnvironment(config), config)
+        assert len(mined) == 3 and all(mined)
 
     def test_always_correct_action_converges(self):
         class AlwaysG:
@@ -423,22 +487,22 @@ class TestTrain:
         # trend is upward: late blocks beat early blocks
         assert sum(props[-5:]) > sum(props[:5])
 
-    def test_curve_blocks_every_thousand_iterations(self):
-        config = self.small(max_iterations=3500)
+    def test_curve_blocks_every_thousand_iterations(self, small):
+        config = small(max_iterations=3500)
         _pop, curve = train(SuffixOracleEnvironment(config), config)
         assert [it for it, _p in curve.points] == [1000, 2000, 3000, 3500]
         assert all(0.0 <= p <= 1.0 for p in curve.proportions())
 
-    def test_deterministic_given_seed(self):
-        config = self.small(max_iterations=4000)
+    def test_deterministic_given_seed(self, small):
+        config = small(max_iterations=4000)
         pop_a, curve_a = train(SuffixOracleEnvironment(config), config)
         pop_b, curve_b = train(SuffixOracleEnvironment(config), config)
         assert population_to_csv(pop_a) == population_to_csv(pop_b)
         assert curve_a.points == curve_b.points
 
-    def test_different_seed_differs(self):
-        config = self.small(max_iterations=4000)
-        other = self.small(max_iterations=4000, rng_seed=10)
+    def test_different_seed_differs(self, small):
+        config = small(max_iterations=4000)
+        other = small(max_iterations=4000, rng_seed=10)
         pop_a, _ = train(SuffixOracleEnvironment(config), config)
         pop_b, _ = train(SuffixOracleEnvironment(other), other)
         assert population_to_csv(pop_a) != population_to_csv(pop_b)
@@ -476,8 +540,9 @@ def reference_train(environment, config):
             winner = int(rng.choice(matches, p=bids / total))
         action = ACTIONS[population.actions[winner]]
         reward, correct = environment.feedback(context, action)
-        bucket_brigade_update(population, winner, previous, reward,
-                              config.bid_fraction)
+        population.clamp_count += bucket_brigade_update(
+            population.strengths, winner, previous, reward,
+            config.bid_fraction)
         previous = winner
 
         if reward > 0:
@@ -525,35 +590,38 @@ class TestIndexedLoopAgainstReference:
     with a population of 8 and a GA round every 50 iterations, so that
     covering and index refreshes happen many times."""
 
-    # environment factory, config overrides; the zero-reward case drains
-    # strengths with a 0.9 bid and a rarer GA so that the all-zero-bid
-    # fallback is drawn
+    # environment factory, class constants to patch, config fields; the
+    # zero-reward case drains strengths with a 0.9 bid and a rarer GA so
+    # that the all-zero-bid fallback is drawn
     CASES = {
         "suffix-oracle": (
-            lambda config, seed: SuffixOracleEnvironment(config), {}),
+            lambda config, seed: SuffixOracleEnvironment(config), {}, {}),
         "zero-reward": (
             lambda config, seed: ZeroRewardEnvironment(config),
-            dict(bid_fraction=0.9, ga_period=500, max_iterations=2000)),
+            dict(bid_fraction=0.9), dict(ga_period=500, max_iterations=2000)),
         "replay-miner-stats": (
             lambda config, seed: SequenceReplayEnvironment(
-                replay_corpus(seed), config, REPLAY_STATS), {}),
+                replay_corpus(seed), config, REPLAY_STATS), {}, {}),
         "replay-rewarded-contexts": (
             lambda config, seed: SequenceReplayEnvironment(
-                replay_corpus(seed), config), {}),
+                replay_corpus(seed), config), {}, {}),
     }
 
     @pytest.mark.parametrize("case", list(CASES))
-    def test_population_and_curve_equal_reference(self, case):
-        make, overrides = self.CASES[case]
+    def test_population_and_curve_equal_reference(self, case, monkeypatch):
+        make, constants, fields = self.CASES[case]
+        for name, value in {"population_size": 8, **constants}.items():
+            monkeypatch.setattr(LcsConfig, name, value)
         late_contexts = 0
         fallbacks = 0
+        covers = 0
         for seed in range(10):
-            config = LcsConfig(**{**dict(population_size=8, ga_period=50,
-                                         max_iterations=1500, rng_seed=seed),
-                                  **overrides})
+            config = LcsConfig(**{**dict(ga_period=50, max_iterations=1500,
+                                         rng_seed=seed), **fields})
             got_pop, got_curve = train(make(config, seed), config)
             ref_pop, ref_curve, ref_fallbacks, first_seen = \
                 reference_train(make(config, seed), config)
+            assert len(got_pop) == 8, seed
             assert np.array_equal(got_pop.conditions, ref_pop.conditions), seed
             assert np.array_equal(got_pop.actions, ref_pop.actions), seed
             assert np.array_equal(got_pop.strengths, ref_pop.strengths), seed
@@ -563,6 +631,10 @@ class TestIndexedLoopAgainstReference:
             late_contexts += sum(it > config.ga_period
                                  for it in first_seen.values())
             fallbacks += ref_fallbacks
+            covers += got_pop.cover_count
+        # no benchmark workload reaches covering; this small population is
+        # what keeps it compared against the reference
+        assert covers > 0
         if case == "zero-reward":
             assert fallbacks > 0
         else:
@@ -695,18 +767,23 @@ class TestSerialization:
 
 
 class TestConfigValidation:
-    @pytest.mark.parametrize("kw", [
-        dict(population_size=2),
-        dict(bid_fraction=0.0),
-        dict(bid_fraction=1.0),
-        dict(ga_period=0),
-        dict(reward_win=10.0, reward_play=10.0),
-        dict(reward_play=0.0),
-        dict(mutation_rate=1.5),
-    ])
-    def test_rejects(self, kw):
+    def test_rejects_ga_period_below_one(self):
         with pytest.raises(ValueError):
-            LcsConfig(**kw)
+            LcsConfig(ga_period=0)
+
+    @pytest.mark.parametrize("name, value", [
+        ("population_size", 200), ("bid_fraction", 0.1),
+        ("reward_win", 1000.0), ("reward_play", 50.0),
+        ("mutation_rate", 0.02)])
+    def test_constants_read_but_not_set(self, name, value):
+        assert getattr(LcsConfig(), name) == value
+        with pytest.raises(TypeError):
+            LcsConfig(**{name: value})
+
+    def test_fields_are_what_a_run_sets(self):
+        config = LcsConfig(ga_period=7, max_iterations=9, rng_seed=3)
+        assert vars(config) == dict(ga_period=7, max_iterations=9,
+                                    rng_seed=3)
 
 
 class TestPinnedTrain:

@@ -149,6 +149,18 @@ class TestResolveConfig:
                            match=f"unknown config key '{section}.{key}'"):
             resolve_config({section: {key: 1}})
 
+    @pytest.mark.parametrize("section, key", [
+        (None, "seed"), ("simulate", "master_seed"), ("train_fmaca", "seed"),
+        ("train_lcs", "seed"), ("diagnose", "seed")])
+    @pytest.mark.parametrize("value", [1.9, True, "7"])
+    def test_non_integer_seed_rejected_by_name(self, section, key, value):
+        # int() would turn 1.9 into seed 1 and True into seed 1
+        given = {key: value} if section is None else {section: {key: value}}
+        name = key if section is None else f"{section}.{key}"
+        with pytest.raises(ValueError) as err:
+            resolve_config(given)
+        assert str(err.value) == f"{name} must be an integer, got {value!r}"
+
 
 class TestManifest:
     def touch(self, path):
@@ -334,6 +346,7 @@ class TestPipelineRun:
         ("mine", "mine", "top_patterns", -1, ">= 0"),
         ("mine", "mine", "min_len", 0, ">= 1"),
         ("mine", "mine", "max_len", 1, ">= 2"),  # below the default min_len
+        ("mine", "mine", "lookback", 4, ">= 5"),  # the longest motif template
         ("train-fmaca", "train_fmaca", "window", 0, ">= 1"),
         ("train-fmaca", "train_fmaca", "population_size", 1, ">= 2"),
         ("train-fmaca", "train_fmaca", "generations", 0, ">= 1"),
@@ -360,6 +373,28 @@ class TestPipelineRun:
         assert f"{section}.{key} must be {bound}, got {value}" in str(err.value)
         assert list(tmp_path.iterdir()) == []
 
+    @pytest.mark.parametrize("stage, section, key", [
+        ("simulate", "simulate", "matches"),
+        ("encode", "encode", "window_cycles"),
+        ("mine", "encode", "window_cycles"),  # checked against the manifest
+        ("mine", "mine", "lookback"),
+        ("train-fmaca", "train_fmaca", "generations"),
+        ("train-lcs", "train_lcs", "iters"),
+        ("diagnose", "diagnose", "trials")])
+    @pytest.mark.parametrize("value", [2.7, 2.0, True, "abc"])
+    def test_non_integer_value_fails_by_name_before_any_work(
+            self, tmp_path, stage, section, key, value):
+        # int() would run 2 matches for 2.7, 1 for true, and fail on "abc"
+        # naming no key
+        config = smoke_config(tmp_path)
+        config[section][key] = value
+        with pytest.raises(StageError) as err:
+            run_stage(stage, config, tmp_path)
+        assert isinstance(err.value.cause, ValueError)
+        assert (f"{section}.{key} must be an integer, got {value!r}"
+                in str(err.value))
+        assert list(tmp_path.iterdir()) == []
+
     def test_window_wider_than_letter_history_fails_before_any_work(
             self, tmp_path):
         # the shooting policy hands the gate only LETTER_HISTORY letters,
@@ -380,8 +415,7 @@ class TestPipelineRun:
         with pytest.raises(StageError) as err:
             run_stage("mine", config, out)
         assert err.value.stage == "mine"
-        assert ("mine.lookback 3 is shorter than the longest motif template "
-                "(5 letters)") in str(err.value)
+        assert "mine.lookback must be >= 5, got 3" in str(err.value)
 
     def test_failed_stage_leaves_prior_artifacts(self, tmp_path):
         config = smoke_config(tmp_path)
