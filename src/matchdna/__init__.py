@@ -21,7 +21,6 @@ from .fuzzy_ca import (
     evolve,
     format_rule_vector,
     parse_rule_vector,
-    step,
     terminal_states,
 )
 from .simulator import (
@@ -81,8 +80,6 @@ from .diagnostics import (
     ga_diagnostics,
     measure_entropy,
     measure_mi,
-    mutual_information,
-    site_entropy,
 )
 from .classifier_system import (
     ClassifierRule,

@@ -18,8 +18,9 @@ its slot's column and a GA round every column.  select_action draws
 the winner the way Generator.choice(matches, p=bids / total) does
 internally (normalized cumsum, one double, right-sided searchsorted):
 the same double and the same winner, without re-checking p per call.
-That needs finite, non-negative strengths, which the bucket brigade
-keeps and Population.from_rules checks.
+That needs finite, non-negative strengths: Population.random, covering
+and ga_discover only set such strengths, and the bucket brigade clamps
+a winner at zero.
 
 LcsConfig holds what a run sets: ga_period, max_iterations and
 rng_seed.  population_size, bid_fraction, reward_win, reward_play and
@@ -30,7 +31,6 @@ strength array, so any learner that keeps strengths can share it.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from typing import ClassVar
 
@@ -114,22 +114,6 @@ def decode_condition(codes) -> str:
     return "".join(CONDITION_SYMBOLS[c] for c in codes)
 
 
-def _rule_codes(rule: ClassifierRule) -> np.ndarray:
-    """The rule's condition codes, refusing a rule the matcher or the bid
-    draw cannot use: a wrong-length condition, an action outside ACTIONS,
-    or a negative or non-finite strength."""
-    codes = encode_condition(rule.condition)
-    if len(codes) != CONTEXT_LENGTH:
-        raise ValueError(f"condition {rule.condition!r} has {len(codes)} "
-                         f"symbols, not {CONTEXT_LENGTH}")
-    if len(rule.action) != 1 or rule.action not in ACTIONS:
-        raise ValueError(f"action {rule.action!r} is not one of {ACTIONS}")
-    if not (math.isfinite(rule.strength) and rule.strength >= 0.0):
-        raise ValueError(f"strength {rule.strength!r} must be finite "
-                         "and >= 0")
-    return codes
-
-
 class Population:
     """Structure-of-arrays rule store of fixed size."""
 
@@ -150,22 +134,6 @@ class Population:
         conds[wild] = _WILD
         actions = rng.integers(0, len(ACTIONS), size=config.population_size)
         strengths = np.full(config.population_size, 100.0)
-        return cls(conds, actions, strengths)
-
-    @classmethod
-    def from_rules(cls, rules) -> "Population":
-        if not rules:
-            raise ValueError("a population needs at least one rule")
-        conds = []
-        for i, rule in enumerate(rules):
-            try:
-                conds.append(_rule_codes(rule))
-            except ValueError as err:
-                raise ValueError(f"rule {i} ({rule.condition},{rule.action},"
-                                 f"{rule.strength}): {err}") from None
-        conds = np.stack(conds)
-        actions = np.array([ACTIONS.index(r.action) for r in rules])
-        strengths = np.array([r.strength for r in rules])
         return cls(conds, actions, strengths)
 
     def rules(self) -> list:
@@ -523,30 +491,6 @@ def population_to_csv(population: Population) -> str:
     for rule in population.rules():
         lines.append(f"{rule.condition},{rule.action},{rule.strength:.6f}")
     return "\n".join(lines) + "\n"
-
-
-def population_from_csv(text: str) -> Population:
-    # conditions may start with '#', so only the first line is a comment
-    lines = text.splitlines()
-    if not lines or lines[0] != CSV_SCHEMA_HEADER:
-        raise ValueError("missing schema header")
-    if len(lines) < 2 or lines[1] != "condition,action,strength":
-        raise ValueError("unexpected population CSV header")
-    rules = []
-    for number, line in enumerate(lines[2:], start=3):
-        if not line:
-            continue
-        fields = line.split(",")
-        try:
-            if len(fields) != 3:
-                raise ValueError(f"{len(fields)} fields, expected 3")
-            rule = ClassifierRule(fields[0], fields[1], float(fields[2]))
-            _rule_codes(rule)
-        except ValueError as err:
-            raise ValueError(f"population CSV line {number} {line!r}: "
-                             f"{err}") from None
-        rules.append(rule)
-    return Population.from_rules(rules)
 
 
 def curve_to_csv(curve: LearningCurve) -> str:

@@ -84,44 +84,9 @@ def _h_bernoulli(p):
     return out
 
 
-def site_entropy(window_bits) -> float:
-    """Mean per-cell Shannon entropy of one binarized window.
-
-    Accepts a (w,) series for a single cell or a (w, n) block; the
-    result is the average over cells.  It is the one-window, one-trial
-    case of the moving-window reduction that measure_entropy runs.
-    """
-    b = np.asarray(window_bits)
-    if b.ndim == 1:
-        b = b[:, None]
-    if b.ndim != 2 or b.shape[0] < 1:
-        raise ValueError("window must be a non-empty 1-D or 2-D bit array")
-    if not np.isin(b, (0, 1)).all():
-        raise ValueError("window must hold only 0/1 bits")
-    return _entropy_report(b[:, None, :], np.arange(len(b)), len(b)).mean_entropy
-
-
-def mutual_information(p1, p2) -> float:
-    """Normalized MI between two equal-length 0/1 bit patterns.
-
-    Cells are the samples of the joint distribution.  The plug-in MI is
-    divided by min(H(p1), H(p2)); if either marginal is constant the
-    result is 0 by convention.
-    """
-    a = np.asarray(p1).ravel()
-    b = np.asarray(p2).ravel()
-    if a.shape != b.shape:
-        raise ValueError("patterns must have equal lengths")
-    if a.size == 0:
-        raise ValueError("patterns must be non-empty")
-    if not (np.isin(a, (0, 1)).all() and np.isin(b, (0, 1)).all()):
-        raise ValueError("patterns must hold only 0/1 bits")
-    return float(_normalized_mi(a, b))
-
-
 def _normalized_mi(a, b) -> np.ndarray:
-    """Normalized MI between bit patterns along the last axis, for every
-    leading index at once (see mutual_information)."""
+    """Normalized MI between 0/1 bit patterns along the last axis, whose
+    cells are the samples, for every leading index at once."""
     a = np.asarray(a, dtype=np.float64)
     b = np.asarray(b, dtype=np.float64)
     n = a.shape[-1]

@@ -176,11 +176,6 @@ def eval_rule(rule: int, left: float, self_state: float, right: float) -> float:
     return 1.0 - out if comp else out
 
 
-def step(state, rules) -> np.ndarray:
-    """Advance a state (or a 2-D batch of states) by one synchronous update."""
-    return RuleSet.coerce(rules).apply(state)
-
-
 def dependency_matrix(rules) -> np.ndarray:
     """Neighbor-dependency matrix of a rule vector (see RuleSet.dependency_matrix)."""
     return RuleSet.coerce(rules).dependency_matrix()

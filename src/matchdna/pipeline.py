@@ -257,12 +257,20 @@ def save_manifest(manifest: CorpusManifest, path) -> None:
 
 
 def load_manifest(path) -> CorpusManifest:
+    """The manifest at `path`, refused naming the file unless its entries
+    are a list of match id strings and its window_cycles an integer or
+    null."""
     doc = _read_json(path, MANIFEST_SCHEMA_VERSION, "manifest")
-    return CorpusManifest(
-        window_cycles=doc["window_cycles"],
-        created_at=doc["created_at"],
-        entries=doc["entries"],
-    )
+    entries = doc["entries"]
+    if not (isinstance(entries, list)
+            and all(isinstance(e, str) for e in entries)):
+        raise ValueError(f"{path}: entries must be a list of match id "
+                         f"strings, got {entries!r}")
+    window_cycles = doc["window_cycles"]
+    if window_cycles is not None:
+        _integer(f"{path}: window_cycles", window_cycles)
+    return CorpusManifest(window_cycles=window_cycles,
+                          created_at=doc["created_at"], entries=entries)
 
 
 def _timestamp() -> str:
@@ -274,17 +282,17 @@ def _timestamp() -> str:
 def stage_simulate(config: dict, out_dir: Path) -> Path:
     """Run the seeded match corpus; write one JSONL log per match plus the
     manifest skeleton."""
-    sim = config["simulate"]
     n_matches = _checked(config, "simulate", "matches", 1)
     cycles = _checked(config, "simulate", "cycles", 1)
     players_per_team = _checked(config, "simulate", "players_per_team", 1,
                                 MAX_PLAYERS_PER_TEAM)
+    master_seed = _checked(config, "simulate", "master_seed", 0)
     manifest = CorpusManifest(created_at=_timestamp())
     for i in range(n_matches):
         match_id = f"m{i:03d}"
         field_config = FieldConfig(
             cycle_count=cycles,
-            rng_seed=int(sim["master_seed"]) + i,
+            rng_seed=master_seed + i,
             players_per_team=players_per_team,
         )
         match_log = run_match(ShootingPolicy(HOME), ShootingPolicy(AWAY),
@@ -377,9 +385,10 @@ def _load_corpus(out_dir: Path, manifest: CorpusManifest):
     """(game AnnotatedSequences, player AnnotatedSequences); players carry
     their game's events since window indices align.  A sequence file must
     hold its game first and then players of the game's length over the
-    action alphabet, every event window must fall inside the game, and
-    the annotations must be encoded at the manifest's window_cycles;
-    otherwise a ValueError names the file."""
+    action alphabet, every event must pair an integer window inside the
+    game with a goal or threat label, and the annotations must be encoded
+    at the manifest's window_cycles; otherwise a ValueError names the
+    file."""
     games = []
     players = []
     for match_id in manifest.entries:
@@ -389,11 +398,19 @@ def _load_corpus(out_dir: Path, manifest: CorpusManifest):
             raise ValueError(f"{ann_path}: window_cycles "
                              f"{doc.get('window_cycles')!r} does not match "
                              f"the manifest's {manifest.window_cycles!r}")
-        events = [(int(w), str(label)) for w, label in doc["events"]]
+        events = [tuple(event) for event in doc["events"]]
         records = sequences.read_fasta(seq_path)
         if not records or not records[0][0].startswith("game:"):
             raise ValueError(f"{seq_path}: the first sequence is not a game")
         n_windows = len(records[0][1])
+        for window, label in events:
+            _integer(f"{ann_path}: event window", window)
+            if not 0 <= window < n_windows:
+                raise ValueError(f"{ann_path}: event window {window} is "
+                                 f"outside the game's {n_windows} windows")
+            if label not in (GOAL, THREAT):
+                raise ValueError(f"{ann_path}: event label {label!r} is "
+                                 f"neither {GOAL!r} nor {THREAT!r}")
         games.append(AnnotatedSequence(*records[0], events))
         for header, letters in records[1:]:
             if not set(letters) <= set(sequences.ALPHABET):
@@ -403,10 +420,6 @@ def _load_corpus(out_dir: Path, manifest: CorpusManifest):
                 raise ValueError(f"{seq_path}: {header} has {len(letters)} "
                                  f"windows, its game {n_windows}")
             players.append(AnnotatedSequence(header, letters, events))
-        for window, _label in events:
-            if not 0 <= window < n_windows:
-                raise ValueError(f"{ann_path}: event window {window} is "
-                                 f"outside the game's {n_windows} windows")
     return games, players
 
 
@@ -477,8 +490,6 @@ def _corpus_windows(players: list, window: int) -> list:
     out = []
     for seq in players:
         for index, label in seq.events:
-            if label not in (GOAL, THREAT):
-                continue
             text = seq.letters[max(0, index + 1 - window):index + 1]
             text = text.rjust(window, IDLE)
             if set(text) == {IDLE}:
@@ -496,7 +507,7 @@ def stage_train_fmaca(config: dict, out_dir: Path) -> Path:
     ga = GaConfig(
         population_size=_checked(config, "train_fmaca", "population_size", 2),
         generations=_checked(config, "train_fmaca", "generations", 1),
-        rng_seed=int(config["train_fmaca"]["seed"]))
+        rng_seed=_checked(config, "train_fmaca", "seed", 0))
     manifest = _encoded_manifest(config, out_dir)
     _games, players = _load_corpus(out_dir, manifest)
 
@@ -535,9 +546,12 @@ def stage_train_fmaca(config: dict, out_dir: Path) -> Path:
 
 
 def _lcs_config(params: dict) -> LcsConfig:
-    return LcsConfig(ga_period=int(params["ga_period"]),
-                     max_iterations=int(params["iters"]),
-                     rng_seed=int(params["seed"]))
+    """The LcsConfig of a train_lcs config section, refusing any value
+    that is not an integer by name."""
+    return LcsConfig(
+        ga_period=_integer("train_lcs.ga_period", params["ga_period"]),
+        max_iterations=_integer("train_lcs.iters", params["iters"]),
+        rng_seed=_integer("train_lcs.seed", params["seed"]))
 
 
 def _miner_stats_from_report(path) -> MinerStats:
@@ -552,6 +566,7 @@ def stage_train_lcs(config: dict, out_dir: Path) -> Path:
     population and learning curve."""
     _checked(config, "train_lcs", "iters", 1)
     _checked(config, "train_lcs", "ga_period", 1)
+    _checked(config, "train_lcs", "seed", 0)
     lcs_config = _lcs_config(config["train_lcs"])
     manifest = _encoded_manifest(config, out_dir)
     _games, players = _load_corpus(out_dir, manifest)
@@ -588,17 +603,17 @@ def stage_train_lcs(config: dict, out_dir: Path) -> Path:
 def stage_diagnose(config: dict, out_dir: Path) -> Path:
     """Evolve a rule vector on the synthetic task and log per-generation
     entropy/MI of the best vector."""
-    params = config["diagnose"]
     n_cells = _checked(config, "diagnose", "n_cells", 1)
+    seed = _checked(config, "diagnose", "seed", 0)
     ga = GaConfig(
         population_size=_checked(config, "diagnose", "population_size", 2),
         generations=_checked(config, "diagnose", "generations", 1),
-        rng_seed=int(params["seed"]))
+        rng_seed=seed)
     diag = DiagnosticsConfig(
         run_steps=_checked(config, "diagnose", "run_steps",
                            DiagnosticsConfig.window),
         trials=_checked(config, "diagnose", "trials", 1),
-        rng_seed=int(params["seed"]))
+        rng_seed=seed)
     rows = ga_diagnostics(n_cells, ga, diag)
     diag_dir = out_dir / "diagnostics"
     diag_dir.mkdir(exist_ok=True)

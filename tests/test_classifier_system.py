@@ -10,7 +10,6 @@ from matchdna.classifier_system import (
     CONTEXT_LENGTH,
     EVAL_BLOCK,
     REWARDED_HISTORY,
-    ClassifierRule,
     LcsConfig,
     LearningCurve,
     MinerStats,
@@ -20,10 +19,10 @@ from matchdna.classifier_system import (
     bucket_brigade_update,
     covering,
     curve_to_csv,
+    encode_condition,
     ga_discover,
     match_set,
     mine_rewarded_patterns,
-    population_from_csv,
     population_to_csv,
     select_action,
     train,
@@ -33,7 +32,11 @@ from matchdna.sequences import PlayerSequence
 
 
 def rules_population(specs):
-    return Population.from_rules([ClassifierRule(c, a, s) for c, a, s in specs])
+    """A population of (condition, action, strength) rules."""
+    conditions, actions, strengths = zip(*specs)
+    return Population(np.stack([encode_condition(c) for c in conditions]),
+                      np.array([ACTIONS.index(a) for a in actions]),
+                      np.array(strengths))
 
 
 class ZeroRewardEnvironment:
@@ -79,50 +82,6 @@ class TestMatchSet:
     def test_bad_symbol_rejected(self):
         with pytest.raises(ValueError):
             rules_population([("AABCT", "G", 1.0)])
-
-
-class TestPopulationLoading:
-    """A loaded population must be one the matcher and the bid draw can
-    use; each refusal names the rule or the CSV line."""
-
-    @pytest.mark.parametrize("spec, problem", [
-        (("AACCT", "A", -5.0), "strength -5.0"),
-        (("AACCT", "A", float("nan")), "strength nan"),
-        (("AACCT", "A", float("inf")), "strength inf"),
-        (("AACCT", "X", 1.0), "action 'X'"),
-        (("AACCT", "AC", 1.0), "action 'AC'"),
-        (("AACC", "A", 1.0), "condition 'AACC' has 4 symbols"),
-        (("AACCTA", "A", 1.0), "condition 'AACCTA' has 6 symbols"),
-    ])
-    def test_from_rules_refuses(self, spec, problem):
-        with pytest.raises(ValueError, match="rule 1 ") as err:
-            rules_population([("#####", "G", 1.0), spec])
-        assert problem in str(err.value)
-
-    def test_from_rules_refuses_no_rules(self):
-        with pytest.raises(ValueError, match="at least one rule"):
-            Population.from_rules([])
-
-    @pytest.mark.parametrize("row, problem", [
-        ("AACCT,A,-5", "strength -5.0"),
-        ("AACCT,A,nan", "strength nan"),
-        ("AACCT,A,inf", "strength inf"),
-        ("AACCT,X,1.0", "action 'X'"),
-        ("AACCT,A,1.0,2.0", "4 fields, expected 3"),
-        ("AACCT,A", "2 fields, expected 3"),
-        ("AACC,A,1.0", "condition 'AACC' has 4 symbols"),
-        ("AACCT,A,strong", "could not convert"),
-    ])
-    def test_csv_refuses(self, row, problem):
-        text = ("# schema_version=1\ncondition,action,strength\n"
-                f"#####,G,1.0\n{row}\n")
-        with pytest.raises(ValueError, match="CSV line 4 ") as err:
-            population_from_csv(text)
-        assert problem in str(err.value)
-
-    def test_csv_refuses_no_rules(self):
-        with pytest.raises(ValueError, match="at least one rule"):
-            population_from_csv("# schema_version=1\ncondition,action,strength\n")
 
 
 class TestSelectAction:
@@ -744,11 +703,12 @@ class TestSequenceReplayEnvironment:
 class TestSerialization:
     def test_population_csv_round_trip(self):
         pop = rules_population([("A#CG-", "G", 12.5), ("#####", "T", 0.0)])
-        text = population_to_csv(pop)
-        assert text.splitlines()[0] == "# schema_version=1"
-        assert text.splitlines()[1] == "condition,action,strength"
-        back = population_from_csv(text)
-        assert population_to_csv(back) == text
+        assert population_to_csv(pop).splitlines() == [
+            "# schema_version=1",
+            "condition,action,strength",
+            "A#CG-,G,12.500000",
+            "#####,T,0.000000",
+        ]
 
     def test_curve_csv_lines(self):
         from matchdna.classifier_system import LearningCurve
@@ -760,10 +720,6 @@ class TestSerialization:
             "1000,0.250000",
             "2000,0.437500",
         ]
-
-    def test_bad_header_rejected(self):
-        with pytest.raises(ValueError):
-            population_from_csv("# schema_version=1\nwrong,header,row\n")
 
 
 class TestConfigValidation:

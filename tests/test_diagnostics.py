@@ -19,8 +19,6 @@ from matchdna.diagnostics import (
     ga_diagnostics,
     measure_entropy,
     measure_mi,
-    mutual_information,
-    site_entropy,
 )
 from matchdna.attractor_tree import GaConfig
 from matchdna.fuzzy_ca import SUPPORTED_RULES, RuleSet
@@ -44,6 +42,16 @@ def oracle_site_entropy(window):
 class TestBinarize:
     def test_threshold_tie_goes_to_one(self):
         assert binarize([0.5, 0.49, 0.51]).tolist() == [1, 0, 1]
+
+
+def site_entropy(window):
+    """Mean per-cell entropy of one (w,) or (w, n) bit window: the
+    one-window, one-trial case of the reduction measure_entropy runs."""
+    b = np.asarray(window)
+    if b.ndim == 1:
+        b = b[:, None]
+    return diag._entropy_report(b[:, None, :], np.arange(len(b)),
+                                len(b)).mean_entropy
 
 
 class TestSiteEntropy:
@@ -74,43 +82,32 @@ class TestSiteEntropy:
 class TestMutualInformation:
     def test_copy_is_one(self):
         p = np.array([0, 1, 1, 0, 1, 0, 0, 1])
-        assert mutual_information(p, p.copy()) == pytest.approx(1.0)
+        assert diag._normalized_mi(p, p.copy()) == pytest.approx(1.0)
 
     def test_constant_is_zero(self):
-        assert mutual_information(np.zeros(8, int), np.ones(8, int)) == 0.0
-        assert mutual_information(np.ones(8, int), np.array([0, 1] * 4)) == 0.0
+        assert diag._normalized_mi(np.zeros(8, int), np.ones(8, int)) == 0.0
+        assert diag._normalized_mi(np.ones(8, int), np.array([0, 1] * 4)) == 0.0
 
     def test_independent_long_patterns_near_zero(self):
         rng = np.random.default_rng(5)
         a = rng.integers(0, 2, size=2000)
         b = rng.integers(0, 2, size=2000)
-        assert mutual_information(a, b) < 0.05
+        assert diag._normalized_mi(a, b) < 0.05
 
     def test_symmetry(self):
         rng = np.random.default_rng(6)
         for _ in range(20):
             a = rng.integers(0, 2, size=30)
             b = rng.integers(0, 2, size=30)
-            assert mutual_information(a, b) == pytest.approx(
-                mutual_information(b, a), abs=1e-12)
+            assert diag._normalized_mi(a, b) == pytest.approx(
+                diag._normalized_mi(b, a), abs=1e-12)
 
     def test_range(self):
         rng = np.random.default_rng(7)
         for _ in range(50):
             a = rng.integers(0, 2, size=12)
             b = rng.integers(0, 2, size=12)
-            assert 0.0 <= mutual_information(a, b) <= 1.0
-
-    def test_length_mismatch(self):
-        with pytest.raises(ValueError):
-            mutual_information([0, 1], [0, 1, 1])
-
-    @pytest.mark.parametrize("a, b", [([0.4, 0.6, 0.4, 0.6], [0.4, 0.6, 0.4, 0.6]),
-                                      ([0, 1, 0, 1], [0, 2, 0, 2]),
-                                      ([0, 1, -1, 1], [0, 1, 1, 1])])
-    def test_non_bit_input_rejected(self, a, b):
-        with pytest.raises(ValueError, match="patterns must hold only 0/1 bits"):
-            mutual_information(a, b)
+            assert 0.0 <= diag._normalized_mi(a, b) <= 1.0
 
 
 SMALL = dict(window=10, run_steps=200, trials=5, rng_seed=31)

@@ -18,7 +18,6 @@ from matchdna.fuzzy_ca import (
     dependency_matrix,
     eval_rule,
     evolve,
-    step,
 )
 
 REFERENCE_RULES = [238, 254, 238, 252]
@@ -33,7 +32,8 @@ REFERENCE_TRAJECTORY = [
 
 
 def brute_step(state, rules):
-    """Scalar re-derivation of one update, used as the oracle for `step`."""
+    """Scalar re-derivation of one update, used as the oracle for
+    `RuleSet.apply`."""
     out = []
     for i, rule in enumerate(rules):
         left = state[i - 1] if i > 0 else 0.0
@@ -76,7 +76,7 @@ class TestStep:
     def test_reference_trajectory_stepwise(self):
         state = np.array(REFERENCE_START)
         for expected in REFERENCE_TRAJECTORY[1:]:
-            state = step(state, REFERENCE_RULES)
+            state = RuleSet(REFERENCE_RULES).apply(state)
             np.testing.assert_allclose(state, expected, atol=1e-9)
 
     def test_matches_scalar_oracle(self):
@@ -86,25 +86,25 @@ class TestStep:
             n = rng.integers(1, 12)
             rules = rng.choice(rules_pool, size=n)
             state = rng.random(n)
-            np.testing.assert_allclose(step(state, rules),
+            np.testing.assert_allclose(RuleSet(rules).apply(state),
                                        brute_step(state, rules), atol=1e-12)
 
     def test_batch_rows_independent(self):
         rng = np.random.default_rng(5)
-        rules = [238, 254, 240, 204, 252]
+        rules = RuleSet([238, 254, 240, 204, 252])
         batch = rng.random((20, 5))
-        stepped = step(batch, rules)
+        stepped = rules.apply(batch)
         for i in range(20):
-            np.testing.assert_allclose(stepped[i], step(batch[i], rules))
+            np.testing.assert_allclose(stepped[i], rules.apply(batch[i]))
 
     def test_null_boundary(self):
         # leftmost cell under a left-reading rule sees 0 outside the array
-        assert step(np.array([0.4, 0.0]), [240, 240])[0] == 0.0
-        assert step(np.array([0.0, 0.4]), [170, 170])[1] == 0.0
+        assert RuleSet([240, 240]).apply(np.array([0.4, 0.0]))[0] == 0.0
+        assert RuleSet([170, 170]).apply(np.array([0.0, 0.4]))[1] == 0.0
 
     def test_size_mismatch_rejected(self):
         with pytest.raises(ValueError):
-            step(np.zeros(3), [204, 204])
+            RuleSet([204, 204]).apply(np.zeros(3))
 
 
 class TestDependencyMatrix:

@@ -19,7 +19,6 @@ from matchdna.attractor_tree import (
 from matchdna.classifier_system import (
     LcsConfig,
     SequenceReplayEnvironment,
-    population_from_csv,
     train,
 )
 from matchdna.cli import main
@@ -359,7 +358,11 @@ class TestPipelineRun:
         ("diagnose", "diagnose", "population_size", 1, ">= 2"),
         ("diagnose", "diagnose", "generations", 0, ">= 1"),
         ("diagnose", "diagnose", "run_steps", 5, ">= 10"),
-        ("diagnose", "diagnose", "trials", 0, ">= 1")])
+        ("diagnose", "diagnose", "trials", 0, ">= 1"),
+        ("simulate", "simulate", "master_seed", -1, ">= 0"),
+        ("train-fmaca", "train_fmaca", "seed", -1, ">= 0"),
+        ("train-lcs", "train_lcs", "seed", -1, ">= 0"),
+        ("diagnose", "diagnose", "seed", -1, ">= 0")])
     def test_out_of_range_value_fails_before_any_work(self, tmp_path, stage,
                                                       section, key, value,
                                                       bound):
@@ -380,7 +383,12 @@ class TestPipelineRun:
         ("mine", "mine", "lookback"),
         ("train-fmaca", "train_fmaca", "generations"),
         ("train-lcs", "train_lcs", "iters"),
-        ("diagnose", "diagnose", "trials")])
+        ("diagnose", "diagnose", "trials"),
+        # seeds of a config edited after resolve_config
+        ("simulate", "simulate", "master_seed"),
+        ("train-fmaca", "train_fmaca", "seed"),
+        ("train-lcs", "train_lcs", "seed"),
+        ("diagnose", "diagnose", "seed")])
     @pytest.mark.parametrize("value", [2.7, 2.0, True, "abc"])
     def test_non_integer_value_fails_by_name_before_any_work(
             self, tmp_path, stage, section, key, value):
@@ -394,6 +402,13 @@ class TestPipelineRun:
         assert (f"{section}.{key} must be an integer, got {value!r}"
                 in str(err.value))
         assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("key", ["iters", "ga_period", "seed"])
+    def test_lcs_config_refuses_non_integer_by_name(self, key):
+        params = {**resolve_config()["train_lcs"], key: 2.7}
+        with pytest.raises(ValueError,
+                           match=f"train_lcs.{key} must be an integer, got 2.7"):
+            pipeline._lcs_config(params)
 
     def test_window_wider_than_letter_history_fails_before_any_work(
             self, tmp_path):
@@ -490,9 +505,9 @@ class TestPipelineRun:
         curve_lines = (tmp_path / "lcs/curve.csv").read_text().splitlines()
         assert curve_lines == ["# schema_version=1",
                                "iteration,proportion_correct"]
-        population = population_from_csv(
-            (tmp_path / "lcs/population.csv").read_text())
-        assert len(population) == LcsConfig().population_size
+        rows = (tmp_path / "lcs/population.csv").read_text().splitlines()
+        assert rows[:2] == ["# schema_version=1", "condition,action,strength"]
+        assert len(rows[2:]) == LcsConfig().population_size
 
     def test_train_lcs_logs_what_the_lcs_did(self, mined_dir, tmp_path, caplog):
         out = tmp_path / "run"
@@ -657,6 +672,37 @@ class TestBoundaryChecks:
         self.fails("train-fmaca", config, out,
                    f"m000.json: event window {window} is outside "
                    "the game's 20 windows")
+
+    @pytest.mark.parametrize("event, problem", [
+        ([2.7, GOAL], "event window must be an integer, got 2.7"),
+        (["3", GOAL], "event window must be an integer, got '3'"),
+        ([True, GOAL], "event window must be an integer, got True"),
+        ([3, "foul"], "event label 'foul' is neither 'goal' nor 'threat'")])
+    def test_malformed_event_refused(self, mined_dir, tmp_path, event, problem):
+        # int() would load 2.7 as window 2 and "3" as 3
+        out, config = self.copy(mined_dir, tmp_path)
+        self.edit_json(out / "annotations/m000.json", events=[event])
+        self.fails("mine", config, out, f"m000.json: {problem}")
+
+    @pytest.mark.parametrize("changes, problem", [
+        ({"entries": "m000"},
+         "entries must be a list of match id strings, got 'm000'"),
+        ({"entries": [["m000"]]},
+         "entries must be a list of match id strings, got [['m000']]"),
+        ({"entries": {"m000": 1}},
+         "entries must be a list of match id strings, got {'m000': 1}"),
+        ({"window_cycles": 2.7},
+         "window_cycles must be an integer, got 2.7"),
+        ({"window_cycles": "10"},
+         "window_cycles must be an integer, got '10'"),
+        ({"window_cycles": True},
+         "window_cycles must be an integer, got True")])
+    def test_malformed_manifest_refused(self, mined_dir, tmp_path, changes,
+                                        problem):
+        out, config = self.copy(mined_dir, tmp_path)
+        self.edit_json(out / "manifest.json", **changes)
+        for stage in ("encode", "mine"):
+            self.fails(stage, config, out, f"manifest.json: {problem}")
 
 
 class TestBuildCorpus:
