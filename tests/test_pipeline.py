@@ -45,7 +45,7 @@ from matchdna.simulator import (
     load_match_log,
     run_match,
 )
-from test_simulator import body_digest
+from test_simulator import body_digest, simulation_digest
 
 SMOKE = {
     "seed": 7,
@@ -75,6 +75,14 @@ PINNED_LOG_BODIES = {
         "3012e28000476273645b61eb193ffc39d6d954efc08f61e27becc8a58f7df8d1",
     "logs/m001.jsonl":
         "7c42d39a921f79d90819cdaa8bcd1c574493c90df9ea5d5e10286880208d56f8",
+}
+# the same logs' values as load_match_log returns them
+# (test_simulator.simulation_digest), which no change of log format moves
+PINNED_SIMULATION = {
+    "logs/m000.jsonl":
+        "613c9aa628d767008f2c561dd9efa873ba1ca235db6930c8ae88d096e519d9a1",
+    "logs/m001.jsonl":
+        "d116645fbe6e86957e8a9d6befee7e7cee6b17473726b7a1cf0e9a3a81556bb1",
 }
 
 
@@ -765,6 +773,9 @@ class TestBuildCorpus:
                    for p in sorted(tmp_path.glob(pattern))}
         bodies = {rel: body_digest((tmp_path / rel).read_text())
                   for rel in PINNED_LOG_BODIES}
+        values = {rel: simulation_digest(load_match_log(tmp_path / rel))
+                  for rel in PINNED_SIMULATION}
+        assert values == PINNED_SIMULATION
         assert bodies == PINNED_LOG_BODIES
         assert digests == PINNED_CORPUS
 

@@ -586,28 +586,52 @@ def body_digest(text):
     return hashlib.sha256(text.partition("\n")[2].encode()).hexdigest()
 
 
+def simulation_digest(log):
+    """SHA-256 of a match's per-cycle values, free of the log format: each
+    agent's id, team, x, y, heading and speed, the ball's x, y, vx and vy,
+    and the cycle's event dicts.  Floats enter as their repr, so the sign
+    of a zero shows; digest a loaded log to pin the values a file holds."""
+    events_by_cycle = {}
+    for e in log.events:
+        events_by_cycle.setdefault(e.cycle, []).append(e.to_dict())
+    h = hashlib.sha256()
+    for cycle, (agents, b) in enumerate(log.per_cycle_states):
+        row = ([(a.id, a.team, a.x, a.y, a.heading, a.speed) for a in agents],
+               (b.x, b.y, b.vx, b.vy), events_by_cycle.get(cycle, []))
+        h.update(repr(row).encode() + b"\n")
+    return h.hexdigest()
+
+
 class TestPinnedBytes:
     """SHA-256 of whole serialized matches, recorded once and kept: a
     change to simulator output shows across commits, not only between
     two runs of the same code.  The digest of the lines after the header
-    is pinned apart, so a change to the header alone shows as one."""
+    is pinned apart, so a change to the header alone shows as one, and
+    the values the file loads back as are pinned apart from both, so a
+    change of log format shows apart from a change of the simulation."""
 
-    def digests(self, log):
+    def digests(self, log, tmp_path):
+        """(whole file, body, simulation digest of the file read back)."""
         text = log_to_jsonl(log)
-        return hashlib.sha256(text.encode()).hexdigest(), body_digest(text)
+        path = tmp_path / "pinned.jsonl"
+        path.write_text(text)
+        return (hashlib.sha256(text.encode()).hexdigest(), body_digest(text),
+                simulation_digest(load_match_log(path)))
 
-    def test_shooting_match(self):
+    def test_shooting_match(self, tmp_path):
         cfg = FieldConfig(cycle_count=300, rng_seed=7, players_per_team=2)
         log = run_match(ShootingPolicy(sim.HOME),
                         ShootingPolicy(sim.AWAY), cfg)
         assert log.score == (2, 2)
-        whole, body = self.digests(log)
+        whole, body, values = self.digests(log, tmp_path)
+        assert values == \
+            "372fc5518fdfd3d2db32c12ec51afb37928ff0f284caf263cc3a6107862b3e4c"
         assert body == \
             "7598a4fd0674685df4eac448bd7b9aa3e67130233f1af00a8a5fcab5dbccf9c0"
         assert whole == \
             "6555e13e142d182a10978f4265d1db65a7685d3c2ec475aeab7c5143facc21c9"
 
-    def test_barrage_match(self):
+    def test_barrage_match(self, tmp_path):
         # agents start at the ball, so clamped kicks land and goals follow;
         # up to three commands a cycle exercise the duplicate pick and catch
         cfg = FieldConfig(cycle_count=200, rng_seed=11, players_per_team=1)
@@ -615,7 +639,9 @@ class TestPinnedBytes:
                         positions={"a": (0, 0, 0), "b": (1.0, 0, 180)},
                         ball=(0.5, 0.0))
         assert any(e.kind == "kick" and e.effective for e in log.events)
-        whole, body = self.digests(log)
+        whole, body, values = self.digests(log, tmp_path)
+        assert values == \
+            "b5e334cea88693eb66cc4f8e1a63b432a640c99b7d7f89632589b09989c76c42"
         assert body == \
             "90f253b18b62bd34e94fe86102145f20bc2193d752fe988c6fdd2a7261773e9c"
         assert whole == \
