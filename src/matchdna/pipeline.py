@@ -193,13 +193,17 @@ def _write_json(path, doc: dict) -> None:
         fh.write("\n")
 
 
-def _read_json(path, version: int, what: str) -> dict:
+def _read_json(path, version: int, what: str, keys=()) -> dict:
     """A JSON artifact, refused unless it declares the schema_version this
-    code writes."""
+    code writes and, naming the file and the key, holds every key of
+    `keys`."""
     with open(path) as fh:
         doc = json.load(fh)
     if doc.get("schema_version") != version:
         raise ValueError(f"unsupported {what} schema_version")
+    for key in keys:
+        if key not in doc:
+            raise ValueError(f"{path}: {what} has no {key!r} key")
     return doc
 
 
@@ -260,7 +264,8 @@ def load_manifest(path) -> CorpusManifest:
     """The manifest at `path`, refused naming the file unless its entries
     are a list of match id strings and its window_cycles an integer or
     null."""
-    doc = _read_json(path, MANIFEST_SCHEMA_VERSION, "manifest")
+    doc = _read_json(path, MANIFEST_SCHEMA_VERSION, "manifest",
+                     ("entries", "window_cycles", "created_at"))
     entries = doc["entries"]
     if not (isinstance(entries, list)
             and all(isinstance(e, str) for e in entries)):
@@ -393,12 +398,18 @@ def _load_corpus(out_dir: Path, manifest: CorpusManifest):
     players = []
     for match_id in manifest.entries:
         _log_path, seq_path, ann_path = match_paths(out_dir, match_id)
-        doc = _read_json(ann_path, REPORT_SCHEMA_VERSION, "annotations")
+        doc = _read_json(ann_path, REPORT_SCHEMA_VERSION, "annotations",
+                         ("events",))
         if doc.get("window_cycles") != manifest.window_cycles:
             raise ValueError(f"{ann_path}: window_cycles "
                              f"{doc.get('window_cycles')!r} does not match "
                              f"the manifest's {manifest.window_cycles!r}")
-        events = [tuple(event) for event in doc["events"]]
+        events = doc["events"]
+        if not (isinstance(events, list) and all(
+                isinstance(e, list) and len(e) == 2 for e in events)):
+            raise ValueError(f"{ann_path}: events must be a list of "
+                             f"[window, label] pairs, got {events!r}")
+        events = [tuple(event) for event in events]
         records = sequences.read_fasta(seq_path)
         if not records or not records[0][0].startswith("game:"):
             raise ValueError(f"{seq_path}: the first sequence is not a game")
@@ -555,9 +566,21 @@ def _lcs_config(params: dict) -> LcsConfig:
 
 
 def _miner_stats_from_report(path) -> MinerStats:
-    doc = _read_json(path, REPORT_SCHEMA_VERSION, "mining report")
-    patterns = [(str(p), int(c)) for p, c in doc["patterns"]]
-    return MinerStats(patterns=patterns, motifs=list(DEFAULT_MOTIFS))
+    """The mined patterns of the report at `path`, refused naming the file
+    unless they are [pattern string, integer count] pairs."""
+    doc = _read_json(path, REPORT_SCHEMA_VERSION, "mining report",
+                     ("patterns",))
+    patterns = doc["patterns"]
+    if not (isinstance(patterns, list) and all(
+            isinstance(p, list) and len(p) == 2 for p in patterns)):
+        raise ValueError(f"{path}: patterns must be a list of [pattern, "
+                         f"count] pairs, got {patterns!r}")
+    for pattern, count in patterns:
+        if not isinstance(pattern, str):
+            raise ValueError(f"{path}: pattern {pattern!r} is not a string")
+        _integer(f"{path}: pattern count", count)
+    return MinerStats(patterns=[tuple(p) for p in patterns],
+                      motifs=list(DEFAULT_MOTIFS))
 
 
 def stage_train_lcs(config: dict, out_dir: Path) -> Path:

@@ -16,8 +16,15 @@ the same values, in the same order, as one draw per agent per cycle.
 Every match plays on one field with one physics, the module constants
 FIELD_LENGTH, FIELD_WIDTH, GOAL_WIDTH, KICKABLE_DISTANCE, DASH_GAIN,
 KICK_GAIN, BALL_DECAY and PLAYER_DECAY.  A FieldConfig holds only what a
-run varies: cycle_count, rng_seed and players_per_team.  The match log's
-header records those three values and the schema version.
+run varies: cycle_count, rng_seed and players_per_team.
+
+The match log (schema 3) is JSON Lines.  Its header records those three
+values, the schema version and the agents as [id, team] pairs in id
+order.  Each cycle follows as one positional row: x, y, heading and
+speed per agent in the header's order, then the ball's x, y, vx and vy,
+each to 6 decimals, then the cycle's event dicts, so a row of n agents
+holds 4n + 5 values.  A closing line records outcome, score, valid and,
+for an aborted match, error.
 
 Conventions: x runs along the field length, y across the width, the
 origin is the center spot.  The home team attacks +x.  Headings are
@@ -32,7 +39,7 @@ from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 
-SCHEMA_VERSION = 2
+SCHEMA_VERSION = 3
 
 FIELD_LENGTH = 105.0
 FIELD_WIDTH = 68.0
@@ -429,33 +436,33 @@ def _r6(x):
 _dumps = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
 
 
-# a cycle row as _dumps writes it: keys sorted, floats as their repr
-_AGENT_ROW = '{"heading":%r,"id":%s,"speed":%r,"team":%s,"x":%r,"y":%r}'
-_CYCLE_ROW = ('{"agents":[%s],"ball":{"vx":%r,"vy":%r,"x":%r,"y":%r},'
-              '"cycle":%d,"events":%s}')
+def _row_format(n_agents: int) -> str:
+    """A cycle row's floats as one '%'-template: x, y, heading and speed
+    per agent, then the ball's x, y, vx and vy, each to 6 decimals; the
+    row's closing event list is appended after it."""
+    return "[" + "%.6f," * (4 * n_agents + 4)
 
 
 def log_to_jsonl(log: MatchLog) -> str:
-    """Serialize a MatchLog as JSON Lines: header, one line per cycle,
-    trailing outcome line.  Floats carry 6 decimals so that identical
-    matches serialize byte-for-byte identically."""
-    header = {"schema_version": SCHEMA_VERSION, "config": asdict(log.config)}
+    """Serialize a MatchLog as JSON Lines: header, one positional row per
+    cycle, trailing outcome line.  Every row lists the header's agents.
+    Floats carry 6 decimals, '%.6f' reading back as _r6's value with the
+    sign of a zero folded, so that identical matches serialize
+    byte-for-byte identically."""
+    states = log.per_cycle_states
+    agents = [[a.id, a.team] for a in states[0][0]] if states else []
+    header = {"schema_version": SCHEMA_VERSION, "config": asdict(log.config),
+              "agents": agents}
     lines = [_dumps(header)]
     events_by_cycle = {}
     for e in log.events:
         events_by_cycle.setdefault(e.cycle, []).append(e.to_dict())
-    names = {}  # (id, team) -> their JSON text
-    for cycle, (agents, ball) in enumerate(log.per_cycle_states):
-        rows = []
-        for a in agents:
-            name = names.get((a.id, a.team))
-            if name is None:
-                name = names[a.id, a.team] = (_dumps(a.id), _dumps(a.team))
-            rows.append(_AGENT_ROW % (_r6(a.heading), name[0], _r6(a.speed),
-                                      name[1], _r6(a.x), _r6(a.y)))
-        lines.append(_CYCLE_ROW % (",".join(rows), _r6(ball.vx), _r6(ball.vy),
-                                   _r6(ball.x), _r6(ball.y), cycle,
-                                   _dumps(events_by_cycle.get(cycle, []))))
+    row_format = _row_format(len(agents))
+    for cycle, (agents, b) in enumerate(states):
+        values = [v for a in agents for v in (a.x, a.y, a.heading, a.speed)]
+        values += (b.x, b.y, b.vx, b.vy)
+        row = (row_format % tuple(values)).replace("-0.000000", "0.000000")
+        lines.append(row + _dumps(events_by_cycle.get(cycle, [])) + "]")
     tail = {"outcome": log.outcome, "score": list(log.score), "valid": log.valid}
     if not log.valid:
         tail["error"] = log.error
@@ -471,11 +478,24 @@ def save_match_log(log: MatchLog, path):
 _CONFIG_KEYS = sorted(f.name for f in fields(FieldConfig))
 
 
+def _header_agents(header) -> list:
+    """The header's [id, team] pairs, refused unless each is a pair of
+    strings."""
+    agents = header["agents"]
+    if not (isinstance(agents, list) and all(
+            isinstance(pair, list) and len(pair) == 2
+            and all(isinstance(v, str) for v in pair) for pair in agents)):
+        raise ValueError(f"header agents must be a list of [id, team] "
+                         f"pairs, got {agents!r}")
+    return agents
+
+
 def load_match_log(path) -> MatchLog:
     """The MatchLog a file of log_to_jsonl's lines holds.  A line that is
-    not JSON, a header config whose keys are not FieldConfig's, and a
-    missing or unexpected field raise ValueError naming the file and the
-    line."""
+    not JSON, a header config whose keys are not FieldConfig's, header
+    agents that are not [id, team] pairs, a cycle row that is not a list
+    of 4 values per agent, 4 ball values and an event list, and a missing
+    or unexpected field raise ValueError naming the file and the line."""
     lines, numbers = [], []
     with open(path) as fh:
         for number, line in enumerate(fh, 1):
@@ -503,6 +523,9 @@ def load_match_log(path) -> MatchLog:
             raise ValueError(f"header config keys {sorted(config)} are not "
                              f"{_CONFIG_KEYS}")
         log = MatchLog(config=FieldConfig(**config))
+        seats = [(aid, team, 4 * i)
+                 for i, (aid, team) in enumerate(_header_agents(header))]
+        width = 4 * len(seats) + 5
         index = len(lines) - 1
         log.outcome = tail["outcome"]
         log.score = tuple(tail["score"])
@@ -511,12 +534,13 @@ def load_match_log(path) -> MatchLog:
         states, events = log.per_cycle_states, log.events
         for index in range(1, len(lines) - 1):
             row = lines[index]
-            agents = [AgentState(d["id"], d["team"], d["x"], d["y"],
-                                 d["heading"], d["speed"])
-                      for d in row["agents"]]
-            b = row["ball"]
-            states.append((agents, BallState(b["x"], b["y"], b["vx"], b["vy"])))
-            for ed in row["events"]:
+            if not isinstance(row, list) or len(row) != width:
+                raise ValueError(f"a cycle row must be a list of {width} "
+                                 f"values, got {row!r:.60}")
+            agents = [AgentState(aid, team, row[k], row[k + 1], row[k + 2],
+                                 row[k + 3]) for aid, team, k in seats]
+            states.append((agents, BallState(*row[-5:-1])))
+            for ed in row[-1]:
                 events.append(MatchEvent(**ed))
     except (KeyError, TypeError, ValueError) as err:
         what = f"missing field {err}" if isinstance(err, KeyError) else str(err)

@@ -57,9 +57,9 @@ SMOKE = {
 # the corpus of TestBuildCorpus.test_pinned_corpus_at_default_cycle_count
 PINNED_CORPUS = {
     "logs/m000.jsonl":
-        "5d54c5e85ba8b90acf1f950f30d44149a6dd39ecc46701dca2c9d6f5a28ca97c",
+        "2bc85073f8363a1fc17de1f798817be113bd5d72dc5e177310c781cad2d91363",
     "logs/m001.jsonl":
-        "566be106c26b11cc6e12dd67ccbec41ebed1da8c866b2d2e8dfeaebcedad84af",
+        "a0a29879cf57ee7cb9fcdaca30bf3b3c19a3b0b84ea473170d3b547dcf0586ef",
     "sequences/m000.fasta":
         "820184a0cb192f96dbdc940b6ea17bddb069a572d74953c5f26597698bc3368d",
     "sequences/m001.fasta":
@@ -72,9 +72,9 @@ PINNED_CORPUS = {
 # the same logs' lines after the header (test_simulator.body_digest)
 PINNED_LOG_BODIES = {
     "logs/m000.jsonl":
-        "3012e28000476273645b61eb193ffc39d6d954efc08f61e27becc8a58f7df8d1",
+        "7e86d4a6c08f3f5cf76dfc22657235455c1556db9b1106ae3a20c7b800de4c6d",
     "logs/m001.jsonl":
-        "7c42d39a921f79d90819cdaa8bcd1c574493c90df9ea5d5e10286880208d56f8",
+        "9f2cee30385b8ef62c5f3b7dca7e7d589a1021051dae9f97a32ee90b7be426fb",
 }
 # the same logs' values as load_match_log returns them
 # (test_simulator.simulation_digest), which no change of log format moves
@@ -299,7 +299,7 @@ class TestPipelineRun:
             first = (out / rel).read_text().splitlines()[0]
             assert first == "# schema_version=1", rel
         first = (out / "logs/m000.jsonl").read_text().splitlines()[0]
-        assert json.loads(first)["schema_version"] == 2
+        assert json.loads(first)["schema_version"] == 3
 
     def test_manifest_complete_after_encode(self, pipeline_dir):
         out, _config, _artifacts = pipeline_dir
@@ -610,9 +610,11 @@ class TestBoundaryChecks:
         assert isinstance(err.value.cause, (ValueError, FileNotFoundError))
         assert match in str(err.value.cause), str(err.value.cause)
 
-    def edit_json(self, path, **changes):
+    def edit_json(self, path, drop=(), **changes):
         doc = json.loads(path.read_text())
         doc.update(changes)
+        for key in drop:
+            del doc[key]
         path.write_text(json.dumps(doc))
 
     def edit_fasta(self, path, edit):
@@ -685,12 +687,53 @@ class TestBoundaryChecks:
         ([2.7, GOAL], "event window must be an integer, got 2.7"),
         (["3", GOAL], "event window must be an integer, got '3'"),
         ([True, GOAL], "event window must be an integer, got True"),
-        ([3, "foul"], "event label 'foul' is neither 'goal' nor 'threat'")])
+        ([3, "foul"], "event label 'foul' is neither 'goal' nor 'threat'"),
+        ([3], "events must be a list of [window, label] pairs, got [[3]]"),
+        ([3, GOAL, 1], "events must be a list of [window, label] pairs, "
+         "got [[3, 'goal', 1]]"),
+        ("3g", "events must be a list of [window, label] pairs, "
+         "got ['3g']")])
     def test_malformed_event_refused(self, mined_dir, tmp_path, event, problem):
         # int() would load 2.7 as window 2 and "3" as 3
         out, config = self.copy(mined_dir, tmp_path)
         self.edit_json(out / "annotations/m000.json", events=[event])
         self.fails("mine", config, out, f"m000.json: {problem}")
+
+    def test_annotations_without_events_refused(self, mined_dir, tmp_path):
+        out, config = self.copy(mined_dir, tmp_path)
+        self.edit_json(out / "annotations/m000.json", drop=["events"])
+        self.fails("mine", config, out,
+                   "m000.json: annotations has no 'events' key")
+
+    @pytest.mark.parametrize("key", ["entries", "window_cycles", "created_at"])
+    def test_manifest_key_missing_refused(self, mined_dir, tmp_path, key):
+        out, config = self.copy(mined_dir, tmp_path)
+        self.edit_json(out / "manifest.json", drop=[key])
+        for stage in ("encode", "mine"):
+            self.fails(stage, config, out,
+                       f"manifest.json: manifest has no {key!r} key")
+
+    @pytest.mark.parametrize("patterns, problem", [
+        ([["CC", 2.7]], "pattern count must be an integer, got 2.7"),
+        ([["CC", "2"]], "pattern count must be an integer, got '2'"),
+        ([["CC", True]], "pattern count must be an integer, got True"),
+        ([[12345, 2]], "pattern 12345 is not a string"),
+        ([["CC"]], "patterns must be a list of [pattern, count] pairs, "
+         "got [['CC']]"),
+        ({"CC": 2}, "patterns must be a list of [pattern, count] pairs, "
+         "got {'CC': 2}")])
+    def test_malformed_mined_pattern_refused(self, mined_dir, tmp_path,
+                                             patterns, problem):
+        # str() and int() would load 12345 as "12345" and 2.7 as 2
+        out, config = self.copy(mined_dir, tmp_path)
+        self.edit_json(out / "mining/report.json", patterns=patterns)
+        self.fails("train-lcs", config, out, f"report.json: {problem}")
+
+    def test_mining_report_without_patterns_refused(self, mined_dir, tmp_path):
+        out, config = self.copy(mined_dir, tmp_path)
+        self.edit_json(out / "mining/report.json", drop=["patterns"])
+        self.fails("train-lcs", config, out,
+                   "report.json: mining report has no 'patterns' key")
 
     @pytest.mark.parametrize("changes, problem", [
         ({"entries": "m000"},

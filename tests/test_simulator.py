@@ -177,8 +177,8 @@ class TestStep:
         {"positions": {"a": (0.0, -math.inf)}},
         {"positions": {"b": (0.0, 0.0, math.nan)}}])
     def test_non_finite_start_refused(self, start):
-        # the log writes floats as their repr, which JSON cannot read back
-        # for nan or inf; commands are clamped into range, so a non-finite
+        # the log writes floats with '%.6f', which gives nan or inf as
+        # text JSON cannot read back; commands are clamped into range, so a non-finite
         # value can only enter with the start state
         with pytest.raises(ValueError, match="must be finite"):
             World(small_config(), **start)
@@ -389,18 +389,23 @@ class TestSerialization:
         log = run_match(None, None, small_config(cycle_count=2))
         text = log_to_jsonl(log)
         assert text.splitlines()[0] == (
-            '{"config":{"cycle_count":2,"players_per_team":2,"rng_seed":42},'
-            '"schema_version":2}')
+            '{"agents":[["a","home"],["b","home"],["c","away"],["d","away"]],'
+            '"config":{"cycle_count":2,"players_per_team":2,"rng_seed":42},'
+            '"schema_version":3}')
 
-    def test_schema_1_log_refused_naming_file(self, tmp_path):
-        lines = log_to_jsonl(run_match(None, None, small_config())).splitlines()
-        header = json.loads(lines[0])
-        header["schema_version"] = 1
-        header["config"].update(length=105.0, width=68.0, perception_jitter=True)
+    def test_schema_2_log_refused_naming_file(self, tmp_path):
+        # a one-cycle idle match as schema 2 wrote it: a dict per cycle
         path = tmp_path / "old.jsonl"
-        path.write_text("\n".join([json.dumps(header)] + lines[1:]) + "\n")
+        path.write_text(
+            '{"config":{"cycle_count":1,"players_per_team":1,"rng_seed":0},'
+            '"schema_version":2}\n'
+            '{"agents":[{"heading":0.0,"id":"a","speed":0.0,"team":"home",'
+            '"x":-26.25,"y":0.0},{"heading":-180.0,"id":"b","speed":0.0,'
+            '"team":"away","x":26.25,"y":0.0}],"ball":{"vx":0.0,"vy":0.0,'
+            '"x":0.0,"y":0.0},"cycle":0,"events":[{"cycle":0,"kind":"idle"}]}\n'
+            '{"outcome":"draw","score":[0,0],"valid":true}\n')
         with pytest.raises(ValueError,
-                           match=r"old\.jsonl: unsupported schema_version 1"):
+                           match=r"old\.jsonl: unsupported schema_version 2"):
             load_match_log(path)
 
     def test_cut_mid_line_names_file_and_line(self, tmp_path):
@@ -433,29 +438,48 @@ class TestSerialization:
             load_match_log(path)
 
     @pytest.mark.parametrize("line, edit, message", [
-        (7, lambda row: row.pop("ball"), "missing field 'ball'"),
-        (7, lambda row: row["agents"][1].pop("x"), "missing field 'x'"),
-        (7, lambda row: row["agents"][0].pop("speed"), "missing field 'speed'"),
-        (7, lambda row: row["events"][0].update(foo=1),
+        (7, lambda row: row[1:], "a cycle row must be a list of 21 values"),
+        (7, lambda row: row[:-1], "a cycle row must be a list of 21 values"),
+        (7, lambda row: row + [[]], "a cycle row must be a list of 21 values"),
+        (7, lambda row: dict(enumerate(row)),
+         "a cycle row must be a list of 21 values"),
+        (7, lambda row: row[:-1] + [{"cycle": 4, "kind": "idle"}],
+         "argument after \\*\\* must be a mapping"),
+        (7, lambda row: row[:-1] + [[{**row[-1][0], "foo": 1}]],
          "unexpected keyword argument 'foo'"),
-        (1, lambda head: head["config"].update(foo=1), "header config keys"),
-        (1, lambda head: head["config"].pop("rng_seed"), "header config keys"),
-        (53, lambda tail: tail.pop("score"), "missing field 'score'"),
-        (53, lambda tail: tail.pop("valid"), "missing field 'valid'")],
-        ids=["row-ball", "agent-x", "agent-speed", "event-key", "config-extra",
-             "config-rng_seed", "tail-score", "tail-valid"])
+        (1, lambda head: {k: v for k, v in head.items() if k != "agents"},
+         "missing field 'agents'"),
+        (1, lambda head: {**head, "agents": [["a", "home"], ["b"],
+                                             ["c", "away"], ["d", "away"]]},
+         "header agents must be a list of \\[id, team\\] pairs"),
+        (1, lambda head: {**head, "agents": [["a", "home"], ["b", 1],
+                                             ["c", "away"], ["d", "away"]]},
+         "header agents must be a list of \\[id, team\\] pairs"),
+        (1, lambda head: {**head, "agents": {"a": "home"}},
+         "header agents must be a list of \\[id, team\\] pairs"),
+        (1, lambda head: {**head, "config": {**head["config"], "foo": 1}},
+         "header config keys"),
+        (1, lambda head: {**head, "config": {"cycle_count": 50}},
+         "header config keys"),
+        (53, lambda tail: {k: v for k, v in tail.items() if k != "score"},
+         "missing field 'score'"),
+        (53, lambda tail: {k: v for k, v in tail.items() if k != "valid"},
+         "missing field 'valid'")],
+        ids=["row-short", "row-no-events", "row-long", "row-not-list",
+             "events-not-list", "event-key", "header-no-agents",
+             "agents-short-pair", "agents-team-not-string", "agents-not-list",
+             "config-extra", "config-rng_seed", "tail-score", "tail-valid"])
     def test_malformed_field_names_file_and_line(self, tmp_path, line, edit,
                                                  message):
-        # a 50-cycle log with a blank line after the header, which the
-        # line numbers count: line 1 is the header, 7 the row of cycle 4
-        # and 53 the closing outcome line
+        # a 50-cycle log of 2 players a side, so 4 * 4 + 5 = 21 values a
+        # row, with a blank line after the header, which the line numbers
+        # count: line 1 is the header, 7 the row of cycle 4 and 53 the
+        # closing outcome line
         cfg = FieldConfig(cycle_count=50, rng_seed=3)
         lines = log_to_jsonl(run_match(ShootingPolicy(sim.HOME),
                                        ShootingPolicy(sim.AWAY), cfg)).splitlines()
         lines.insert(1, "")
-        doc = json.loads(lines[line - 1])
-        edit(doc)
-        lines[line - 1] = json.dumps(doc)
+        lines[line - 1] = json.dumps(edit(json.loads(lines[line - 1])))
         path = tmp_path / "bad.jsonl"
         path.write_text("\n".join(lines) + "\n")
         with pytest.raises(ValueError, match=rf"bad\.jsonl line {line}: .*{message}"):
@@ -470,8 +494,10 @@ class TestSerialization:
 
 
 def reference_jsonl(log):
-    """log_to_jsonl as a dict per row through json.dumps: the writer's
-    reference, kept here so the formatted rows can be checked against it."""
+    """log_to_jsonl as json.dumps of each line's values: the writer's
+    reference, kept here so the formatted rows can be checked against it.
+    Its floats are their repr, not '%.6f', so rows compare by the values
+    they read back as, not byte for byte."""
     def r6(x):
         v = round(float(x), 6)
         return 0.0 if v == 0 else v
@@ -479,19 +505,17 @@ def reference_jsonl(log):
     def dumps(obj):
         return json.dumps(obj, sort_keys=True, separators=(",", ":"))
 
+    states = log.per_cycle_states
     lines = [dumps({"schema_version": sim.SCHEMA_VERSION,
-                    "config": asdict(log.config)})]
+                    "config": asdict(log.config),
+                    "agents": [[a.id, a.team] for a in states[0][0]]})]
     events_by_cycle = {}
     for e in log.events:
         events_by_cycle.setdefault(e.cycle, []).append(e.to_dict())
-    for cycle, (agents, ball) in enumerate(log.per_cycle_states):
-        row = {"cycle": cycle,
-               "agents": [{"id": a.id, "team": a.team, "x": r6(a.x),
-                           "y": r6(a.y), "heading": r6(a.heading),
-                           "speed": r6(a.speed)} for a in agents],
-               "ball": {"x": r6(ball.x), "y": r6(ball.y),
-                        "vx": r6(ball.vx), "vy": r6(ball.vy)},
-               "events": events_by_cycle.get(cycle, [])}
+    for cycle, (agents, ball) in enumerate(states):
+        row = [r6(v) for a in agents for v in (a.x, a.y, a.heading, a.speed)]
+        row += [r6(ball.x), r6(ball.y), r6(ball.vx), r6(ball.vy),
+                events_by_cycle.get(cycle, [])]
         lines.append(dumps(row))
     tail = {"outcome": log.outcome, "score": list(log.score), "valid": log.valid}
     if not log.valid:
@@ -547,6 +571,22 @@ def fuzzed_log(seed, cycles=80):
     return log
 
 
+def edge_log():
+    """A 2-a-side log whose rows step every float field through
+    EDGE_VALUES, so each value is written at each position of a row."""
+    n = len(EDGE_VALUES)
+    log = MatchLog(config=FieldConfig(cycle_count=n, rng_seed=0))
+    for cycle in range(n):
+        values = [EDGE_VALUES[(cycle + k) % n] for k in range(20)]
+        agents = [AgentState(aid, team, *values[4 * i:4 * i + 4])
+                  for i, (aid, team) in enumerate(
+                      [("a", sim.HOME), ("b", sim.HOME), ("c", sim.AWAY),
+                       ("d", sim.AWAY)])]
+        log.per_cycle_states.append((agents, BallState(*values[16:])))
+        log.events.append(MatchEvent(cycle, "idle"))
+    return log
+
+
 class TestWriterAgainstReference:
     def test_rows_equal_the_reference_rows(self):
         kinds = set()
@@ -556,9 +596,28 @@ class TestWriterAgainstReference:
             got = log_to_jsonl(log).splitlines()
             wanted = reference_jsonl(log).splitlines()
             assert len(got) == len(wanted)
+            assert (got[0], got[-1]) == (wanted[0], wanted[-1]), seed
             for number, (line, ref) in enumerate(zip(got, wanted)):
-                assert line == ref, (seed, number)
+                # repr tells -0.0 from 0.0 and 1 from 1.0
+                assert repr(json.loads(line)) == repr(json.loads(ref)), \
+                    (seed, number)
         assert len(kinds) == 7
+
+    def test_load_then_save_is_a_fixed_point(self, tmp_path):
+        logs = [fuzzed_log(seed) for seed in range(40)] + [edge_log()]
+        path = tmp_path / "match.jsonl"
+        for log in logs:
+            sim.save_match_log(log, path)
+            saved = path.read_text()
+            loaded = load_match_log(path)
+            assert log_to_jsonl(loaded) == saved, log.config
+            floats = [v for agents, b in loaded.per_cycle_states
+                      for v in [b.x, b.y, b.vx, b.vy] + [
+                          w for a in agents
+                          for w in (a.x, a.y, a.heading, a.speed)]]
+            assert all(type(v) is float for v in floats)
+            assert not [v for v in floats if math.copysign(1.0, v) < 0 and
+                        v == 0], log.config
 
     def test_load_of_save_returns_the_match(self, tmp_path):
         cfg = FieldConfig(cycle_count=300, rng_seed=7, players_per_team=2)
@@ -627,9 +686,9 @@ class TestPinnedBytes:
         assert values == \
             "372fc5518fdfd3d2db32c12ec51afb37928ff0f284caf263cc3a6107862b3e4c"
         assert body == \
-            "7598a4fd0674685df4eac448bd7b9aa3e67130233f1af00a8a5fcab5dbccf9c0"
+            "35f5b70082941220d8c08f6d314fd3aecc0a3b21c1e21b9d504c5fbbd7dd3678"
         assert whole == \
-            "6555e13e142d182a10978f4265d1db65a7685d3c2ec475aeab7c5143facc21c9"
+            "ab126f2ec61b0c36830cec82100502e4719d9af436f08cf5e4bafec7593d9caa"
 
     def test_barrage_match(self, tmp_path):
         # agents start at the ball, so clamped kicks land and goals follow;
@@ -643,6 +702,6 @@ class TestPinnedBytes:
         assert values == \
             "b5e334cea88693eb66cc4f8e1a63b432a640c99b7d7f89632589b09989c76c42"
         assert body == \
-            "90f253b18b62bd34e94fe86102145f20bc2193d752fe988c6fdd2a7261773e9c"
+            "3e4c61d778d853b83c9fd99769728e0acbd44a50ef8c87af50116a0808d007c8"
         assert whole == \
-            "d35209372e13897ac23b7566e09fe58b445e7cd6d73f5fb89747975444497354"
+            "81e23e75291f01f15247406c037cf1fd86fbc9c4951219f65dac7b78983639a5"
