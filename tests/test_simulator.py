@@ -493,15 +493,17 @@ class TestSerialization:
                 assert -180 <= a.heading < 180
 
 
+def r6(x):
+    """A logged float's value: x to 6 decimals, with -0.0 folded to 0.0."""
+    v = round(float(x), 6)
+    return 0.0 if v == 0 else v
+
+
 def reference_jsonl(log):
     """log_to_jsonl as json.dumps of each line's values: the writer's
     reference, kept here so the formatted rows can be checked against it.
     Its floats are their repr, not '%.6f', so rows compare by the values
     they read back as, not byte for byte."""
-    def r6(x):
-        v = round(float(x), 6)
-        return 0.0 if v == 0 else v
-
     def dumps(obj):
         return json.dumps(obj, sort_keys=True, separators=(",", ":"))
 
@@ -628,9 +630,9 @@ class TestWriterAgainstReference:
         loaded = load_match_log(path)
 
         def rounded(states):
-            return [([(a.id, a.team, sim._r6(a.x), sim._r6(a.y),
-                       sim._r6(a.heading), sim._r6(a.speed)) for a in agents],
-                     (sim._r6(b.x), sim._r6(b.y), sim._r6(b.vx), sim._r6(b.vy)))
+            return [([(a.id, a.team, r6(a.x), r6(a.y), r6(a.heading),
+                       r6(a.speed)) for a in agents],
+                     (r6(b.x), r6(b.y), r6(b.vx), r6(b.vy)))
                     for agents, b in states]
 
         assert [state_values(s) for s in loaded.per_cycle_states] == \
