@@ -178,8 +178,8 @@ class TestStep:
         {"positions": {"b": (0.0, 0.0, math.nan)}}])
     def test_non_finite_start_refused(self, start):
         # the log writes floats with '%.6f', which gives nan or inf as
-        # text JSON cannot read back; commands are clamped into range, so a non-finite
-        # value can only enter with the start state
+        # text JSON cannot read back; commands are clamped into range, so
+        # a non-finite value can only enter with the start state
         with pytest.raises(ValueError, match="must be finite"):
             World(small_config(), **start)
 
