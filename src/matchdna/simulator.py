@@ -36,6 +36,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import asdict, dataclass, field, fields
+from operator import attrgetter
 
 import numpy as np
 
@@ -434,35 +435,32 @@ _dumps = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
 
 def log_to_jsonl(log: MatchLog) -> str:
     """Serialize a MatchLog as JSON Lines: header, one positional row per
-    cycle, trailing outcome line.  Every row lists the header's agents.
-    Floats carry 6 decimals: '%.6f' reads back as round(x, 6), and a
-    -0.000000 is written as 0.000000, so that identical matches
-    serialize byte-for-byte identically and no value loads as -0.0."""
+    cycle, trailing outcome line.  The header lists the first cycle's
+    agents, and a later cycle that lists other ids or teams, in any
+    order or number, raises ValueError naming the cycle.  Floats carry
+    6 decimals: '%.6f' reads back as round(x, 6), and a -0.000000 is
+    written as 0.000000, so that identical matches serialize
+    byte-for-byte identically and no value loads as -0.0."""
     states = log.per_cycle_states
-    roster = [[a.id, a.team] for a in states[0][0]] if states else []
+    roster = [(a.id, a.team) for a in states[0][0]] if states else []
     header = {"schema_version": SCHEMA_VERSION, "config": asdict(log.config),
               "agents": roster}
     lines = [_dumps(header)]
-    # _dumps(e.to_dict()) once per event but for its cycle, split where
-    # the cycle goes; a string value escapes its quotes, so the first
-    # '"cycle":0' is the key
-    parts_of = {}
     events_by_cycle = {}
     for e in log.events:
-        key = (e.kind, e.agent, e.agent2, e.team, e.effective, e.kick_cycle)
-        parts = parts_of.get(key)
-        if parts is None:
-            parts = parts_of[key] = _dumps({**e.to_dict(), "cycle": 0}).split(
-                '"cycle":0', 1)
-        events_by_cycle.setdefault(e.cycle, []).append(
-            f'{parts[0]}"cycle":{e.cycle}{parts[1]}')
+        events_by_cycle.setdefault(e.cycle, []).append(e.to_dict())
+    id_team = attrgetter("id", "team")
     # a row's floats in one '%' operation; its event list closes it
     row_format = "[" + "%.6f," * (4 * len(roster) + 4)
     for cycle, (agents, b) in enumerate(states):
+        listed = list(map(id_team, agents))
+        if listed != roster:
+            raise ValueError(f"cycle {cycle} lists agents {listed}, but the "
+                             f"log's first cycle lists {roster}")
         values = [v for a in agents for v in (a.x, a.y, a.heading, a.speed)]
         values += (b.x, b.y, b.vx, b.vy)
         row = (row_format % tuple(values)).replace("-0.000000", "0.000000")
-        lines.append(f'{row}[{",".join(events_by_cycle.get(cycle, ()))}]]')
+        lines.append(row + _dumps(events_by_cycle.get(cycle, [])) + "]")
     tail = {"outcome": log.outcome, "score": list(log.score), "valid": log.valid}
     if not log.valid:
         tail["error"] = log.error

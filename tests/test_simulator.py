@@ -621,6 +621,24 @@ class TestWriterAgainstReference:
             assert not [v for v in floats if math.copysign(1.0, v) < 0 and
                         v == 0], log.config
 
+    @pytest.mark.parametrize("change", ["other-id", "other-team", "swapped",
+                                        "extra-agent", "missing-agent"])
+    def test_row_with_other_agents_refused_naming_cycle(self, change):
+        log = edge_log()
+        agents = log.per_cycle_states[2][0]
+        if change == "other-id":
+            agents[0] = AgentState("z", sim.HOME, 1.0, 2.0)
+        elif change == "other-team":
+            agents[0] = AgentState("a", sim.AWAY, 1.0, 2.0)
+        elif change == "swapped":
+            agents[0], agents[1] = agents[1], agents[0]
+        elif change == "extra-agent":
+            agents.append(AgentState("e", sim.AWAY, 1.0, 2.0))
+        else:
+            del agents[-1]
+        with pytest.raises(ValueError, match=r"^cycle 2 lists agents"):
+            log_to_jsonl(log)
+
     def test_load_of_save_returns_the_match(self, tmp_path):
         cfg = FieldConfig(cycle_count=300, rng_seed=7, players_per_team=2)
         log = run_match(ShootingPolicy(sim.HOME),
