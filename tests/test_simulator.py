@@ -124,6 +124,97 @@ class TestSubmission:
             w.submit_command("a", Command("say"), 0)
 
 
+INF, NAN = float("inf"), float("nan")
+
+# (kind, clamped slot, (lo, hi)) for every argument a command range bounds
+CLAMPED_SLOTS = [("turn", "x", sim.TURN_RANGE), ("dash", "x", sim.DASH_RANGE),
+                 ("kick", "x", sim.KICK_POWER_RANGE),
+                 ("kick", "y", sim.KICK_ANGLE_RANGE)]
+
+
+def slot_edges(lo, hi):
+    """Non-finite values, both zeros, each bound and the floats just past
+    and just inside it."""
+    return [NAN, INF, -INF, -0.0, 0.0, lo, hi,
+            math.nextafter(lo, -INF), math.nextafter(lo, INF),
+            math.nextafter(hi, INF), math.nextafter(hi, -INF)]
+
+
+class TestClampingEdges:
+    """Clamping is max(lo, min(hi, value)) bit for bit: a NaN argument
+    takes the upper bound, an infinity the nearer bound, and -0.0 the
+    lower bound where that is 0.0.  The note compares the taken pair with
+    the sent one as a tuple, so a NaN taken as sent reads as unchanged."""
+
+    @pytest.mark.parametrize("kind, slot, bounds", CLAMPED_SLOTS)
+    def test_taken_value_is_max_of_min(self, kind, slot, bounds):
+        lo, hi = bounds
+        for value in slot_edges(lo, hi):
+            sent = Command(kind, **{slot: value})
+            ack = World(small_config()).submit_command("a", sent, 0)
+            wanted = max(lo, min(hi, value))
+            assert ack.accepted and ack.command.kind == kind
+            # repr tells -0.0 from 0.0 and shows a NaN
+            assert repr(getattr(ack.command, slot)) == repr(wanted), value
+            other = "y" if slot == "x" else "x"
+            assert repr(getattr(ack.command, other)) == "0.0"
+            note = "" if (wanted == value or wanted is value) else "clamped"
+            assert ack.note == note, value
+
+    @pytest.mark.parametrize("value, taken, note", [
+        (NAN, 100.0, "clamped"), (INF, 100.0, "clamped"),
+        (-INF, -30.0, "clamped"), (-0.0, -0.0, ""), (100.0, 100.0, ""),
+        (math.nextafter(100.0, INF), 100.0, "clamped"),
+        (math.nextafter(-30.0, -INF), -30.0, "clamped")])
+    def test_dash_edges_by_value(self, value, taken, note):
+        ack = World(small_config()).submit_command("a", dash(value), 0)
+        assert (repr(ack.command.x), ack.note) == (repr(taken), note)
+
+    @pytest.mark.parametrize("value, taken, note", [
+        (NAN, 100.0, "clamped"), (-INF, 0.0, "clamped"), (-0.0, 0.0, "")])
+    def test_kick_power_edges_by_value(self, value, taken, note):
+        ack = World(small_config()).submit_command("a", kick(value, 0), 0)
+        assert (repr(ack.command.x), ack.note) == (repr(taken), note)
+
+    @pytest.mark.parametrize("command", [
+        Command("turn", 10.0, NAN), Command("dash", 10.0, NAN),
+        Command("catch", NAN, -INF), Command("catch", INF, -0.0)])
+    def test_unbounded_slots_taken_as_sent(self, command):
+        ack = World(small_config()).submit_command("a", command, 0)
+        assert (repr(ack.command.x), repr(ack.command.y), ack.note) == \
+            (repr(command.x), repr(command.y), "")
+
+    def test_match_of_edge_commands_logs_finite_values(self, tmp_path):
+        edges = [v for _kind, _slot, (lo, hi) in CLAMPED_SLOTS
+                 for v in slot_edges(lo, hi)]
+
+        class Edges:
+            """Every edge value in every clamped slot, three commands a
+            cycle, so the seeded pick executes each kind."""
+
+            def act(self, agent_id, perceptions, cycle):
+                v = edges[cycle % len(edges)]
+                w = edges[(cycle * 7 + 3) % len(edges)]
+                return [turn(v), dash(w), kick(w, v)]
+
+        cfg = FieldConfig(cycle_count=400, rng_seed=5, players_per_team=1)
+        log = run_match(Edges(), Edges(), cfg,
+                        positions={"a": (0, 0, 0), "b": (1.0, 0, 180)},
+                        ball=(0.5, 0.0))
+        assert log.valid
+        kinds = {e.kind for e in log.events}
+        assert {"turn", "move", "kick"} <= kinds
+        assert any(e.kind == "kick" and e.effective for e in log.events)
+        path = tmp_path / "edges.jsonl"
+        sim.save_match_log(log, path)
+        loaded = load_match_log(path)
+        values = [v for agents, b in loaded.per_cycle_states
+                  for v in [b.x, b.y, b.vx, b.vy] + [
+                      w for a in agents for w in (a.x, a.y, a.heading, a.speed)]]
+        assert len(values) == 400 * 12
+        assert all(math.isfinite(v) for v in values)
+
+
 class TestStep:
     def test_turn_adds_and_normalizes(self):
         w = World(small_config())
@@ -725,3 +816,25 @@ class TestPinnedBytes:
             "3e4c61d778d853b83c9fd99769728e0acbd44a50ef8c87af50116a0808d007c8"
         assert whole == \
             "81e23e75291f01f15247406c037cf1fd86fbc9c4951219f65dac7b78983639a5"
+
+    @pytest.mark.parametrize("players, seed, score, whole", [
+        (1, 7, (2, 2),
+         "550e9ddb5812cfe83079ad3136a2f0a82f0bf02bbcccde5019f96a1ea130c2e2"),
+        (1, 8, (0, 2),
+         "80b72f8da4313763be6117adf37f92c5aa3a347209c9ce18fd26fe4d5474a898"),
+        (1, 9, (1, 2),
+         "26424f6dbbee1bd358ecc57a924ea48b9a50ab368f4fcc12c72b81dba0857fd6"),
+        (3, 7, (2, 2),
+         "09974b7c1c47da46cb3b41f61f0dcff2999917d728eb6a4897681fba0bba1d0e"),
+        (3, 8, (2, 2),
+         "ea8a34624c97283f0dc1ce6ef0e1fbe3381031805e8b3531f3c052d41e2e7947"),
+        (3, 9, (2, 1),
+         "2274a7ed29ba27270cd14d49562c43313f2261988c0916eb36601f84bfb5e7f6")])
+    def test_shooting_match_other_team_sizes(self, players, seed, score, whole):
+        # the roster and each agent's view of it change with the team size
+        cfg = FieldConfig(cycle_count=300, rng_seed=seed,
+                          players_per_team=players)
+        log = run_match(ShootingPolicy(sim.HOME),
+                        ShootingPolicy(sim.AWAY), cfg)
+        assert log.score == score
+        assert hashlib.sha256(log_to_jsonl(log).encode()).hexdigest() == whole
