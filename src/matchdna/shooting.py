@@ -34,7 +34,6 @@ from .simulator import (
     Command,
     dash,
     kick,
-    normalize_heading,
     turn,
 )
 
@@ -55,6 +54,13 @@ SCAN_STEP = 45.0
 
 LETTER_HISTORY = 64             # letters kept and handed to the feedback hook
 
+# the commands that take no argument from the view; a Command is immutable,
+# so every emission can share one
+_SCAN_TURN = turn(SCAN_STEP)
+_DASH_100 = dash(100)
+_DASH_60 = dash(60)
+_DASH_30 = dash(30)
+
 
 @dataclass
 class _AgentMemory:
@@ -63,6 +69,7 @@ class _AgentMemory:
     flip: bool = False           # set by a vetoed shot; reverses round side
     letters: list = field(default_factory=list)
     last_perception: object = None
+    seat: int = 0                # the agent's index in the last snapshot
 
 
 class ShootingPolicy:
@@ -88,23 +95,28 @@ class ShootingPolicy:
 
     # ----- geometry helpers -------------------------------------------------
 
-    @staticmethod
-    def _bearing(from_xy, to_xy):
-        return math.degrees(math.atan2(to_xy[1] - from_xy[1],
-                                       to_xy[0] - from_xy[0]))
-
-    def _view(self, perception, agent_id):
-        """Relative bearings (ball, goal) and ball distance for one agent."""
+    def _view(self, perception, mem, agent_id):
+        """Relative bearings (ball, goal) and ball distance for one agent;
+        `mem.seat` remembers where the agent sat in the last snapshot."""
         agents, ball = perception
-        for me in agents:
-            if me.id == agent_id:
-                break
+        seat = mem.seat
+        if seat < len(agents) and agents[seat].id == agent_id:
+            me = agents[seat]
         else:
-            raise KeyError(agent_id)
+            for seat, me in enumerate(agents):
+                if me.id == agent_id:
+                    mem.seat = seat
+                    break
+            else:
+                raise KeyError(agent_id)
         x, y, heading = me.x, me.y, me.heading
         bx, by = ball.x, ball.y
-        rel_ball = normalize_heading(self._bearing((x, y), (bx, by)) - heading)
-        rel_goal = normalize_heading(self._bearing((x, y), self.goal) - heading)
+        gx, gy = self.goal
+        # each bearing is normalize_heading(degrees(atan2(dy, dx)) - heading)
+        rel_ball = (math.degrees(math.atan2(by - y, bx - x)) - heading
+                    + 180.0) % 360.0 - 180.0
+        rel_goal = (math.degrees(math.atan2(gy - y, gx - x)) - heading
+                    + 180.0) % 360.0 - 180.0
         return rel_ball, rel_goal, math.hypot(bx - x, by - y)
 
     # ----- letter execution ---------------------------------------------------
@@ -113,42 +125,45 @@ class ShootingPolicy:
         if letter == "A":
             return turn(rel_ball)
         if letter == "C":
-            return dash(60)
+            return _DASH_60
         if letter == "G":
             return kick(30, rel_goal)
         if letter == "T":
-            return dash(30)
+            return _DASH_30
         raise ValueError(f"unknown macro letter {letter!r}")
 
     def _emit(self, mem, letter, command):
-        mem.letters.append(letter)
-        del mem.letters[:-LETTER_HISTORY]
+        letters = mem.letters
+        letters.append(letter)
+        del letters[:-LETTER_HISTORY]
         return command
 
     # ----- policy entry -------------------------------------------------------
 
     def act(self, agent_id, perceptions, cycle):
-        mem = self.memory(agent_id)
+        mem = self._memory.get(agent_id)
+        if mem is None:
+            mem = self.memory(agent_id)
         if perceptions:
             mem.last_perception = perceptions[-1]
         perception = mem.last_perception
         if perception is None:
             return None
-        rel_ball, rel_goal, dist = self._view(perception, agent_id)
+        rel_ball, rel_goal, dist = self._view(perception, mem, agent_id)
         sees_ball = abs(rel_ball) <= FOV_HALF_ANGLE
         sees_goal = abs(rel_goal) <= FOV_HALF_ANGLE
         proximity = 100.0 / max(dist, 1e-6)
 
         if mem.state == FIND_BALL:
             if not sees_ball:
-                return [self._emit(mem, "A", turn(SCAN_STEP))]
+                return [self._emit(mem, "A", _SCAN_TURN)]
             mem.state = APPROACH
 
         if mem.state == APPROACH:
             if proximity <= STOP_PROXIMITY:
                 if abs(rel_ball) > 10.0:
                     return [self._emit(mem, "A", turn(rel_ball))]
-                return [self._emit(mem, "C", dash(100))]
+                return [self._emit(mem, "C", _DASH_100)]
             self._enter_round(mem, rel_goal)
 
         if mem.state == ROUND:

@@ -37,6 +37,7 @@ import json
 import math
 from dataclasses import asdict, dataclass, field, fields
 from operator import attrgetter
+from typing import NamedTuple
 
 import numpy as np
 
@@ -70,10 +71,6 @@ AWAY = "away"
 def normalize_heading(deg: float) -> float:
     """Fold an angle into [-180, 180)."""
     return (deg + 180.0) % 360.0 - 180.0
-
-
-def clamp(value, lo, hi):
-    return max(lo, min(hi, value))
 
 
 @dataclass(frozen=True)
@@ -110,8 +107,7 @@ class BallState:
     vy: float = 0.0
 
 
-@dataclass(frozen=True)
-class Command:
+class Command(NamedTuple):
     """One agent command; x/y are the numeric arguments of Table-style
     turn(x), dash(x), kick(x, y) forms."""
     kind: str
@@ -121,35 +117,29 @@ class Command:
 
 
 def turn(angle, cycle=-1):
-    return Command("turn", x=float(angle), issued_cycle=cycle)
+    return Command("turn", float(angle), 0.0, cycle)
 
 
 def dash(power, cycle=-1):
-    return Command("dash", x=float(power), issued_cycle=cycle)
+    return Command("dash", float(power), 0.0, cycle)
 
 
 def kick(power, angle, cycle=-1):
-    return Command("kick", x=float(power), y=float(angle), issued_cycle=cycle)
+    return Command("kick", float(power), float(angle), cycle)
 
 
 def catch(cycle=-1):
-    return Command("catch", issued_cycle=cycle)
+    return Command("catch", 0.0, 0.0, cycle)
 
 
-def _clamped(kind, x, y, cycle) -> Command:
-    """A command of this kind with x and y pulled back into their legal
-    ranges."""
-    if kind == "turn":
-        x = clamp(x, *TURN_RANGE)
-    elif kind == "dash":
-        x = clamp(x, *DASH_RANGE)
-    elif kind == "kick":
-        x, y = clamp(x, *KICK_POWER_RANGE), clamp(y, *KICK_ANGLE_RANGE)
-    return Command(kind, x, y, cycle)
+# kind -> the (min, max) ranges of its x and y arguments; None leaves the
+# argument as sent
+_ARGUMENT_RANGES = {"turn": (TURN_RANGE, None), "dash": (DASH_RANGE, None),
+                    "kick": (KICK_POWER_RANGE, KICK_ANGLE_RANGE),
+                    "catch": (None, None)}
 
 
-@dataclass(frozen=True)
-class Ack:
+class Ack(NamedTuple):
     """Submission receipt: whether the command was taken, the post-clamp
     form, and a note: "" when taken as sent, "clamped" or "stale"."""
     accepted: bool
@@ -168,11 +158,18 @@ class MatchEvent:
     kick_cycle: int | None = None
 
     def to_dict(self):
+        """cycle and kind, then each other field that is not None."""
         d = {"cycle": self.cycle, "kind": self.kind}
-        for key in ("agent", "agent2", "team", "effective", "kick_cycle"):
-            v = getattr(self, key)
-            if v is not None:
-                d[key] = v
+        if self.agent is not None:
+            d["agent"] = self.agent
+        if self.agent2 is not None:
+            d["agent2"] = self.agent2
+        if self.team is not None:
+            d["team"] = self.team
+        if self.effective is not None:
+            d["effective"] = self.effective
+        if self.kick_cycle is not None:
+            d["kick_cycle"] = self.kick_cycle
         return d
 
 
@@ -207,7 +204,7 @@ class World:
         self.config = config
         self.cycle = 0
         self.score = {HOME: 0, AWAY: 0}
-        self.agents = {}
+        self.agents = {}  # built in id order, home team first
         n = config.players_per_team
         for i in range(n):
             self.agents[AGENT_IDS[i]] = AgentState(AGENT_IDS[i], HOME,
@@ -242,16 +239,37 @@ class World:
     # ----- command intake -------------------------------------------------
 
     def submit_command(self, agent_id, command: Command, cycle: int) -> Ack:
-        if agent_id not in self.agents:
+        """Queue `command` for `agent_id` in the current cycle, stamped with
+        the cycle, and return what was taken.  A command for another cycle
+        is refused as "stale".  Each bounded argument is clamped as
+        max(lo, min(hi, value)): -inf takes the lower bound, +inf and NaN
+        the upper one, and a -0.0 power kick is taken as 0.0.  The note is
+        "clamped" unless the taken (x, y) pair equals the sent one as a
+        tuple, so a NaN in an argument no range bounds (a turn's y, say)
+        is taken as sent with note ""."""
+        queue = self._queues.get(agent_id)
+        if queue is None:
             raise ValueError(f"unknown agent id {agent_id!r}")
         if cycle != self.cycle:
             return Ack(False, command, "stale")
-        if command.kind not in MOVEMENT_KINDS:
-            raise ValueError(f"unknown command kind {command.kind!r}")
-        taken = _clamped(command.kind, command.x, command.y, cycle)
-        note = "" if (taken.x, taken.y) == (command.x, command.y) else "clamped"
-        self._queues[agent_id].append(taken)
-        return Ack(True, taken, note)
+        kind, x, y = command.kind, command.x, command.y
+        if kind not in MOVEMENT_KINDS:
+            raise ValueError(f"unknown command kind {kind!r}")
+        x_range, y_range = _ARGUMENT_RANGES[kind]
+        # max(lo, min(hi, v)) as the same two comparisons: a NaN fails both
+        if x_range is not None:
+            lo, hi = x_range
+            x = x if x < hi else hi
+            x = x if x > lo else lo
+        if y_range is not None:
+            lo, hi = y_range
+            y = y if y < hi else hi
+            y = y if y > lo else lo
+        taken = Command(kind, x, y, cycle)
+        queue.append(taken)
+        if (x, y) == (command.x, command.y):
+            return Ack(True, taken, "")
+        return Ack(True, taken, "clamped")
 
     # ----- perception -----------------------------------------------------
 
@@ -284,81 +302,95 @@ class World:
             self.ball = BallState()
             self._goal_pending = False
 
-        # pick one movement command per agent, seeded choice among duplicates
+        # execute one movement command per agent, a seeded choice among
+        # duplicates; catch takes the slot but has no effect
+        agents, queues = self.agents, self._queues
         executed = 0
         for aid in self._ids:
-            queue = self._queues[aid]
+            queue = queues[aid]
             if not queue:
                 continue
             cmd = queue[0] if len(queue) == 1 else \
                 queue[int(self._rng_cmd.integers(len(queue)))]
-            self._execute(aid, cmd, cycle, events)
             executed += 1
+            kind, a = cmd.kind, agents[aid]
+            # headings fold into [-180, 180) as normalize_heading does
+            if kind == "turn":
+                a.heading = (a.heading + cmd.x + 180.0) % 360.0 - 180.0
+                events.append(MatchEvent(cycle, "turn", aid))
+            elif kind == "dash":
+                a.speed = cmd.x * DASH_GAIN
+                events.append(MatchEvent(cycle, "move", aid))
+            elif kind == "kick":
+                ball = self.ball
+                effective = math.hypot(a.x - ball.x, a.y - ball.y) <= \
+                    KICKABLE_DISTANCE
+                if effective:
+                    rad = math.radians(
+                        (a.heading + cmd.y + 180.0) % 360.0 - 180.0)
+                    impulse = cmd.x * KICK_GAIN
+                    ball.vx += impulse * math.cos(rad)
+                    ball.vy += impulse * math.sin(rad)
+                    self._pending_pass = (aid, cycle)
+                events.append(
+                    MatchEvent(cycle, "kick", aid, None, None, effective))
         if executed == 0:
             events.append(MatchEvent(cycle, "idle"))
 
-        # agent motion with speed decay
+        # agent motion with speed decay; clamps as max(lo, min(hi, v))
         half_l, half_w = FIELD_LENGTH / 2, FIELD_WIDTH / 2
-        for a in self.agents.values():
-            if a.speed != 0.0:
+        for a in agents.values():
+            speed = a.speed
+            if speed != 0.0:
                 rad = math.radians(a.heading)
-                a.x = clamp(a.x + a.speed * math.cos(rad), -half_l, half_l)
-                a.y = clamp(a.y + a.speed * math.sin(rad), -half_w, half_w)
-                a.speed *= PLAYER_DECAY
-                if abs(a.speed) < 1e-9:
-                    a.speed = 0.0
+                x = a.x + speed * math.cos(rad)
+                x = x if x < half_l else half_l
+                a.x = x if x > -half_l else -half_l
+                y = a.y + speed * math.sin(rad)
+                y = y if y < half_w else half_w
+                a.y = y if y > -half_w else -half_w
+                speed *= PLAYER_DECAY
+                a.speed = 0.0 if abs(speed) < 1e-9 else speed
 
         # ball motion, goal-line test on the swept segment
-        bx0, by0 = self.ball.x, self.ball.y
-        bx1, by1 = bx0 + self.ball.vx, by0 + self.ball.vy
+        ball = self.ball
+        bx0, by0 = ball.x, ball.y
+        bx1, by1 = bx0 + ball.vx, by0 + ball.vy
         goal_team = None
-        for line_x, team in ((half_l, HOME), (-half_l, AWAY)):
-            if (line_x > 0 and bx0 < line_x <= bx1) or \
-               (line_x < 0 and bx1 <= line_x < bx0):
-                t = (line_x - bx0) / (bx1 - bx0)
-                y_cross = by0 + t * (by1 - by0)
-                if abs(y_cross) <= GOAL_WIDTH / 2:
-                    goal_team = team
-                    bx1, by1 = line_x, y_cross
-                break
+        if bx0 < half_l <= bx1:
+            line_x, team = half_l, HOME
+        elif bx1 <= -half_l < bx0:
+            line_x, team = -half_l, AWAY
+        else:
+            line_x = None
+        if line_x is not None:
+            t = (line_x - bx0) / (bx1 - bx0)
+            y_cross = by0 + t * (by1 - by0)
+            if abs(y_cross) <= GOAL_WIDTH / 2:
+                goal_team = team
+                bx1, by1 = line_x, y_cross
         if goal_team:
             self.score[goal_team] += 1
             self.ball = BallState(bx1, by1, 0.0, 0.0)
             self._goal_pending = True
             self._holder = None
             self._pending_pass = None
-            events.append(MatchEvent(cycle, "goal", team=goal_team))
+            events.append(MatchEvent(cycle, "goal", None, None, goal_team))
         else:
-            self.ball.x = clamp(bx1, -half_l, half_l)
-            self.ball.y = clamp(by1, -half_w, half_w)
-            self.ball.vx *= BALL_DECAY
-            self.ball.vy *= BALL_DECAY
+            bx1 = bx1 if bx1 < half_l else half_l
+            ball.x = bx1 if bx1 > -half_l else -half_l
+            by1 = by1 if by1 < half_w else half_w
+            ball.y = by1 if by1 > -half_w else -half_w
+            ball.vx *= BALL_DECAY
+            ball.vy *= BALL_DECAY
             self._update_possession(cycle, events)
 
-        self._queues = {aid: [] for aid in self.agents}
+        for queue in queues.values():
+            if queue:
+                queue.clear()
         self.cycle += 1
         self.snap = self.snapshot()
         return events
-
-    def _execute(self, aid, cmd, cycle, events):
-        a = self.agents[aid]
-        if cmd.kind == "turn":
-            a.heading = normalize_heading(a.heading + cmd.x)
-            events.append(MatchEvent(cycle, "turn", agent=aid))
-        elif cmd.kind == "dash":
-            a.speed = cmd.x * DASH_GAIN
-            events.append(MatchEvent(cycle, "move", agent=aid))
-        elif cmd.kind == "kick":
-            dist = math.hypot(a.x - self.ball.x, a.y - self.ball.y)
-            effective = dist <= KICKABLE_DISTANCE
-            if effective:
-                rad = math.radians(normalize_heading(a.heading + cmd.y))
-                impulse = cmd.x * KICK_GAIN
-                self.ball.vx += impulse * math.cos(rad)
-                self.ball.vy += impulse * math.sin(rad)
-                self._pending_pass = (aid, cycle)
-            events.append(MatchEvent(cycle, "kick", agent=aid, effective=effective))
-        # catch is accepted and consumes the movement slot but has no effect
 
     def _update_possession(self, cycle, events):
         holder = _nearest_holder(self.agents.values(), self.ball)
@@ -376,12 +408,10 @@ class World:
 
     def snapshot(self):
         """Copies of the agent states (sorted by id) and of the ball."""
-        agents = []
-        for aid in self._ids:
-            a = self.agents[aid]
-            agents.append(AgentState(a.id, a.team, a.x, a.y, a.heading, a.speed))
         b = self.ball
-        return agents, BallState(b.x, b.y, b.vx, b.vy)
+        return ([AgentState(a.id, a.team, a.x, a.y, a.heading, a.speed)
+                 for a in self.agents.values()],
+                BallState(b.x, b.y, b.vx, b.vy))
 
 
 def run_match(home_policy, away_policy, config: FieldConfig,
@@ -397,23 +427,25 @@ def run_match(home_policy, away_policy, config: FieldConfig,
     """
     world = World(config, positions=positions, ball=ball)
     log = MatchLog(config=config)
-    seats = []  # (agent id, policy) in id order; idle teams have none
+    seats = []  # (agent id, policy's act) in id order; idle teams have none
     for aid in world._ids:
         policy = home_policy if world.agents[aid].team == HOME else away_policy
         if policy is not None:
-            seats.append((aid, policy))
+            seats.append((aid, policy.act))
+    deliver, submit, step = \
+        world.deliver_perceptions, world.submit_command, world.step
+    events, states = log.events, log.per_cycle_states
     try:
-        for _ in range(config.cycle_count):
-            cycle = world.cycle
-            perceptions = world.deliver_perceptions()
-            for aid, policy in seats:
-                cmds = policy.act(aid, perceptions[aid], cycle)
+        for cycle in range(config.cycle_count):
+            perceptions = deliver()
+            for aid, act in seats:
+                cmds = act(aid, perceptions[aid], cycle)
                 if cmds is None:
                     continue
                 for cmd in cmds:
-                    world.submit_command(aid, cmd, cycle)
-            log.events.extend(world.step())
-            log.per_cycle_states.append(world.snap)
+                    submit(aid, cmd, cycle)
+            events.extend(step())
+            states.append(world.snap)
     except Exception as err:
         log.valid = False
         log.error = {"type": type(err).__name__, "message": str(err),
