@@ -506,6 +506,8 @@ def save_match_log(log: MatchLog, path):
 
 
 _CONFIG_KEYS = sorted(f.name for f in fields(FieldConfig))
+_NUMBER_TYPES = frozenset((float, int))  # bool is refused: it is not int
+_loads = json.JSONDecoder().decode  # json.loads without its per-call checks
 
 
 def _header_agents(header) -> list:
@@ -524,15 +526,16 @@ def load_match_log(path) -> MatchLog:
     """The MatchLog a file of log_to_jsonl's lines holds.  A line that is
     not JSON, a header config whose keys are not FieldConfig's, header
     agents that are not [id, team] pairs, a cycle row that is not a list
-    of 4 values per agent, 4 ball values and an event list, and a missing
-    or unexpected field raise ValueError naming the file and the line."""
+    of 4 numbers per agent, 4 ball numbers and an event list (a bool is
+    not a number here), and a missing or unexpected field raise
+    ValueError naming the file and the line."""
     lines, numbers = [], []
     with open(path) as fh:
         for number, line in enumerate(fh, 1):
             if not line.strip():
                 continue
             try:
-                lines.append(json.loads(line))
+                lines.append(_loads(line))
             except json.JSONDecodeError as err:
                 raise ValueError(f"match log {path} line {number} is not valid "
                                  f"JSON: {err.msg} (column {err.colno})") from err
@@ -567,9 +570,16 @@ def load_match_log(path) -> MatchLog:
             if not isinstance(row, list) or len(row) != width:
                 raise ValueError(f"a cycle row must be a list of {width} "
                                  f"values, got {row!r:.60}")
-            agents = [AgentState(aid, team, row[k], row[k + 1], row[k + 2],
-                                 row[k + 3]) for aid, team, k in seats]
-            states.append((agents, BallState(*row[-5:-1])))
+            values = row[:-1]
+            if not _NUMBER_TYPES.issuperset(map(type, values)):
+                k, v = next((k, v) for k, v in enumerate(values)
+                            if type(v) not in _NUMBER_TYPES)
+                raise ValueError(f"cycle row value {k} must be a number, "
+                                 f"got {v!r:.60}")
+            agents = [AgentState(aid, team, values[k], values[k + 1],
+                                 values[k + 2], values[k + 3])
+                      for aid, team, k in seats]
+            states.append((agents, BallState(*values[-4:])))
             for ed in row[-1]:
                 events.append(MatchEvent(**ed))
     except (KeyError, TypeError, ValueError) as err:

@@ -538,6 +538,14 @@ class TestSerialization:
          "argument after \\*\\* must be a mapping"),
         (7, lambda row: row[:-1] + [[{**row[-1][0], "foo": 1}]],
          "unexpected keyword argument 'foo'"),
+        (7, lambda row: ["oops"] + row[1:],
+         "cycle row value 0 must be a number, got 'oops'"),
+        (7, lambda row: row[:3] + [True] + row[4:],
+         "cycle row value 3 must be a number, got True"),
+        (7, lambda row: row[:2] + [[90.0]] + row[3:],
+         "cycle row value 2 must be a number, got \\[90.0\\]"),
+        (7, lambda row: row[:19] + [None] + row[20:],
+         "cycle row value 19 must be a number, got None"),
         (1, lambda head: {k: v for k, v in head.items() if k != "agents"},
          "missing field 'agents'"),
         (1, lambda head: {**head, "agents": [["a", "home"], ["b"],
@@ -557,7 +565,8 @@ class TestSerialization:
         (53, lambda tail: {k: v for k, v in tail.items() if k != "valid"},
          "missing field 'valid'")],
         ids=["row-short", "row-no-events", "row-long", "row-not-list",
-             "events-not-list", "event-key", "header-no-agents",
+             "events-not-list", "event-key", "x-string", "speed-bool",
+             "heading-list", "ball-vy-null", "header-no-agents",
              "agents-short-pair", "agents-team-not-string", "agents-not-list",
              "config-extra", "config-rng_seed", "tail-score", "tail-valid"])
     def test_malformed_field_names_file_and_line(self, tmp_path, line, edit,
@@ -575,6 +584,15 @@ class TestSerialization:
         path.write_text("\n".join(lines) + "\n")
         with pytest.raises(ValueError, match=rf"bad\.jsonl line {line}: .*{message}"):
             load_match_log(path)
+
+    def test_integer_values_load_as_numbers(self, tmp_path):
+        lines = log_to_jsonl(run_match(None, None, small_config(
+            cycle_count=1, players_per_team=1))).splitlines()
+        lines[1] = '[-26,0,0,0,26,0,-180,0,0,0,0,0,[{"cycle":0,"kind":"idle"}]]'
+        path = tmp_path / "ints.jsonl"
+        path.write_text("\n".join(lines) + "\n")
+        agents, ball = load_match_log(path).per_cycle_states[0]
+        assert (agents[0].x, agents[1].heading, ball.vy) == (-26, -180, 0)
 
     def test_heading_stays_normalized_under_fuzz(self):
         cfg = small_config(cycle_count=100)
