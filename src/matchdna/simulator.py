@@ -158,18 +158,11 @@ class MatchEvent:
     kick_cycle: int | None = None
 
     def to_dict(self):
-        """cycle and kind, then each other field that is not None."""
         d = {"cycle": self.cycle, "kind": self.kind}
-        if self.agent is not None:
-            d["agent"] = self.agent
-        if self.agent2 is not None:
-            d["agent2"] = self.agent2
-        if self.team is not None:
-            d["team"] = self.team
-        if self.effective is not None:
-            d["effective"] = self.effective
-        if self.kick_cycle is not None:
-            d["kick_cycle"] = self.kick_cycle
+        for key in ("agent", "agent2", "team", "effective", "kick_cycle"):
+            v = getattr(self, key)
+            if v is not None:
+                d[key] = v
         return d
 
 
