@@ -69,7 +69,6 @@ class _AgentMemory:
     flip: bool = False           # set by a vetoed shot; reverses round side
     letters: list = field(default_factory=list)
     last_perception: object = None
-    seat: int = 0                # the agent's index in the last snapshot
 
 
 class ShootingPolicy:
@@ -95,20 +94,14 @@ class ShootingPolicy:
 
     # ----- geometry helpers -------------------------------------------------
 
-    def _view(self, perception, mem, agent_id):
-        """Relative bearings (ball, goal) and ball distance for one agent;
-        `mem.seat` remembers where the agent sat in the last snapshot."""
+    def _view(self, perception, agent_id):
+        """Relative bearings (ball, goal) and ball distance for one agent."""
         agents, ball = perception
-        seat = mem.seat
-        if seat < len(agents) and agents[seat].id == agent_id:
-            me = agents[seat]
+        for me in agents:
+            if me.id == agent_id:
+                break
         else:
-            for seat, me in enumerate(agents):
-                if me.id == agent_id:
-                    mem.seat = seat
-                    break
-            else:
-                raise KeyError(agent_id)
+            raise KeyError(agent_id)
         x, y, heading = me.x, me.y, me.heading
         bx, by = ball.x, ball.y
         gx, gy = self.goal
@@ -133,23 +126,20 @@ class ShootingPolicy:
         raise ValueError(f"unknown macro letter {letter!r}")
 
     def _emit(self, mem, letter, command):
-        letters = mem.letters
-        letters.append(letter)
-        del letters[:-LETTER_HISTORY]
+        mem.letters.append(letter)
+        del mem.letters[:-LETTER_HISTORY]
         return command
 
     # ----- policy entry -------------------------------------------------------
 
     def act(self, agent_id, perceptions, cycle):
-        mem = self._memory.get(agent_id)
-        if mem is None:
-            mem = self.memory(agent_id)
+        mem = self.memory(agent_id)
         if perceptions:
             mem.last_perception = perceptions[-1]
         perception = mem.last_perception
         if perception is None:
             return None
-        rel_ball, rel_goal, dist = self._view(perception, mem, agent_id)
+        rel_ball, rel_goal, dist = self._view(perception, agent_id)
         sees_ball = abs(rel_ball) <= FOV_HALF_ANGLE
         sees_goal = abs(rel_goal) <= FOV_HALF_ANGLE
         proximity = 100.0 / max(dist, 1e-6)
