@@ -500,7 +500,14 @@ def save_match_log(log: MatchLog, path):
 
 _CONFIG_KEYS = sorted(f.name for f in fields(FieldConfig))
 _NUMBER_TYPES = frozenset((float, int))  # bool is refused: it is not int
-_loads = json.JSONDecoder().decode  # json.loads without its per-call checks
+
+
+def _refuse_constant(name):
+    raise ValueError(f"{name} is not a number a match log can hold")
+
+
+# json.loads' decoder, bound once, except that NaN and Infinity are refused
+_loads = json.JSONDecoder(parse_constant=_refuse_constant).decode
 
 
 def _header_agents(header) -> list:
@@ -519,9 +526,9 @@ def load_match_log(path) -> MatchLog:
     """The MatchLog a file of log_to_jsonl's lines holds.  A line that is
     not JSON, a header config whose keys are not FieldConfig's, header
     agents that are not [id, team] pairs, a cycle row that is not a list
-    of 4 numbers per agent, 4 ball numbers and an event list (a bool is
-    not a number here), and a missing or unexpected field raise
-    ValueError naming the file and the line."""
+    of 4 numbers per agent, 4 ball numbers and an event list (neither a
+    bool nor NaN or Infinity is a number here), and a missing or
+    unexpected field raise ValueError naming the file and the line."""
     lines, numbers = [], []
     with open(path) as fh:
         for number, line in enumerate(fh, 1):
@@ -532,6 +539,8 @@ def load_match_log(path) -> MatchLog:
             except json.JSONDecodeError as err:
                 raise ValueError(f"match log {path} line {number} is not valid "
                                  f"JSON: {err.msg} (column {err.colno})") from err
+            except ValueError as err:
+                raise ValueError(f"match log {path} line {number}: {err}") from err
             numbers.append(number)
     if not lines:
         raise ValueError(f"empty match log {path}")

@@ -546,6 +546,10 @@ class TestSerialization:
          "cycle row value 2 must be a number, got \\[90.0\\]"),
         (7, lambda row: row[:19] + [None] + row[20:],
          "cycle row value 19 must be a number, got None"),
+        (7, lambda row: [math.nan] + row[1:],
+         "NaN is not a number a match log can hold"),
+        (7, lambda row: row[:19] + [-math.inf] + row[20:],
+         "-Infinity is not a number a match log can hold"),
         (1, lambda head: {k: v for k, v in head.items() if k != "agents"},
          "missing field 'agents'"),
         (1, lambda head: {**head, "agents": [["a", "home"], ["b"],
@@ -566,7 +570,8 @@ class TestSerialization:
          "missing field 'valid'")],
         ids=["row-short", "row-no-events", "row-long", "row-not-list",
              "events-not-list", "event-key", "x-string", "speed-bool",
-             "heading-list", "ball-vy-null", "header-no-agents",
+             "heading-list", "ball-vy-null", "x-nan", "ball-vy-minus-inf",
+             "header-no-agents",
              "agents-short-pair", "agents-team-not-string", "agents-not-list",
              "config-extra", "config-rng_seed", "tail-score", "tail-valid"])
     def test_malformed_field_names_file_and_line(self, tmp_path, line, edit,
