@@ -249,7 +249,8 @@ class World:
         if kind not in MOVEMENT_KINDS:
             raise ValueError(f"unknown command kind {kind!r}")
         x_range, y_range = _ARGUMENT_RANGES[kind]
-        # max(lo, min(hi, v)) as the same two comparisons: a NaN fails both
+        # max(lo, min(hi, v)) as its two comparisons, in its order: a NaN
+        # fails v < hi and takes hi
         if x_range is not None:
             lo, hi = x_range
             x = x if x < hi else hi
