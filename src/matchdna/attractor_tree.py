@@ -15,12 +15,12 @@ predicted class.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .fuzzy_ca import SUPPORTED_RULES, check_unit_interval, terminal_states
+from .jsonfile import read_json, write_json
 from .mining import GOAL, THREAT
 from .sequences import IDLE
 
@@ -447,23 +447,15 @@ def tree_to_dict(tree: FmacaTree) -> dict:
             "root": _node_to_dict(tree.root)}
 
 
-def tree_from_dict(d: dict) -> FmacaTree:
-    if d.get("schema_version") != TREE_SCHEMA_VERSION:
-        raise ValueError("unsupported tree schema_version")
-    return FmacaTree(root=_node_from_dict(d["root"]),
-                     n_cells=d["n_cells"],
-                     window=d.get("window"),
-                     goal_class=d.get("goal_class"),
-                     class_names={int(k): v
-                                  for k, v in d.get("class_names", {}).items()})
-
-
 def save_tree(tree: FmacaTree, path):
-    with open(path, "w") as fh:
-        json.dump(tree_to_dict(tree), fh, sort_keys=True, indent=1)
-        fh.write("\n")
+    write_json(path, tree_to_dict(tree))
 
 
 def load_tree(path) -> FmacaTree:
-    with open(path) as fh:
-        return tree_from_dict(json.load(fh))
+    """The tree saved at `path`, refused naming the file unless it holds
+    a JSON object of this code's tree schema_version."""
+    d = read_json(path, "tree", TREE_SCHEMA_VERSION)
+    return FmacaTree(root=_node_from_dict(d["root"]), n_cells=d["n_cells"],
+                     window=d.get("window"), goal_class=d.get("goal_class"),
+                     class_names={int(k): v
+                                  for k, v in d.get("class_names", {}).items()})

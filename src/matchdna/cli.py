@@ -3,9 +3,9 @@
 Every subcommand is a thin wrapper over one library call, reading and
 writing the artifact files the pipeline stages exchange.  Global flags:
 --config (JSON run config), --seed, --out-dir, --verbose.  The six stage
-subcommands share one handler: their flags override keys of the stage's
-config section (_STAGE_FLAGS), and a per-stage printer summarizes the
-artifact the stage wrote.
+subcommands share one handler: their flags, one row each in
+_STAGE_FLAGS, override keys of the stage's config section, and a
+per-stage printer summarizes the artifact the stage wrote.
 """
 
 from __future__ import annotations
@@ -20,6 +20,7 @@ import numpy as np
 from . import fuzzy_ca, mining, pipeline
 from .attractor_tree import ca_feedback, load_tree
 from .diagnostics import EDGE_OF_CHAOS_ENTROPY
+from .jsonfile import read_json
 
 log = logging.getLogger(__name__)
 
@@ -43,21 +44,12 @@ def build_parser() -> argparse.ArgumentParser:
         parents=[common])
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("simulate", parents=[common],
-                       help="run the seeded match corpus and write logs")
-    p.add_argument("--matches", type=int, help="number of matches")
-    p.add_argument("--cycles", type=int, help="cycles per match")
-    p.add_argument("--players", type=int, help="players per team")
-
-    p = sub.add_parser("encode", parents=[common],
-                       help="encode logged matches into letter sequences")
-    p.add_argument("--window", type=int, help="cycles per sequence letter")
-
-    p = sub.add_parser("mine", parents=[common],
-                       help="mine sequences for patterns and tandem runs")
-    p.add_argument("--min-len", type=int, help="shortest pattern length")
-    p.add_argument("--max-len", type=int, help="longest pattern length")
-    p.add_argument("--top", type=int, help="patterns kept in the report")
+    sub.add_parser("simulate", parents=[common],
+                   help="run the seeded match corpus and write logs")
+    sub.add_parser("encode", parents=[common],
+                   help="encode logged matches into letter sequences")
+    sub.add_parser("mine", parents=[common],
+                   help="mine sequences for patterns and tandem runs")
 
     p = sub.add_parser("motifs", parents=[common],
                        help="list the motif tables or test one against text")
@@ -83,20 +75,18 @@ def build_parser() -> argparse.ArgumentParser:
                                   "(default <out-dir>/fmaca/tree.json)")
     p.add_argument("--letters", required=True, help="recent action letters")
 
-    p = sub.add_parser("train-lcs", parents=[common],
-                       help="train the learning classifier system on the "
-                            "encoded corpus")
-    p.add_argument("--iters", type=int, help="training iterations")
-    p.add_argument("--ga-period", type=int, help="iterations between GA runs")
-
-    p = sub.add_parser("diagnose", parents=[common],
-                       help="entropy/MI diagnostics of an evolving rule vector")
-    p.add_argument("--cells", type=int, help="rule vector width")
-    p.add_argument("--generations", type=int, help="GA generations")
+    sub.add_parser("train-lcs", parents=[common],
+                   help="train the learning classifier system on the "
+                        "encoded corpus")
+    sub.add_parser("diagnose", parents=[common],
+                   help="entropy/MI diagnostics of an evolving rule vector")
 
     sub.add_parser("pipeline", parents=[common],
                    help="run all stages: simulate, encode, mine, "
                         "train-fmaca, train-lcs, diagnose")
+    for stage, (flags, _summarize) in _STAGE_FLAGS.items():
+        for flag, _key, flag_help in flags:
+            sub.choices[stage].add_argument(flag, type=int, help=flag_help)
     return parser
 
 
@@ -111,8 +101,8 @@ def _resolve(args, stage_overrides: dict | None = None) -> dict:
 
 
 def _print_rates(report_path) -> None:
-    doc = pipeline._read_json(report_path, pipeline.REPORT_SCHEMA_VERSION,
-                              "mining report")
+    doc = read_json(report_path, "mining report",
+                    pipeline.REPORT_SCHEMA_VERSION)
     for row in doc["motif_rates"]:
         rate = "n/a" if row["rate"] is None else f"{row['rate']:.1f}%"
         print(f"{row['label']:>6} {row['template']:<6} "
@@ -120,8 +110,8 @@ def _print_rates(report_path) -> None:
 
 
 def _print_fmaca(tree_path) -> None:
-    doc = pipeline._read_json(Path(tree_path).with_name("metrics.json"),
-                              pipeline.REPORT_SCHEMA_VERSION, "fmaca metrics")
+    doc = read_json(Path(tree_path).with_name("metrics.json"),
+                    "fmaca metrics", pipeline.REPORT_SCHEMA_VERSION)
     print(f"training accuracy {doc['training_accuracy']:.3f} "
           f"on {doc['n_windows']} windows (depth {doc['tree_depth']})")
 
@@ -138,25 +128,33 @@ def _print_edge_of_chaos(_path) -> None:
     print(f"edge-of-chaos entropy reference: {EDGE_OF_CHAOS_ENTROPY}")
 
 
-# stage subcommand -> ({flag dest: key in the stage's config section},
-# summary printer called with the stage's artifact path, or None)
+# stage subcommand -> ([(flag, key in the stage's config section, flag
+# help)], summary printer called with the stage's artifact path, or None)
 _STAGE_FLAGS = {
-    "simulate": ({"matches": "matches", "cycles": "cycles",
-                  "players": "players_per_team"}, None),
-    "encode": ({"window": "window_cycles"}, None),
-    "mine": ({"min_len": "min_len", "max_len": "max_len",
-              "top": "top_patterns"}, _print_rates),
-    "train-fmaca": ({}, _print_fmaca),
-    "train-lcs": ({"iters": "iters", "ga_period": "ga_period"}, _print_curve),
-    "diagnose": ({"cells": "n_cells", "generations": "generations"},
+    "simulate": ([("--matches", "matches", "number of matches"),
+                  ("--cycles", "cycles", "cycles per match"),
+                  ("--players", "players_per_team", "players per team")],
+                 None),
+    "encode": ([("--window", "window_cycles", "cycles per sequence letter")],
+               None),
+    "mine": ([("--top", "top_patterns", "patterns kept in the report")],
+             _print_rates),
+    "train-fmaca": ([], _print_fmaca),
+    "train-lcs": ([("--iters", "iters", "training iterations"),
+                   ("--ga-period", "ga_period", "iterations between GA runs")],
+                  _print_curve),
+    "diagnose": ([("--generations", "generations", "GA generations")],
                  _print_edge_of_chaos),
 }
 
 
 def _cmd_stage(args) -> int:
     flags, summarize = _STAGE_FLAGS[args.command]
-    section = {key: getattr(args, dest) for dest, key in flags.items()
-               if getattr(args, dest) is not None}
+    section = {}
+    for flag, key, _flag_help in flags:
+        value = getattr(args, flag[2:].replace("-", "_"))  # argparse's dest
+        if value is not None:
+            section[key] = value
     config = _resolve(args, {args.command.replace("-", "_"): section})
     path = pipeline.run_stage(args.command, config, config["out_dir"])
     if summarize is not None:

@@ -8,12 +8,15 @@ annotation files sit at fixed paths derived from its id (match_paths).
 Every artifact carries a schema_version and every random draw flows from
 a seed recorded in the resolved run config; the manifest's creation
 timestamp is the single nondeterministic field.
+
+Each stage setting's default and integer range live in one place, the
+SETTINGS table; DEFAULT_CONFIG is built from it, and run_stage refuses
+any setting outside its range before the stage does any work.
 """
 
 from __future__ import annotations
 
 import copy
-import json
 import logging
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
@@ -42,6 +45,7 @@ from .classifier_system import (
     train,
 )
 from .diagnostics import DiagnosticsConfig, diagnostics_to_csv, ga_diagnostics
+from .jsonfile import read_json, write_json
 from .mining import DEFAULT_MOTIFS, GOAL, THREAT, AnnotatedSequence, PatternQuery
 from .sequences import ACTIONS, IDLE, encode_game, encode_player
 from .shooting import LETTER_HISTORY, ShootingPolicy
@@ -67,45 +71,54 @@ STAGES = ("simulate", "encode", "mine", "train-fmaca", "train-lcs", "diagnose")
 # attacking kicks inside this distance of the goal line flag a threat window
 THREAT_DISTANCE = 30.0
 
-DEFAULT_CONFIG = {
-    "schema_version": CONFIG_SCHEMA_VERSION,
-    "seed": 0,
-    "out_dir": "runs/out",
+# section -> key -> (default, lowest, highest or None) of every stage
+# setting, an integer refused by name outside its range; resolve_config
+# turns a seed of None into an offset of the top-level seed.
+SETTINGS = {
     "simulate": {
-        "matches": 100,
-        "cycles": 1000,
-        "players_per_team": 2,
-        "master_seed": None,
+        "matches": (100, 1, None),
+        "cycles": (1000, 1, None),
+        "players_per_team": (2, 1, MAX_PLAYERS_PER_TEAM),
+        "master_seed": (None, 0, None),
     },
     "encode": {
-        "window_cycles": 10,
+        "window_cycles": (10, 1, None),
     },
     "mine": {
-        "min_len": 2,
-        "max_len": 5,
-        "top_patterns": 25,
-        "lookback": 5,
+        "top_patterns": (25, 0, None),
+        # a motif's rate looks back over its whole template
+        "lookback": (5, max(len(m.template) for m in DEFAULT_MOTIFS), None),
     },
     "train_fmaca": {
-        "window": 5,
-        "population_size": 50,
-        "generations": 40,
-        "seed": None,
+        # the shooting policy keeps only LETTER_HISTORY letters, so a
+        # wider tree could never judge a shot
+        "window": (5, 1, LETTER_HISTORY),
+        "population_size": (50, 2, None),
+        "generations": (40, 1, None),
+        "seed": (None, 0, None),
     },
     "train_lcs": {
-        "iters": 20000,
-        "ga_period": 4000,
-        "seed": None,
+        "iters": (20000, 1, None),
+        "ga_period": (4000, 1, None),
+        "seed": (None, 0, None),
     },
     "diagnose": {
-        "n_cells": 8,
-        "population_size": 30,
-        "generations": 12,
-        "run_steps": 400,
-        "trials": 5,
-        "seed": None,
+        "population_size": (30, 2, None),
+        "generations": (12, 1, None),
+        "run_steps": (400, DiagnosticsConfig.window, None),
+        "trials": (5, 1, None),
+        "seed": (None, 0, None),
     },
 }
+
+DEFAULT_CONFIG = {
+    "schema_version": CONFIG_SCHEMA_VERSION, "seed": 0, "out_dir": "runs/out",
+    **{section: {key: default for key, (default, _low, _high) in keys.items()}
+       for section, keys in SETTINGS.items()}}
+
+# no run varies these: the mined pattern lengths and the diagnosed width
+PATTERN_QUERY = PatternQuery(2, 5)
+DIAGNOSE_CELLS = 8
 
 
 class StageError(RuntimeError):
@@ -127,16 +140,17 @@ def _integer(name: str, value) -> int:
     return value
 
 
-def _checked(config: dict, section: str, key: str, low: int,
-             high: int | None = None) -> int:
-    """config[section][key], refused by name unless it is an int from
-    `low` to `high`."""
-    value = _integer(f"{section}.{key}", config[section][key])
-    if value < low:
-        raise ValueError(f"{section}.{key} must be >= {low}, got {value}")
-    if high is not None and value > high:
-        raise ValueError(f"{section}.{key} must be <= {high}, got {value}")
-    return value
+def _check_settings(config: dict) -> None:
+    """Refuse by name any stage setting of `config` that is not an int
+    inside its SETTINGS range."""
+    for section, keys in SETTINGS.items():
+        for key, (_default, low, high) in keys.items():
+            name = f"{section}.{key}"
+            value = _integer(name, config[section][key])
+            if value < low:
+                raise ValueError(f"{name} must be >= {low}, got {value}")
+            if high is not None and value > high:
+                raise ValueError(f"{name} must be <= {high}, got {value}")
 
 
 def _check_keys(given: dict, allowed: dict, path: str):
@@ -181,35 +195,19 @@ def resolve_config(file_config: dict | None = None,
 
 
 def load_config_file(path) -> dict:
-    with open(path) as fh:
-        return json.load(fh)
-
-
-# ----- JSON artifacts -------------------------------------------------------
-
-def _write_json(path, doc: dict) -> None:
-    with open(path, "w") as fh:
-        json.dump(doc, fh, indent=1, sort_keys=True)
-        fh.write("\n")
-
-
-def _read_json(path, version: int, what: str, keys=()) -> dict:
-    """A JSON artifact, refused unless it declares the schema_version this
-    code writes and, naming the file and the key, holds every key of
-    `keys`."""
-    with open(path) as fh:
-        doc = json.load(fh)
-    if doc.get("schema_version") != version:
-        raise ValueError(f"unsupported {what} schema_version")
-    for key in keys:
-        if key not in doc:
-            raise ValueError(f"{path}: {what} has no {key!r} key")
+    """The config object at `path`, refused naming the file unless it is
+    JSON of this code's schema_version, if it declares one."""
+    doc = read_json(path, "config")
+    version = doc.get("schema_version", CONFIG_SCHEMA_VERSION)
+    if version != CONFIG_SCHEMA_VERSION:
+        raise ValueError(f"{path}: unsupported config schema_version "
+                         f"{version!r}")
     return doc
 
 
 def write_resolved_config(config: dict, out_dir: Path) -> Path:
     path = out_dir / "config.resolved.json"
-    _write_json(path, config)
+    write_json(path, config)
     return path
 
 
@@ -252,7 +250,7 @@ class CorpusManifest:
 
 
 def save_manifest(manifest: CorpusManifest, path) -> None:
-    _write_json(path, {
+    write_json(path, {
         "schema_version": MANIFEST_SCHEMA_VERSION,
         "created_at": manifest.created_at,
         "window_cycles": manifest.window_cycles,
@@ -264,8 +262,8 @@ def load_manifest(path) -> CorpusManifest:
     """The manifest at `path`, refused naming the file unless its entries
     are a list of match id strings and its window_cycles an integer or
     null."""
-    doc = _read_json(path, MANIFEST_SCHEMA_VERSION, "manifest",
-                     ("entries", "window_cycles", "created_at"))
+    doc = read_json(path, "manifest", MANIFEST_SCHEMA_VERSION,
+                    ("entries", "window_cycles", "created_at"))
     entries = doc["entries"]
     if not (isinstance(entries, list)
             and all(isinstance(e, str) for e in entries)):
@@ -287,19 +285,13 @@ def _timestamp() -> str:
 def stage_simulate(config: dict, out_dir: Path) -> Path:
     """Run the seeded match corpus; write one JSONL log per match plus the
     manifest skeleton."""
-    n_matches = _checked(config, "simulate", "matches", 1)
-    cycles = _checked(config, "simulate", "cycles", 1)
-    players_per_team = _checked(config, "simulate", "players_per_team", 1,
-                                MAX_PLAYERS_PER_TEAM)
-    master_seed = _checked(config, "simulate", "master_seed", 0)
+    params = config["simulate"]
     manifest = CorpusManifest(created_at=_timestamp())
-    for i in range(n_matches):
+    for i in range(params["matches"]):
         match_id = f"m{i:03d}"
-        field_config = FieldConfig(
-            cycle_count=cycles,
-            rng_seed=master_seed + i,
-            players_per_team=players_per_team,
-        )
+        field_config = FieldConfig(cycle_count=params["cycles"],
+                                   rng_seed=params["master_seed"] + i,
+                                   players_per_team=params["players_per_team"])
         match_log = run_match(ShootingPolicy(HOME), ShootingPolicy(AWAY),
                               field_config)
         if not match_log.valid:
@@ -344,7 +336,7 @@ def stage_encode(config: dict, out_dir: Path) -> Path:
     """Encode every logged match into game/player sequences plus
     goal/threat window annotations; record the window size in the
     manifest."""
-    window_cycles = _checked(config, "encode", "window_cycles", 1)
+    window_cycles = config["encode"]["window_cycles"]
     manifest_path = out_dir / "manifest.json"
     manifest = load_manifest(manifest_path)
     # encode rewrites the encoded files, so only the logs must exist
@@ -360,7 +352,7 @@ def stage_encode(config: dict, out_dir: Path) -> Path:
         paths.sequence.parent.mkdir(exist_ok=True)
         sequences.write_fasta([game] + players, paths.sequence)
         paths.annotations.parent.mkdir(exist_ok=True)
-        _write_json(paths.annotations, {
+        write_json(paths.annotations, {
             "schema_version": REPORT_SCHEMA_VERSION,
             "match_id": match_id,
             "window_cycles": window_cycles,
@@ -376,7 +368,7 @@ def _encoded_manifest(config: dict, out_dir: Path) -> CorpusManifest:
     """The validated manifest of the encoded corpus.  Annotation window
     indices only mean something at the window size they were encoded
     with, so the manifest's window_cycles must equal the config's."""
-    wanted = _checked(config, "encode", "window_cycles", 1)
+    wanted = config["encode"]["window_cycles"]
     manifest = load_manifest(out_dir / "manifest.json")
     if manifest.window_cycles != wanted:
         raise ValueError(f"manifest window_cycles {manifest.window_cycles!r} does "
@@ -398,8 +390,8 @@ def _load_corpus(out_dir: Path, manifest: CorpusManifest):
     players = []
     for match_id in manifest.entries:
         _log_path, seq_path, ann_path = match_paths(out_dir, match_id)
-        doc = _read_json(ann_path, REPORT_SCHEMA_VERSION, "annotations",
-                         ("events",))
+        doc = read_json(ann_path, "annotations", REPORT_SCHEMA_VERSION,
+                        ("events",))
         if doc.get("window_cycles") != manifest.window_cycles:
             raise ValueError(f"{ann_path}: window_cycles "
                              f"{doc.get('window_cycles')!r} does not match "
@@ -437,22 +429,17 @@ def _load_corpus(out_dir: Path, manifest: CorpusManifest):
 def stage_mine(config: dict, out_dir: Path) -> Path:
     """Mine player sequences for frequent patterns and tandem runs and
     score the motif tables against the annotated corpus."""
-    top_patterns = _checked(config, "mine", "top_patterns", 0)
-    min_len = _checked(config, "mine", "min_len", 1)
-    query = PatternQuery(min_len, _checked(config, "mine", "max_len", min_len))
-    # a motif's rate looks back over its whole template
-    longest = max(len(motif.template) for motif in DEFAULT_MOTIFS)
-    lookback = _checked(config, "mine", "lookback", longest)
+    lookback = config["mine"]["lookback"]
     manifest = _encoded_manifest(config, out_dir)
     games, players = _load_corpus(out_dir, manifest)
 
     report = mining.mine_report([(s.sequence_id, s.letters) for s in players],
-                                query)
+                                PATTERN_QUERY)
     totals = {}
     for pattern, count, _seq_id in report.rows:
         totals[pattern] = totals.get(pattern, 0) + count
     top = sorted(totals.items(), key=lambda kv: (-kv[1], kv[0]))
-    top = top[:top_patterns]
+    top = top[:config["mine"]["top_patterns"]]
 
     # motifs speak the action alphabet, so rates are taken over player
     # sequences (each carries its game's event windows)
@@ -468,9 +455,10 @@ def stage_mine(config: dict, out_dir: Path) -> Path:
     mining_dir = out_dir / "mining"
     mining_dir.mkdir(exist_ok=True)
     path = mining_dir / "report.json"
-    _write_json(path, {
+    write_json(path, {
         "schema_version": REPORT_SCHEMA_VERSION,
-        "query": {"min_len": query.min_len, "max_len": query.max_len},
+        "query": {"min_len": PATTERN_QUERY.min_len,
+                  "max_len": PATTERN_QUERY.max_len},
         "lookback": lookback,
         "patterns": top,
         "tandem_runs": report.tandem_runs,
@@ -512,18 +500,14 @@ def _corpus_windows(players: list, window: int) -> list:
 def stage_train_fmaca(config: dict, out_dir: Path) -> Path:
     """Fit the attractor-basin window classifier on goal/threat windows
     from the corpus plus the motif-table exemplars."""
-    # the shooting policy keeps only LETTER_HISTORY letters, so a wider
-    # tree could never judge a shot
-    window = _checked(config, "train_fmaca", "window", 1, LETTER_HISTORY)
-    ga = GaConfig(
-        population_size=_checked(config, "train_fmaca", "population_size", 2),
-        generations=_checked(config, "train_fmaca", "generations", 1),
-        rng_seed=_checked(config, "train_fmaca", "seed", 0))
+    params = config["train_fmaca"]
+    ga = GaConfig(population_size=params["population_size"],
+                  generations=params["generations"], rng_seed=params["seed"])
     manifest = _encoded_manifest(config, out_dir)
     _games, players = _load_corpus(out_dir, manifest)
 
-    samples = list(dict.fromkeys(_motif_windows(window)
-                                 + _corpus_windows(players, window)))
+    samples = list(dict.fromkeys(_motif_windows(params["window"])
+                                 + _corpus_windows(players, params["window"])))
     windows = [text for text, _label in samples]
     labels = [label for _text, label in samples]
 
@@ -544,7 +528,7 @@ def stage_train_fmaca(config: dict, out_dir: Path) -> Path:
     fmaca_dir.mkdir(exist_ok=True)
     tree_path = fmaca_dir / "tree.json"
     save_tree(tree, tree_path)
-    _write_json(fmaca_dir / "metrics.json", {
+    write_json(fmaca_dir / "metrics.json", {
         "schema_version": REPORT_SCHEMA_VERSION,
         "n_windows": len(windows),
         "training_accuracy": round(accuracy, 6),
@@ -557,19 +541,16 @@ def stage_train_fmaca(config: dict, out_dir: Path) -> Path:
 
 
 def _lcs_config(params: dict) -> LcsConfig:
-    """The LcsConfig of a train_lcs config section, refusing any value
-    that is not an integer by name."""
-    return LcsConfig(
-        ga_period=_integer("train_lcs.ga_period", params["ga_period"]),
-        max_iterations=_integer("train_lcs.iters", params["iters"]),
-        rng_seed=_integer("train_lcs.seed", params["seed"]))
+    """The LcsConfig of a train_lcs config section."""
+    return LcsConfig(ga_period=params["ga_period"],
+                     max_iterations=params["iters"], rng_seed=params["seed"])
 
 
 def _miner_stats_from_report(path) -> MinerStats:
     """The mined patterns of the report at `path`, refused naming the file
     unless they are [pattern string, integer count] pairs."""
-    doc = _read_json(path, REPORT_SCHEMA_VERSION, "mining report",
-                     ("patterns",))
+    doc = read_json(path, "mining report", REPORT_SCHEMA_VERSION,
+                    ("patterns",))
     patterns = doc["patterns"]
     if not (isinstance(patterns, list) and all(
             isinstance(p, list) and len(p) == 2 for p in patterns)):
@@ -587,9 +568,6 @@ def stage_train_lcs(config: dict, out_dir: Path) -> Path:
     """Train the classifier system on the corpus's player sequences,
     replayed with the mined patterns seeding its GA, and write the
     population and learning curve."""
-    _checked(config, "train_lcs", "iters", 1)
-    _checked(config, "train_lcs", "ga_period", 1)
-    _checked(config, "train_lcs", "seed", 0)
     lcs_config = _lcs_config(config["train_lcs"])
     manifest = _encoded_manifest(config, out_dir)
     _games, players = _load_corpus(out_dir, manifest)
@@ -626,18 +604,12 @@ def stage_train_lcs(config: dict, out_dir: Path) -> Path:
 def stage_diagnose(config: dict, out_dir: Path) -> Path:
     """Evolve a rule vector on the synthetic task and log per-generation
     entropy/MI of the best vector."""
-    n_cells = _checked(config, "diagnose", "n_cells", 1)
-    seed = _checked(config, "diagnose", "seed", 0)
-    ga = GaConfig(
-        population_size=_checked(config, "diagnose", "population_size", 2),
-        generations=_checked(config, "diagnose", "generations", 1),
-        rng_seed=seed)
-    diag = DiagnosticsConfig(
-        run_steps=_checked(config, "diagnose", "run_steps",
-                           DiagnosticsConfig.window),
-        trials=_checked(config, "diagnose", "trials", 1),
-        rng_seed=seed)
-    rows = ga_diagnostics(n_cells, ga, diag)
+    params = config["diagnose"]
+    ga = GaConfig(population_size=params["population_size"],
+                  generations=params["generations"], rng_seed=params["seed"])
+    diag = DiagnosticsConfig(run_steps=params["run_steps"],
+                             trials=params["trials"], rng_seed=params["seed"])
+    rows = ga_diagnostics(DIAGNOSE_CELLS, ga, diag)
     diag_dir = out_dir / "diagnostics"
     diag_dir.mkdir(exist_ok=True)
     path = diag_dir / "ga_diagnostics.csv"
@@ -657,13 +629,13 @@ _STAGE_FUNCTIONS = {
 
 
 def run_stage(name: str, config: dict, out_dir) -> Path:
-    """One stage with failures wrapped so callers learn the stage name."""
+    """One stage with failures wrapped so callers learn the stage name;
+    every setting of `config` is checked before the stage does any work."""
     out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
     try:
+        _check_settings(config)
+        out.mkdir(parents=True, exist_ok=True)
         return _STAGE_FUNCTIONS[name](config, out)
-    except StageError:
-        raise
     except Exception as err:
         raise StageError(name, err) from err
 

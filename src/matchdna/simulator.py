@@ -137,6 +137,7 @@ def catch(cycle=-1):
 _ARGUMENT_RANGES = {"turn": (TURN_RANGE, None), "dash": (DASH_RANGE, None),
                     "kick": (KICK_POWER_RANGE, KICK_ANGLE_RANGE),
                     "catch": (None, None)}
+_NUMBER_TYPES = frozenset((float, int))  # bool is refused: it is not int
 
 
 class Ack(NamedTuple):
@@ -239,7 +240,8 @@ class World:
         the upper one, and a -0.0 power kick is taken as 0.0.  The note is
         "clamped" unless the taken (x, y) pair equals the sent one as a
         tuple, so a NaN in an argument no range bounds (a turn's y, say)
-        is taken as sent with note ""."""
+        is taken as sent with note "".  An argument that is not an int or
+        float (a bool is not) is refused naming agent, kind and value."""
         queue = self._queues.get(agent_id)
         if queue is None:
             raise ValueError(f"unknown agent id {agent_id!r}")
@@ -248,6 +250,10 @@ class World:
         kind, x, y = command.kind, command.x, command.y
         if kind not in MOVEMENT_KINDS:
             raise ValueError(f"unknown command kind {kind!r}")
+        if type(x) not in _NUMBER_TYPES or type(y) not in _NUMBER_TYPES:
+            value = y if type(x) in _NUMBER_TYPES else x
+            raise ValueError(f"agent {agent_id!r} sent {kind} with argument "
+                             f"{value!r}, not an int or float")
         x_range, y_range = _ARGUMENT_RANGES[kind]
         # max(lo, min(hi, v)) as its two comparisons, in its order: a NaN
         # fails v < hi and takes hi
@@ -500,7 +506,6 @@ def save_match_log(log: MatchLog, path):
 
 
 _CONFIG_KEYS = sorted(f.name for f in fields(FieldConfig))
-_NUMBER_TYPES = frozenset((float, int))  # bool is refused: it is not int
 
 
 def _refuse_constant(name):

@@ -148,7 +148,8 @@ class TestResolveConfig:
         ("train_lcs", "env"), ("train_lcs", "population_size"),
         ("train_lcs", "bid_fraction"), ("train_lcs", "reward_win"),
         ("train_lcs", "reward_play"), ("train_lcs", "mutation_rate"),
-        ("diagnose", "window")])
+        ("diagnose", "window"), ("mine", "min_len"), ("mine", "max_len"),
+        ("diagnose", "n_cells")])
     def test_removed_key_rejected(self, section, key):
         # the learners' own defaults hold these values; a config that sets
         # one is refused rather than silently ignored
@@ -351,8 +352,6 @@ class TestPipelineRun:
     @pytest.mark.parametrize("stage, section, key, value, bound", [
         ("encode", "encode", "window_cycles", 0, ">= 1"),
         ("mine", "mine", "top_patterns", -1, ">= 0"),
-        ("mine", "mine", "min_len", 0, ">= 1"),
-        ("mine", "mine", "max_len", 1, ">= 2"),  # below the default min_len
         ("mine", "mine", "lookback", 4, ">= 5"),  # the longest motif template
         ("train-fmaca", "train_fmaca", "window", 0, ">= 1"),
         ("train-fmaca", "train_fmaca", "population_size", 1, ">= 2"),
@@ -362,7 +361,6 @@ class TestPipelineRun:
         ("simulate", "simulate", "cycles", 0, ">= 1"),
         ("simulate", "simulate", "players_per_team", 0, ">= 1"),
         ("simulate", "simulate", "players_per_team", 14, "<= 13"),
-        ("diagnose", "diagnose", "n_cells", 0, ">= 1"),
         ("diagnose", "diagnose", "population_size", 1, ">= 2"),
         ("diagnose", "diagnose", "generations", 0, ">= 1"),
         ("diagnose", "diagnose", "run_steps", 5, ">= 10"),
@@ -391,6 +389,7 @@ class TestPipelineRun:
         ("mine", "mine", "lookback"),
         ("train-fmaca", "train_fmaca", "generations"),
         ("train-lcs", "train_lcs", "iters"),
+        ("train-lcs", "train_lcs", "ga_period"),
         ("diagnose", "diagnose", "trials"),
         # seeds of a config edited after resolve_config
         ("simulate", "simulate", "master_seed"),
@@ -411,12 +410,17 @@ class TestPipelineRun:
                 in str(err.value))
         assert list(tmp_path.iterdir()) == []
 
-    @pytest.mark.parametrize("key", ["iters", "ga_period", "seed"])
-    def test_lcs_config_refuses_non_integer_by_name(self, key):
-        params = {**resolve_config()["train_lcs"], key: 2.7}
-        with pytest.raises(ValueError,
-                           match=f"train_lcs.{key} must be an integer, got 2.7"):
-            pipeline._lcs_config(params)
+    def test_later_stage_setting_fails_first_stage_before_any_work(
+            self, tmp_path):
+        # every setting is checked before the first stage run, not only
+        # when the stage that reads it comes
+        config = smoke_config(tmp_path)
+        config["diagnose"]["trials"] = 0
+        with pytest.raises(StageError) as err:
+            run_stage("simulate", config, tmp_path)
+        assert err.value.stage == "simulate"
+        assert "diagnose.trials must be >= 1, got 0" in str(err.value)
+        assert list(tmp_path.iterdir()) == []
 
     def test_window_wider_than_letter_history_fails_before_any_work(
             self, tmp_path):
@@ -755,6 +759,41 @@ class TestBoundaryChecks:
         for stage in ("encode", "mine"):
             self.fails(stage, config, out, f"manifest.json: {problem}")
 
+    # every JSON file a run reads: a run config, a stage artifact (through
+    # the reader the manifest, annotations and mining report share) and a
+    # trained tree
+    READERS = {"config": pipeline.load_config_file, "manifest": load_manifest,
+               "tree": load_tree}
+
+    @pytest.mark.parametrize("what", READERS)
+    @pytest.mark.parametrize("text, problem", [
+        ('{"seed": 1', "{what} is not valid JSON: Expecting ',' delimiter"),
+        ("[]", "{what} must be a JSON object, got list"),
+        ('"abc"', "{what} must be a JSON object, got str"),
+        ('{"schema_version": 99}', "unsupported {what} schema_version 99"),
+        ("\xff", "{what} is not valid JSON: ")])
+    def test_json_file_refused_naming_it(self, tmp_path, what, text, problem):
+        path = tmp_path / f"{what}.json"
+        path.write_bytes(text.encode("latin-1"))
+        with pytest.raises(ValueError) as err:
+            self.READERS[what](path)
+        wanted = f"{path}: {problem.format(what=what)}"
+        assert str(err.value).startswith(wanted)
+
+    def test_annotations_not_an_object_refused(self, mined_dir, tmp_path):
+        out, config = self.copy(mined_dir, tmp_path)
+        (out / "annotations/m000.json").write_text("[1, 2]")
+        self.fails("mine", config, out, "annotations/m000.json: annotations "
+                   "must be a JSON object, got list")
+
+    @pytest.mark.parametrize("argv", [
+        ["mine", "--config"], ["feedback", "--letters", "TCCCT", "--tree"]])
+    def test_cli_names_the_refused_file(self, tmp_path, capsys, argv):
+        path = tmp_path / "bad.json"
+        path.write_text("[]")
+        assert main(argv + [str(path), "--out-dir", str(tmp_path)]) == 1
+        assert f"error: {path}: " in capsys.readouterr().err
+
 
 class TestBuildCorpus:
     """A corpus is built by the simulate stage followed by encode."""
@@ -871,6 +910,14 @@ class TestCli:
             main(["train-lcs", "--env", "oracle"])
         assert "unrecognized arguments: --env" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("stage, flag", [
+        ("mine", "--min-len"), ("mine", "--max-len"), ("diagnose", "--cells")])
+    def test_constant_setting_flags_removed(self, stage, flag, capsys):
+        # the mined lengths and the diagnosed width are constants
+        with pytest.raises(SystemExit):
+            main([stage, flag, "4"])
+        assert f"unrecognized arguments: {flag} 4" in capsys.readouterr().err
+
     def test_feedback_on_trained_tree(self, pipeline_dir, capsys):
         out, _config, _artifacts = pipeline_dir
         code = main(["feedback", "--out-dir", str(out),
@@ -910,7 +957,7 @@ class TestCli:
             (["simulate", "--matches", "2", "--cycles", "150", "--players", "2"],
              [f"wrote {out}/manifest.json"]),
             (["encode", "--window", "10"], [f"wrote {out}/manifest.json"]),
-            (["mine", "--min-len", "2", "--max-len", "4", "--top", "10"],
+            (["mine", "--top", "10"],
              ["  goal TCCCT  band   95: 0.0%",
               "  goal CACCT  band   75: 0.0%",
               "  goal CxCCT  band   50: 0.0%",
@@ -924,9 +971,10 @@ class TestCli:
              ["training accuracy 1.000 on 14 windows (depth 4)",
               f"wrote {out}/fmaca/tree.json"]),
             (["train-lcs", "--iters", "1500", "--ga-period", "500"],
-             ["proportion_correct 0.506 at iteration 1500",
+             # the LCS is seeded with patterns mined at the constant lengths 2-5
+             ["proportion_correct 0.464 at iteration 1500",
               f"wrote {out}/lcs/curve.csv"]),
-            (["diagnose", "--cells", "6", "--generations", "2"],
+            (["diagnose", "--generations", "2"],
              ["edge-of-chaos entropy reference: 0.84",
               f"wrote {out}/diagnostics/ga_diagnostics.csv"]),
         ]
@@ -936,11 +984,11 @@ class TestCli:
             assert captured.out.splitlines() == expected, argv
             assert captured.err == ""
         report = json.loads((out / "mining/report.json").read_text())
-        assert report["query"] == {"min_len": 2, "max_len": 4}
+        assert report["query"] == {"min_len": 2, "max_len": 5}
         assert len(report["patterns"]) == 10
         assert len(list((out / "logs").glob("*.jsonl"))) == 2
         rows = (out / "diagnostics/ga_diagnostics.csv").read_text().splitlines()
-        assert rows[2:] and all(row.split(",")[1] == "6" for row in rows[2:])
+        assert rows[2:] and all(row.split(",")[1] == "8" for row in rows[2:])
 
     def test_individual_stage_subcommands(self, tmp_path, capsys):
         out = str(tmp_path / "run")

@@ -10,6 +10,7 @@ import hashlib
 import json
 import math
 from dataclasses import asdict
+from decimal import Decimal
 
 import numpy as np
 import pytest
@@ -122,6 +123,29 @@ class TestSubmission:
         w = World(small_config())
         with pytest.raises(ValueError, match="unknown command kind 'say'"):
             w.submit_command("a", Command("say"), 0)
+
+    @pytest.mark.parametrize("command, value", [
+        (Command("turn", Decimal("10")), "Decimal('10')"),
+        (Command("dash", "50"), "'50'"),
+        (Command("dash", True), "True"),
+        (Command("kick", 10.0, None), "None"),
+        (Command("catch", 0.0, Decimal("1")), "Decimal('1')")])
+    def test_non_number_argument_refused_naming_agent_and_kind(self, command,
+                                                               value):
+        # a Decimal would pass the clamp's comparisons and fail the next
+        # step with a bare TypeError; a bool is no number, as in the log
+        w = World(small_config())
+        with pytest.raises(ValueError) as err:
+            w.submit_command("a", command, 0)
+        assert str(err.value) == (f"agent 'a' sent {command.kind} with "
+                                  f"argument {value}, not an int or float")
+        assert w.step() == [MatchEvent(0, "idle")]  # nothing was queued
+
+    def test_int_arguments_taken(self):
+        sent = Command("kick", 50, -20)
+        ack = World(small_config()).submit_command("a", sent, 0)
+        assert ack.accepted and ack.note == ""
+        assert (ack.command.x, ack.command.y) == (50, -20)
 
 
 INF, NAN = float("inf"), float("nan")
@@ -428,6 +452,15 @@ class TestRunMatch:
         path = tmp_path / "aborted.jsonl"
         sim.save_match_log(log, path)
         assert load_match_log(path).error == log.error
+
+    def test_non_number_argument_recorded_naming_agent(self):
+        class SendsDecimal:
+            def act(self, agent_id, perceptions, cycle):
+                return [Command("turn", Decimal("10"))] if cycle == 3 else None
+        log = run_match(None, SendsDecimal(), small_config(cycle_count=20))
+        assert log.error == {"type": "ValueError", "cycle": 3, "message":
+                             "agent 'c' sent turn with argument "
+                             "Decimal('10'), not an int or float"}
 
     def test_valid_log_tail_has_no_error_field(self):
         log = run_match(None, None, small_config(cycle_count=5))
