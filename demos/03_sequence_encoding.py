@@ -27,8 +27,7 @@ def main():
     game = encode_game(log, window_cycles=10, game_id="demo")
     print(f"\ngame sequence  ({len(game)} windows):\n  {game.letters}")
 
-    agents = sorted(a.id for a in log.per_cycle_states[0][0])
-    players = [encode_player(log, game, pid) for pid in agents]
+    players = [encode_player(log, game, pid) for pid, _team in log.agents]
     for seq in players:
         print(f"player {seq.player_id}:\n  {seq.letters}")
 

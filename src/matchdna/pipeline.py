@@ -10,8 +10,9 @@ a seed recorded in the resolved run config; the manifest's creation
 timestamp is the single nondeterministic field.
 
 Each stage setting's default and integer range live in one place, the
-SETTINGS table; DEFAULT_CONFIG is built from it, and run_stage refuses
-any setting outside its range before the stage does any work.
+SETTINGS table; DEFAULT_CONFIG is built from it, and run_stage and
+pipeline_run refuse any setting outside its range before anything is
+written.
 """
 
 from __future__ import annotations
@@ -182,6 +183,8 @@ def resolve_config(file_config: dict | None = None,
     if resolved["schema_version"] != CONFIG_SCHEMA_VERSION:
         raise ValueError(f"unsupported config schema_version "
                          f"{resolved['schema_version']!r}")
+    if not isinstance(resolved["out_dir"], str):
+        raise ValueError(f"out_dir must be a string, got {resolved['out_dir']!r}")
     seed = _integer("seed", resolved["seed"])
     # stage seeds default to fixed offsets so the resolved file is fully
     # explicit and two stages never share a stream by accident
@@ -315,18 +318,17 @@ def annotate_log(match_log, window_cycles: int) -> list:
     events = []
     threat_line = FIELD_LENGTH / 2.0 - THREAT_DISTANCE
     threat_windows = set()
-    first_agents, _ball = match_log.per_cycle_states[0]
-    teams = {agent.id: agent.team for agent in first_agents}
+    teams = dict(match_log.agents)
+    ball_x = match_log.ball_x()
     for event in match_log.events:
         window = event.cycle // window_cycles
         if event.kind == "goal":
             events.append((window, GOAL))
         elif event.kind == "kick" and event.effective:
-            agents, ball = match_log.per_cycle_states[event.cycle]
             team = teams.get(event.agent)
-            if team == HOME and ball.x > threat_line:
+            if team == HOME and ball_x[event.cycle] > threat_line:
                 threat_windows.add(window)
-            elif team == AWAY and ball.x < -threat_line:
+            elif team == AWAY and ball_x[event.cycle] < -threat_line:
                 threat_windows.add(window)
     events.extend((w, THREAT) for w in sorted(threat_windows))
     return sorted(events)
@@ -346,9 +348,8 @@ def stage_encode(config: dict, out_dir: Path) -> Path:
         paths = match_paths(out_dir, match_id)
         match_log = load_match_log(paths.log)
         game = encode_game(match_log, window_cycles, game_id=match_id)
-        agents, _ball = match_log.per_cycle_states[0]
-        players = [encode_player(match_log, game, a.id)
-                   for a in sorted(agents, key=lambda a: a.id)]
+        players = [encode_player(match_log, game, aid)
+                   for aid, _team in sorted(match_log.agents)]
         paths.sequence.parent.mkdir(exist_ok=True)
         sequences.write_fasta([game] + players, paths.sequence)
         paths.annotations.parent.mkdir(exist_ok=True)
@@ -644,8 +645,13 @@ def pipeline_run(config: dict) -> dict:
     """All six stages in order; artifacts land under config['out_dir'].
 
     Raises StageError on the first failing stage, leaving earlier
-    artifacts in place.  Returns {stage: artifact path}.
+    artifacts in place; a setting outside its range fails the first
+    stage before anything is written.  Returns {stage: artifact path}.
     """
+    try:
+        _check_settings(config)
+    except ValueError as err:
+        raise StageError(STAGES[0], err) from err
     out_dir = Path(config["out_dir"])
     out_dir.mkdir(parents=True, exist_ok=True)
     write_resolved_config(config, out_dir)

@@ -17,7 +17,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .simulator import MatchLog, _nearest_holder
+from .simulator import MatchLog, possession_timeline
 
 # the play alphabet: every module that reads or writes letters imports it
 ACTIONS = "ACGT"
@@ -59,13 +59,6 @@ class PlayerSequence:
         return len(self.letters)
 
 
-def possession_timeline(log: MatchLog) -> list:
-    """Holder id (or None) at the end of every cycle, recomputed from the
-    recorded states so that encoding works on reloaded logs."""
-    return [_nearest_holder(agents, ball)
-            for agents, ball in log.per_cycle_states]
-
-
 def _window_count(cycles: int, window_cycles: int) -> int:
     return math.ceil(cycles / window_cycles)
 
@@ -73,7 +66,7 @@ def _window_count(cycles: int, window_cycles: int) -> int:
 def encode_game(log: MatchLog, window_cycles: int, game_id: str = "0") -> GameSequence:
     if window_cycles < 1:
         raise ValueError("window_cycles must be >= 1")
-    if not log.per_cycle_states:
+    if not len(log.per_cycle_states):
         raise ValueError("cannot encode an empty match log")
     timeline = possession_timeline(log)
     letters = []
@@ -98,8 +91,7 @@ def _pass_kick_cycles(log: MatchLog) -> set:
 
 
 def encode_player(log: MatchLog, game: GameSequence, player_id: str) -> PlayerSequence:
-    known = {a.id for agents, _ in log.per_cycle_states[:1] for a in agents}
-    if player_id not in known:
+    if player_id not in dict(log.agents):
         raise ValueError(f"unknown player id {player_id!r}")
     passes = _pass_kick_cycles(log)
     # letter of each executed movement command, indexed by cycle

@@ -6,12 +6,13 @@ cycle; at cycle end exactly one queued movement command per agent
 were queued.  These four are the whole protocol: the agents do not
 communicate, so there is no say, sense_body or change_view command.
 
-Agents perceive the snapshot the log records for the previous cycle (the
+Agents perceive the state the log records for the previous cycle (the
 initial state at cycle 0).  The world copies its state once per cycle and
-hands the same objects to the agents and to the log, so agents only read
-what they perceive.  How many copies an agent gets each cycle is drawn
-from the perception stream in blocks of cycle_count cycles; a block takes
-the same values, in the same order, as one draw per agent per cycle.
+hands the same snapshot objects to every agent, so agents only read what
+they perceive; the log keeps the snapshot's numbers, not its objects.  How
+many copies an agent gets each cycle is drawn from the perception stream
+in blocks of cycle_count cycles; a block takes the same values, in the
+same order, as one draw per agent per cycle.
 
 Every match plays on one field with one physics, the module constants
 FIELD_LENGTH, FIELD_WIDTH, GOAL_WIDTH, KICKABLE_DISTANCE, DASH_GAIN,
@@ -24,7 +25,8 @@ order.  Each cycle follows as one positional row: x, y, heading and
 speed per agent in the header's order, then the ball's x, y, vx and vy,
 each to 6 decimals, then the cycle's event dicts, so a row of n agents
 holds 4n + 5 values.  A closing line records outcome, score, valid and,
-for an aborted match, error.
+for an aborted match, error.  In memory a MatchLog holds the same: the
+roster once, and the rows' numbers as one (cycles, 4n + 4) float array.
 
 Conventions: x runs along the field length, y across the width, the
 origin is the center spot.  The home team attacks +x.  Headings are
@@ -36,7 +38,6 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import asdict, dataclass, field, fields
-from operator import attrgetter
 from typing import NamedTuple
 
 import numpy as np
@@ -170,24 +171,41 @@ class MatchEvent:
 @dataclass
 class MatchLog:
     config: FieldConfig
+    agents: list = field(default_factory=list)  # (id, team) pairs
     events: list = field(default_factory=list)
-    per_cycle_states: list = field(default_factory=list)  # (agent states, ball state)
+    # one row per cycle in the log's layout: x, y, heading and speed per
+    # agent in `agents` order, then the ball's x, y, vx and vy
+    per_cycle_states: np.ndarray = field(default_factory=lambda: np.empty((0, 4)))
     score: tuple = (0, 0)
     outcome: str = "draw"
     valid: bool = True
     error: dict | None = None  # why an invalid log stopped: type, message, cycle
 
+    def ball_x(self):
+        """The ball's x at the end of every cycle."""
+        return self.per_cycle_states[:, -4]
 
-def _nearest_holder(agents, ball):
-    """Agent id in possession: nearest within kickable range, ties by id."""
+
+def _nearest_holder(points, bx, by):
+    """Id in possession among (id, x, y) points: nearest within kickable
+    range of the ball at (bx, by), ties by id."""
     best = None
     best_key = None
-    for a in agents:
-        d = math.hypot(a.x - ball.x, a.y - ball.y)
+    for aid, x, y in points:
+        d = math.hypot(x - bx, y - by)
         if d <= KICKABLE_DISTANCE and (best_key is None or d < best_key or
-                                       (d == best_key and a.id < best)):
-            best, best_key = a.id, d
+                                       (d == best_key and aid < best)):
+            best, best_key = aid, d
     return best
+
+
+def possession_timeline(log: MatchLog) -> list:
+    """Holder id (or None) at the end of every cycle, recomputed from the
+    logged rows so that encoding works on reloaded logs."""
+    ids = [aid for aid, _team in log.agents]
+    n = 4 * len(ids)
+    return [_nearest_holder(zip(ids, row[0:n:4], row[1:n:4]), row[n], row[n + 1])
+            for row in log.per_cycle_states.tolist()]
 
 
 class World:
@@ -393,7 +411,8 @@ class World:
         return events
 
     def _update_possession(self, cycle, events):
-        holder = _nearest_holder(self.agents.values(), self.ball)
+        b = self.ball
+        holder = _nearest_holder([(a.id, a.x, a.y) for a in self.agents.values()], b.x, b.y)
         if holder is not None and holder != self._holder:
             events.append(MatchEvent(cycle, "possession_change", agent=holder))
             if self._pending_pass:
@@ -420,13 +439,14 @@ def run_match(home_policy, away_policy, config: FieldConfig,
 
     Policies expose act(agent_id, perceptions, cycle) returning a list of
     Commands or None; a policy of None idles its team.  `perceptions`
-    holds 0-2 references to the snapshot logged for the previous cycle,
-    which policies only read: the log holds the same objects.  If a
+    holds 0-2 references to the world's snapshot of the previous cycle;
+    the log holds no snapshot, only a row of its numbers per cycle.  If a
     cycle raises, the partial log is returned flagged invalid, with the
     exception's type and message and the cycle in `error`.
     """
     world = World(config, positions=positions, ball=ball)
-    log = MatchLog(config=config)
+    log = MatchLog(config=config,
+                   agents=[(aid, world.agents[aid].team) for aid in world._ids])
     seats = []  # (agent id, policy's act) in id order; idle teams have none
     for aid in world._ids:
         policy = home_policy if world.agents[aid].team == HOME else away_policy
@@ -434,7 +454,8 @@ def run_match(home_policy, away_policy, config: FieldConfig,
             seats.append((aid, policy.act))
     deliver, submit, step = \
         world.deliver_perceptions, world.submit_command, world.step
-    events, states = log.events, log.per_cycle_states
+    events = log.events
+    states = np.empty((config.cycle_count, 4 * len(log.agents) + 4))
     try:
         for cycle in range(config.cycle_count):
             perceptions = deliver()
@@ -445,11 +466,14 @@ def run_match(home_policy, away_policy, config: FieldConfig,
                 for cmd in cmds:
                     submit(aid, cmd, cycle)
             events.extend(step())
-            states.append(world.snap)
+            agents, b = world.snap
+            row = [v for a in agents for v in (a.x, a.y, a.heading, a.speed)]
+            states[cycle] = row + [b.x, b.y, b.vx, b.vy]
     except Exception as err:
         log.valid = False
         log.error = {"type": type(err).__name__, "message": str(err),
                      "cycle": world.cycle}
+    log.per_cycle_states = states[:world.cycle]  # the cycles that completed
     log.score = (world.score[HOME], world.score[AWAY])
     if log.score[0] > log.score[1]:
         log.outcome = "home_win"
@@ -467,30 +491,25 @@ _dumps = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
 
 def log_to_jsonl(log: MatchLog) -> str:
     """Serialize a MatchLog as JSON Lines: header, one positional row per
-    cycle, trailing outcome line.  The header lists the first cycle's
-    agents, and a later cycle that lists other ids or teams, in any
-    order or number, raises ValueError naming the cycle.  Floats carry
-    6 decimals: '%.6f' reads back as round(x, 6), and a -0.000000 is
-    written as 0.000000, so that identical matches serialize
+    cycle, trailing outcome line.  A state array that is not 4 values
+    per agent plus 4 wide raises ValueError giving both widths.  Floats
+    carry 6 decimals: '%.6f' reads back as round(x, 6), and a -0.000000
+    is written as 0.000000, so that identical matches serialize
     byte-for-byte identically and no value loads as -0.0."""
     states = log.per_cycle_states
-    roster = [(a.id, a.team) for a in states[0][0]] if states else []
+    width = 4 * len(log.agents) + 4
+    if states.ndim != 2 or states.shape[1] != width:
+        raise ValueError(f"per_cycle_states has shape {states.shape}, but "
+                         f"{len(log.agents)} agents take rows of {width} values")
     header = {"schema_version": SCHEMA_VERSION, "config": asdict(log.config),
-              "agents": roster}
+              "agents": log.agents}
     lines = [_dumps(header)]
     events_by_cycle = {}
     for e in log.events:
         events_by_cycle.setdefault(e.cycle, []).append(e.to_dict())
-    id_team = attrgetter("id", "team")
     # a row's floats in one '%' operation; its event list closes it
-    row_format = "[" + "%.6f," * (4 * len(roster) + 4)
-    for cycle, (agents, b) in enumerate(states):
-        listed = list(map(id_team, agents))
-        if listed != roster:
-            raise ValueError(f"cycle {cycle} lists agents {listed}, but the "
-                             f"log's first cycle lists {roster}")
-        values = [v for a in agents for v in (a.x, a.y, a.heading, a.speed)]
-        values += (b.x, b.y, b.vx, b.vy)
+    row_format = "[" + "%.6f," * width
+    for cycle, values in enumerate(states.tolist()):
         row = (row_format % tuple(values)).replace("-0.000000", "0.000000")
         lines.append(row + _dumps(events_by_cycle.get(cycle, [])) + "]")
     tail = {"outcome": log.outcome, "score": list(log.score), "valid": log.valid}
@@ -517,24 +536,33 @@ _loads = json.JSONDecoder(parse_constant=_refuse_constant).decode
 
 
 def _header_agents(header) -> list:
-    """The header's [id, team] pairs, refused unless each is a pair of
-    strings."""
+    """The header's [id, team] pairs as tuples, refused unless each is a
+    pair of strings, no id repeats and every team is home or away."""
     agents = header["agents"]
     if not (isinstance(agents, list) and all(
             isinstance(pair, list) and len(pair) == 2
             and all(isinstance(v, str) for v in pair) for pair in agents)):
         raise ValueError(f"header agents must be a list of [id, team] "
                          f"pairs, got {agents!r}")
-    return agents
+    ids = [aid for aid, _team in agents]
+    if len(set(ids)) != len(ids):
+        raise ValueError(f"header agents repeat an id: {ids!r}")
+    for aid, team in agents:
+        if team not in (HOME, AWAY):
+            raise ValueError(f"header agent {aid!r} has team {team!r}, "
+                             f"neither {HOME!r} nor {AWAY!r}")
+    return [tuple(pair) for pair in agents]
 
 
 def load_match_log(path) -> MatchLog:
     """The MatchLog a file of log_to_jsonl's lines holds.  A line that is
     not JSON, a header config whose keys are not FieldConfig's, header
-    agents that are not [id, team] pairs, a cycle row that is not a list
-    of 4 numbers per agent, 4 ball numbers and an event list (neither a
-    bool nor NaN or Infinity is a number here), and a missing or
-    unexpected field raise ValueError naming the file and the line."""
+    agents that are not [id, team] pairs of unique ids and home or away
+    teams, a cycle row that is not a list of 4 numbers per agent, 4 ball
+    numbers and an event list (neither a bool nor NaN or Infinity is a
+    number here), and a missing or unexpected field raise ValueError
+    naming the file and the line.  The log holds the header's roster and
+    the rows' numbers as one (cycles, 4n + 4) float array."""
     lines, numbers = [], []
     with open(path) as fh:
         for number, line in enumerate(fh, 1):
@@ -563,16 +591,15 @@ def load_match_log(path) -> MatchLog:
         if sorted(config) != _CONFIG_KEYS:
             raise ValueError(f"header config keys {sorted(config)} are not "
                              f"{_CONFIG_KEYS}")
-        log = MatchLog(config=FieldConfig(**config))
-        seats = [(aid, team, 4 * i)
-                 for i, (aid, team) in enumerate(_header_agents(header))]
-        width = 4 * len(seats) + 5
+        log = MatchLog(config=FieldConfig(**config),
+                       agents=_header_agents(header))
+        width = 4 * len(log.agents) + 5
         index = len(lines) - 1
         log.outcome = tail["outcome"]
         log.score = tuple(tail["score"])
         log.valid = tail["valid"]
         log.error = tail.get("error")
-        states, events = log.per_cycle_states, log.events
+        states, events = [], log.events
         for index in range(1, len(lines) - 1):
             row = lines[index]
             if not isinstance(row, list) or len(row) != width:
@@ -584,13 +611,11 @@ def load_match_log(path) -> MatchLog:
                             if type(v) not in _NUMBER_TYPES)
                 raise ValueError(f"cycle row value {k} must be a number, "
                                  f"got {v!r:.60}")
-            agents = [AgentState(aid, team, values[k], values[k + 1],
-                                 values[k + 2], values[k + 3])
-                      for aid, team, k in seats]
-            states.append((agents, BallState(*values[-4:])))
+            states.append(values)
             for ed in row[-1]:
                 events.append(MatchEvent(**ed))
     except (KeyError, TypeError, ValueError) as err:
         what = f"missing field {err}" if isinstance(err, KeyError) else str(err)
         raise ValueError(f"match log {path} line {numbers[index]}: {what}") from err
+    log.per_cycle_states = np.array(states, dtype=float).reshape(len(states), width - 1)
     return log

@@ -259,10 +259,10 @@ class TestAnnotateLog:
         log = run_match(None, None, config)
         log.events = [MatchEvent(cycle=2, kind="kick", agent="a",
                                  effective=True)]
-        agents, ball = log.per_cycle_states[2]
-        ball.x = FIELD_LENGTH / 2 - 5.0  # deep in the attacking third
+        ball_x = log.per_cycle_states[:, -4]
+        ball_x[2] = FIELD_LENGTH / 2 - 5.0  # deep in the attacking third
         assert (0, THREAT) in annotate_log(log, 10)
-        ball.x = 0.0  # midfield kick: no threat
+        ball_x[2] = 0.0  # midfield kick: no threat
         assert annotate_log(log, 10) == []
 
     def test_threat_windows_deduplicated(self):
@@ -270,8 +270,7 @@ class TestAnnotateLog:
         log = run_match(None, None, config)
         log.events = [MatchEvent(cycle=1, kind="kick", agent="a", effective=True),
                       MatchEvent(cycle=2, kind="kick", agent="a", effective=True)]
-        for cycle in (1, 2):
-            log.per_cycle_states[cycle][1].x = FIELD_LENGTH / 2 - 1.0
+        log.per_cycle_states[1:3, -4] = FIELD_LENGTH / 2 - 1.0  # the ball's x
         events = annotate_log(log, 10)
         assert events == [(0, THREAT)]
 
@@ -933,6 +932,24 @@ class TestCli:
         assert code == 1
         assert "unknown config key" in capsys.readouterr().err
 
+    def test_pipeline_bad_setting_writes_nothing(self, tmp_path, capsys):
+        config_path = tmp_path / "cfg.json"
+        config_path.write_text(json.dumps(
+            {"diagnose": {"trials": 0}, "simulate": {"matches": 1, "cycles": 50}}))
+        out = tmp_path / "run"
+        code = main(["pipeline", "--config", str(config_path),
+                     "--out-dir", str(out)])
+        assert code == 1
+        assert "diagnose.trials must be >= 1, got 0" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_non_string_out_dir_reported(self, tmp_path, capsys):
+        config_path = tmp_path / "cfg.json"
+        config_path.write_text('{"out_dir": 5}')
+        code = main(["pipeline", "--config", str(config_path)])
+        assert code == 1
+        assert "out_dir must be a string, got 5" in capsys.readouterr().err
+
     def test_removed_config_key_reported(self, tmp_path, capsys):
         config_path = tmp_path / "old.json"
         config_path.write_text('{"train_lcs": {"bid_fraction": 0.2}}')
@@ -945,12 +962,15 @@ class TestCli:
     def test_every_stage_subcommand_summary(self, tmp_path, capsys):
         # expected lines recorded before the stage subcommands shared one
         # handler; every stage flag is given so each flag-to-key mapping
-        # shows in an artifact or a summary line
+        # shows in an artifact or a summary line.  The diagnose GA of 2
+        # at seed 53 runs 5 generations before it stops, so --generations
+        # 2 shows as 2 CSV rows
         config_path = tmp_path / "cfg.json"
         config_path.write_text(json.dumps({
             "seed": 5, "simulate": {"matches": 2, "cycles": 100},
             "train_fmaca": {"population_size": 20, "generations": 10},
-            "diagnose": {"run_steps": 120, "trials": 3}}))
+            "diagnose": {"run_steps": 120, "trials": 3, "population_size": 2,
+                         "generations": 5, "seed": 53}}))
         out = tmp_path / "run"
         common = ["--config", str(config_path), "--out-dir", str(out)]
         runs = [
@@ -988,7 +1008,7 @@ class TestCli:
         assert len(report["patterns"]) == 10
         assert len(list((out / "logs").glob("*.jsonl"))) == 2
         rows = (out / "diagnostics/ga_diagnostics.csv").read_text().splitlines()
-        assert rows[2:] and all(row.split(",")[1] == "8" for row in rows[2:])
+        assert [row.split(",")[:2] for row in rows[2:]] == [["0", "8"], ["1", "8"]]
 
     def test_individual_stage_subcommands(self, tmp_path, capsys):
         out = str(tmp_path / "run")

@@ -5,8 +5,8 @@ import pytest
 
 from matchdna import sequences as seqmod
 from matchdna.simulator import (
-    AgentState,
-    BallState,
+    AWAY,
+    HOME,
     FieldConfig,
     MatchEvent,
     MatchLog,
@@ -20,6 +20,7 @@ from matchdna.sequences import (
     parse_fasta,
     sequences_to_fasta,
 )
+from matchdna.shooting import ShootingPolicy
 from test_simulator import Barrage
 
 
@@ -27,18 +28,17 @@ def synthetic_log(timeline, events=(), ids=("a", "b")):
     """Build a log whose per-cycle possession follows `timeline` exactly:
     the holder sits on the ball, everyone else is far away."""
     cfg = FieldConfig(cycle_count=max(1, len(timeline)), rng_seed=0)
-    log = MatchLog(config=cfg)
+    ids = sorted(ids)
+    rows = []
     for holder in timeline:
-        agents = []
-        for i, aid in enumerate(sorted(ids)):
-            if aid == holder:
-                x, y = 0.0, 0.0
-            else:
-                x, y = 10.0 + 5.0 * i, 10.0
-            agents.append(AgentState(aid, "home", x, y))
-        log.per_cycle_states.append((agents, BallState(0.0, 0.0)))
-    log.events = list(events)
-    return log
+        row = []
+        for i, aid in enumerate(ids):
+            x, y = (0.0, 0.0) if aid == holder else (10.0 + 5.0 * i, 10.0)
+            row += [x, y, 0.0, 0.0]
+        rows.append(row + [0.0, 0.0, 0.0, 0.0])  # the ball rests on the spot
+    return MatchLog(config=cfg, agents=[(aid, "home") for aid in ids],
+                    events=list(events),
+                    per_cycle_states=np.array(rows).reshape(-1, 4 * len(ids) + 4))
 
 
 class TestEncodeGame:
@@ -78,10 +78,10 @@ class TestEncodeGame:
         # b and c sit 0.5 from the ball, a is out of range; the lower id
         # holds whatever order the log lists the agents in
         place = {"a": (5.0, 0.0), "b": (0.5, 0.0), "c": (-0.5, 0.0)}
-        log = MatchLog(config=FieldConfig(cycle_count=1, rng_seed=0))
-        log.per_cycle_states.append((
-            [AgentState(aid, "home", *place[aid]) for aid in order],
-            BallState(0.0, 0.0)))
+        row = [v for aid in order for v in (*place[aid], 0.0, 0.0)]
+        log = MatchLog(config=FieldConfig(cycle_count=1, rng_seed=0),
+                       agents=[(aid, "home") for aid in order],
+                       per_cycle_states=np.array([row + [0.0] * 4]))
         assert seqmod.possession_timeline(log) == ["b"]
 
 
@@ -145,7 +145,7 @@ class TestInvariants:
         log = run_match(Barrage(31), Barrage(32), cfg)
         game = encode_game(log, 15)
         assert len(game.letters) == 8
-        ids = sorted(a.id for a in log.per_cycle_states[0][0])
+        ids = sorted(aid for aid, _team in log.agents)
         for aid in ids:
             player = encode_player(log, game, aid)
             assert len(player) == len(game)
@@ -153,6 +153,22 @@ class TestInvariants:
             for t, letter in enumerate(player.letters):
                 if game.letters[t] != aid:
                     assert letter == "-"
+
+    @pytest.mark.parametrize("players", [1, 2, 3])
+    def test_possession_changes_name_the_timeline_holder(self, players):
+        # the world's possession events and the timeline encode reads
+        # from the logged rows share one holder rule
+        changes = 0
+        for seed in range(4):
+            cfg = FieldConfig(cycle_count=300, rng_seed=seed,
+                              players_per_team=players)
+            log = run_match(ShootingPolicy(HOME), ShootingPolicy(AWAY), cfg)
+            timeline = seqmod.possession_timeline(log)
+            for e in log.events:
+                if e.kind == "possession_change":
+                    changes += 1
+                    assert timeline[e.cycle] == e.agent, (seed, e.cycle)
+        assert changes
 
     def test_deterministic(self):
         cfg = FieldConfig(cycle_count=60, rng_seed=5)

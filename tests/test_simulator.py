@@ -17,8 +17,6 @@ import pytest
 
 from matchdna import simulator as sim
 from matchdna.simulator import (
-    AgentState,
-    BallState,
     Command,
     FieldConfig,
     MatchEvent,
@@ -231,12 +229,9 @@ class TestClampingEdges:
         assert any(e.kind == "kick" and e.effective for e in log.events)
         path = tmp_path / "edges.jsonl"
         sim.save_match_log(log, path)
-        loaded = load_match_log(path)
-        values = [v for agents, b in loaded.per_cycle_states
-                  for v in [b.x, b.y, b.vx, b.vy] + [
-                      w for a in agents for w in (a.x, a.y, a.heading, a.speed)]]
-        assert len(values) == 400 * 12
-        assert all(math.isfinite(v) for v in values)
+        values = load_match_log(path).per_cycle_states
+        assert values.shape == (400, 12)
+        assert np.isfinite(values).all()
 
 
 class TestStep:
@@ -396,9 +391,11 @@ class TestPerceptionStream:
 
 
 def state_values(snapshot):
+    """A snapshot's roster and its values in the log's row layout."""
     agents, ball = snapshot
-    return ([(a.id, a.team, a.x, a.y, a.heading, a.speed) for a in agents],
-            (ball.x, ball.y, ball.vx, ball.vy))
+    return ([(a.id, a.team) for a in agents],
+            [v for a in agents for v in (a.x, a.y, a.heading, a.speed)] +
+            [ball.x, ball.y, ball.vx, ball.vy])
 
 
 class TestPerceptionTiming:
@@ -417,7 +414,7 @@ class TestPerceptionTiming:
         initial = state_values(World(cfg).snapshot())
         for cycle, values in seen:
             wanted = initial if cycle == 0 else \
-                state_values(log.per_cycle_states[cycle - 1])
+                (log.agents, log.per_cycle_states[cycle - 1].tolist())
             assert values == wanted, cycle
         perceived = {cycle for cycle, _values in seen}
         assert 0 in perceived
@@ -452,6 +449,21 @@ class TestRunMatch:
         path = tmp_path / "aborted.jsonl"
         sim.save_match_log(log, path)
         assert load_match_log(path).error == log.error
+
+    def test_abort_at_first_cycle_keeps_roster(self, tmp_path):
+        class FailsAtOnce:
+            def act(self, agent_id, perceptions, cycle):
+                raise RuntimeError("no start")
+        log = run_match(FailsAtOnce(), None,
+                        small_config(cycle_count=20, players_per_team=1))
+        path = tmp_path / "aborted.jsonl"
+        sim.save_match_log(log, path)
+        assert path.read_text().startswith('{"agents":[["a","home"],["b","away"]]')
+        loaded = load_match_log(path)
+        assert loaded.agents == [("a", "home"), ("b", "away")]
+        assert loaded.per_cycle_states.shape == (0, 12)
+        assert loaded.error == {"type": "RuntimeError", "message": "no start",
+                                "cycle": 0}
 
     def test_non_number_argument_recorded_naming_agent(self):
         class SendsDecimal:
@@ -501,13 +513,13 @@ class TestSerialization:
         loaded = load_match_log(path)
         assert loaded.config == cfg
         assert loaded.score == log.score and loaded.outcome == log.outcome
-        assert len(loaded.per_cycle_states) == len(log.per_cycle_states)
+        assert loaded.agents == log.agents
+        assert loaded.per_cycle_states.shape == log.per_cycle_states.shape
         assert [e.to_dict() for e in loaded.events] == \
                [e.to_dict() for e in log.events]
         # rounded coordinates survive the trip
-        a0 = log.per_cycle_states[5][0][0]
-        b0 = loaded.per_cycle_states[5][0][0]
-        assert b0.x == pytest.approx(a0.x, abs=1e-6)
+        assert loaded.per_cycle_states[5, 0] == \
+            pytest.approx(log.per_cycle_states[5, 0], abs=1e-6)
 
     def test_header_schema_version(self, tmp_path):
         log = run_match(None, None, small_config(cycle_count=2))
@@ -593,6 +605,12 @@ class TestSerialization:
          "header agents must be a list of \\[id, team\\] pairs"),
         (1, lambda head: {**head, "agents": {"a": "home"}},
          "header agents must be a list of \\[id, team\\] pairs"),
+        (1, lambda head: {**head, "agents": [["a", "home"], ["a", "home"],
+                                             ["c", "away"], ["d", "away"]]},
+         "header agents repeat an id"),
+        (1, lambda head: {**head, "agents": [["a", "home"], ["b", "left"],
+                                             ["c", "away"], ["d", "away"]]},
+         "header agent 'b' has team 'left', neither 'home' nor 'away'"),
         (1, lambda head: {**head, "config": {**head["config"], "foo": 1}},
          "header config keys"),
         (1, lambda head: {**head, "config": {"cycle_count": 50}},
@@ -606,6 +624,7 @@ class TestSerialization:
              "heading-list", "ball-vy-null", "x-nan", "ball-vy-minus-inf",
              "header-no-agents",
              "agents-short-pair", "agents-team-not-string", "agents-not-list",
+             "agents-repeat-id", "agents-team-left",
              "config-extra", "config-rng_seed", "tail-score", "tail-valid"])
     def test_malformed_field_names_file_and_line(self, tmp_path, line, edit,
                                                  message):
@@ -629,15 +648,15 @@ class TestSerialization:
         lines[1] = '[-26,0,0,0,26,0,-180,0,0,0,0,0,[{"cycle":0,"kind":"idle"}]]'
         path = tmp_path / "ints.jsonl"
         path.write_text("\n".join(lines) + "\n")
-        agents, ball = load_match_log(path).per_cycle_states[0]
-        assert (agents[0].x, agents[1].heading, ball.vy) == (-26, -180, 0)
+        row = load_match_log(path).per_cycle_states[0]
+        assert (row[0], row[6], row[11]) == (-26, -180, 0)  # a's x, b's heading, ball vy
 
     def test_heading_stays_normalized_under_fuzz(self):
         cfg = small_config(cycle_count=100)
         log = run_match(Barrage(5), Barrage(6), cfg)
-        for agents, _ in log.per_cycle_states:
-            for a in agents:
-                assert -180 <= a.heading < 180
+        headings = log.per_cycle_states[:, 2:-4:4]
+        assert headings.shape == (100, 4)
+        assert ((-180 <= headings) & (headings < 180)).all()
 
 
 def r6(x):
@@ -654,17 +673,14 @@ def reference_jsonl(log):
     def dumps(obj):
         return json.dumps(obj, sort_keys=True, separators=(",", ":"))
 
-    states = log.per_cycle_states
     lines = [dumps({"schema_version": sim.SCHEMA_VERSION,
                     "config": asdict(log.config),
-                    "agents": [[a.id, a.team] for a in states[0][0]]})]
+                    "agents": [[aid, team] for aid, team in log.agents]})]
     events_by_cycle = {}
     for e in log.events:
         events_by_cycle.setdefault(e.cycle, []).append(e.to_dict())
-    for cycle, (agents, ball) in enumerate(states):
-        row = [r6(v) for a in agents for v in (a.x, a.y, a.heading, a.speed)]
-        row += [r6(ball.x), r6(ball.y), r6(ball.vx), r6(ball.vy),
-                events_by_cycle.get(cycle, [])]
+    for cycle, values in enumerate(log.per_cycle_states):
+        row = [r6(v) for v in values] + [events_by_cycle.get(cycle, [])]
         lines.append(dumps(row))
     tail = {"outcome": log.outcome, "score": list(log.score), "valid": log.valid}
     if not log.valid:
@@ -683,7 +699,6 @@ EDGE_VALUES = [0.0, -0.0, -4e-7, 4e-7, 1e-7, -1e-7, 5e-7, -5e-7, 1.0000005,
 
 def fuzzed_log(seed, cycles=80):
     rng = np.random.default_rng(seed)
-    log = MatchLog(config=FieldConfig(cycle_count=cycles, rng_seed=seed))
 
     def value(scale):
         if rng.random() < 0.3:
@@ -692,14 +707,17 @@ def fuzzed_log(seed, cycles=80):
 
     players = [("a", sim.HOME), ("b", sim.HOME), ('q"\u00e9', sim.AWAY),
                ("d", sim.AWAY)]
+    log = MatchLog(config=FieldConfig(cycle_count=cycles, rng_seed=seed),
+                   agents=players)
+    rows = []
     for cycle in range(cycles):
-        agents = [AgentState(aid, team, value(52.5), value(34.0), value(180.0),
-                             value(1.0)) for aid, team in players]
+        row = [v for _player in players
+               for v in (value(52.5), value(34.0), value(180.0), value(1.0))]
         if rng.random() < 0.2:
-            ball = BallState(*(int(v) for v in rng.integers(-40, 40, 4)))
+            row += rng.integers(-40, 40, 4).tolist()
         else:
-            ball = BallState(value(52.5), value(34.0), value(5.0), value(5.0))
-        log.per_cycle_states.append((agents, ball))
+            row += [value(52.5), value(34.0), value(5.0), value(5.0)]
+        rows.append(row)
         for _ in range(int(rng.integers(0, 3))):
             aid, team = players[int(rng.integers(len(players)))]
             log.events.append([
@@ -717,6 +735,7 @@ def fuzzed_log(seed, cycles=80):
     if seed % 3 == 0:
         log.valid = False
         log.error = {"type": "KeyError", "message": "'x'", "cycle": cycles}
+    log.per_cycle_states = np.array(rows, dtype=float)
     return log
 
 
@@ -724,16 +743,13 @@ def edge_log():
     """A 2-a-side log whose rows step every float field through
     EDGE_VALUES, so each value is written at each position of a row."""
     n = len(EDGE_VALUES)
-    log = MatchLog(config=FieldConfig(cycle_count=n, rng_seed=0))
-    for cycle in range(n):
-        values = [EDGE_VALUES[(cycle + k) % n] for k in range(20)]
-        agents = [AgentState(aid, team, *values[4 * i:4 * i + 4])
-                  for i, (aid, team) in enumerate(
-                      [("a", sim.HOME), ("b", sim.HOME), ("c", sim.AWAY),
-                       ("d", sim.AWAY)])]
-        log.per_cycle_states.append((agents, BallState(*values[16:])))
-        log.events.append(MatchEvent(cycle, "idle"))
-    return log
+    return MatchLog(
+        config=FieldConfig(cycle_count=n, rng_seed=0),
+        agents=[("a", sim.HOME), ("b", sim.HOME), ("c", sim.AWAY),
+                ("d", sim.AWAY)],
+        events=[MatchEvent(cycle, "idle") for cycle in range(n)],
+        per_cycle_states=np.array([[EDGE_VALUES[(cycle + k) % n]
+                                    for k in range(20)] for cycle in range(n)]))
 
 
 class TestWriterAgainstReference:
@@ -760,30 +776,21 @@ class TestWriterAgainstReference:
             saved = path.read_text()
             loaded = load_match_log(path)
             assert log_to_jsonl(loaded) == saved, log.config
-            floats = [v for agents, b in loaded.per_cycle_states
-                      for v in [b.x, b.y, b.vx, b.vy] + [
-                          w for a in agents
-                          for w in (a.x, a.y, a.heading, a.speed)]]
-            assert all(type(v) is float for v in floats)
-            assert not [v for v in floats if math.copysign(1.0, v) < 0 and
-                        v == 0], log.config
+            floats = loaded.per_cycle_states
+            assert floats.dtype == np.float64
+            assert not (np.signbit(floats) & (floats == 0)).any(), log.config
 
-    @pytest.mark.parametrize("change", ["other-id", "other-team", "swapped",
-                                        "extra-agent", "missing-agent"])
-    def test_row_with_other_agents_refused_naming_cycle(self, change):
+    @pytest.mark.parametrize("change, width", [("extra-agent", 24),
+                                               ("missing-agent", 16)])
+    def test_state_width_other_than_roster_refused(self, change, width):
         log = edge_log()
-        agents = log.per_cycle_states[2][0]
-        if change == "other-id":
-            agents[0] = AgentState("z", sim.HOME, 1.0, 2.0)
-        elif change == "other-team":
-            agents[0] = AgentState("a", sim.AWAY, 1.0, 2.0)
-        elif change == "swapped":
-            agents[0], agents[1] = agents[1], agents[0]
-        elif change == "extra-agent":
-            agents.append(AgentState("e", sim.AWAY, 1.0, 2.0))
+        states = log.per_cycle_states
+        if change == "extra-agent":
+            log.per_cycle_states = np.hstack([states, states[:, :4]])
         else:
-            del agents[-1]
-        with pytest.raises(ValueError, match=r"^cycle 2 lists agents"):
+            log.per_cycle_states = states[:, 4:]
+        with pytest.raises(ValueError, match=rf"^per_cycle_states has shape "
+                           rf"\(21, {width}\), but 4 agents take rows of 20 values"):
             log_to_jsonl(log)
 
     def test_load_of_save_returns_the_match(self, tmp_path):
@@ -794,14 +801,9 @@ class TestWriterAgainstReference:
         sim.save_match_log(log, path)
         loaded = load_match_log(path)
 
-        def rounded(states):
-            return [([(a.id, a.team, r6(a.x), r6(a.y), r6(a.heading),
-                       r6(a.speed)) for a in agents],
-                     (r6(b.x), r6(b.y), r6(b.vx), r6(b.vy)))
-                    for agents, b in states]
-
-        assert [state_values(s) for s in loaded.per_cycle_states] == \
-            rounded(log.per_cycle_states)
+        assert loaded.agents == log.agents
+        assert loaded.per_cycle_states.tolist() == \
+            [[r6(v) for v in row] for row in log.per_cycle_states.tolist()]
         assert loaded.events == log.events
         assert (loaded.score, loaded.outcome, loaded.valid, loaded.error) == \
             (log.score, log.outcome, log.valid, log.error)
@@ -821,9 +823,10 @@ def simulation_digest(log):
     for e in log.events:
         events_by_cycle.setdefault(e.cycle, []).append(e.to_dict())
     h = hashlib.sha256()
-    for cycle, (agents, b) in enumerate(log.per_cycle_states):
-        row = ([(a.id, a.team, a.x, a.y, a.heading, a.speed) for a in agents],
-               (b.x, b.y, b.vx, b.vy), events_by_cycle.get(cycle, []))
+    for cycle, values in enumerate(log.per_cycle_states.tolist()):
+        agents = [(aid, team, *values[4 * i:4 * i + 4])
+                  for i, (aid, team) in enumerate(log.agents)]
+        row = (agents, tuple(values[-4:]), events_by_cycle.get(cycle, []))
         h.update(repr(row).encode() + b"\n")
     return h.hexdigest()
 
