@@ -7,7 +7,10 @@ manifest lists the corpus's match ids; each match's log, sequence and
 annotation files sit at fixed paths derived from its id (match_paths).
 Every artifact carries a schema_version and every random draw flows from
 a seed recorded in the resolved run config; the manifest's creation
-timestamp is the single nondeterministic field.
+timestamp is the single nondeterministic field.  simulate and encode run
+their matches on forked workers, one per usable CPU; each match's files
+are written by the one process that runs it, so no artifact depends on
+the worker count.
 
 Each stage setting's default and integer range live in one place, the
 SETTINGS table; DEFAULT_CONFIG is built from it, and run_stage and
@@ -19,6 +22,7 @@ from __future__ import annotations
 
 import copy
 import logging
+import os
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
 from pathlib import Path
@@ -285,27 +289,70 @@ def _timestamp() -> str:
 
 # ----- stages ---------------------------------------------------------------
 
+def _map_matches(function, arguments: list) -> list:
+    """[function(*args) for args in arguments] over the matches, on a pool
+    of one worker per CPU this process may use and at most one per match
+    (`taskset -c 0` gives one); with one worker, or where the platform
+    cannot tell the CPUs, the calls run in this process.  Workers are
+    forked, so they start with the library imported instead of importing
+    it again for every stage.  Results come back in order, so a failure
+    raises the error of the first failing match, whichever worker
+    finished first.  No worker outlives the call."""
+    cpus = (len(os.sched_getaffinity(0))
+            if hasattr(os, "sched_getaffinity") else 1)
+    workers = min(cpus, len(arguments))
+    if workers < 2:
+        return [function(*args) for args in arguments]
+    # imported here, so that a process that never spreads matches (the
+    # learners, a one-CPU run) does not spend its import time and memory
+    import multiprocessing
+    pool = multiprocessing.get_context("fork").Pool(workers)
+    try:
+        tasks = [(function, args) for args in arguments]
+        results = list(pool.imap(_call, tasks, chunksize=1))
+        pool.close()
+    except BaseException:
+        pool.terminate()
+        raise
+    finally:
+        pool.join()
+    return results
+
+
+def _call(function_and_args):
+    """function(*args), for Pool.imap, which passes one argument."""
+    function, args = function_and_args
+    return function(*args)
+
+
+def _simulate_one(match_id: str, field_config: FieldConfig, out_dir: Path):
+    """Run one match and write its log; its score."""
+    match_log = run_match(ShootingPolicy(HOME), ShootingPolicy(AWAY),
+                          field_config)
+    if not match_log.valid:
+        error = match_log.error
+        raise RuntimeError(f"match {match_id} aborted at cycle {error['cycle']}: "
+                           f"{error['type']}: {error['message']}")
+    log_path = match_paths(out_dir, match_id).log
+    log_path.parent.mkdir(exist_ok=True)
+    save_match_log(match_log, log_path)
+    return match_log.score
+
+
 def stage_simulate(config: dict, out_dir: Path) -> Path:
     """Run the seeded match corpus; write one JSONL log per match plus the
     manifest skeleton."""
     params = config["simulate"]
     manifest = CorpusManifest(created_at=_timestamp())
-    for i in range(params["matches"]):
-        match_id = f"m{i:03d}"
-        field_config = FieldConfig(cycle_count=params["cycles"],
-                                   rng_seed=params["master_seed"] + i,
-                                   players_per_team=params["players_per_team"])
-        match_log = run_match(ShootingPolicy(HOME), ShootingPolicy(AWAY),
-                              field_config)
-        if not match_log.valid:
-            error = match_log.error
-            raise RuntimeError(f"match {match_id} aborted at cycle {error['cycle']}: "
-                               f"{error['type']}: {error['message']}")
-        log_path = match_paths(out_dir, match_id).log
-        log_path.parent.mkdir(exist_ok=True)
-        save_match_log(match_log, log_path)
-        manifest.entries.append(match_id)
-        log.info("simulated %s: score %s", match_id, match_log.score)
+    manifest.entries = [f"m{i:03d}" for i in range(params["matches"])]
+    scores = _map_matches(_simulate_one, [
+        (match_id, FieldConfig(cycle_count=params["cycles"],
+                               rng_seed=params["master_seed"] + i,
+                               players_per_team=params["players_per_team"]),
+         out_dir)
+        for i, match_id in enumerate(manifest.entries)])
+    for match_id, score in zip(manifest.entries, scores):
+        log.info("simulated %s: score %s", match_id, score)
     manifest_path = out_dir / "manifest.json"
     save_manifest(manifest, manifest_path)
     return manifest_path
@@ -334,6 +381,24 @@ def annotate_log(match_log, window_cycles: int) -> list:
     return sorted(events)
 
 
+def _encode_one(match_id: str, out_dir: Path, window_cycles: int) -> None:
+    """Encode one logged match into its sequence and annotation files."""
+    paths = match_paths(out_dir, match_id)
+    match_log = load_match_log(paths.log)
+    game = encode_game(match_log, window_cycles, game_id=match_id)
+    players = [encode_player(match_log, game, aid)
+               for aid, _team in sorted(match_log.agents)]
+    paths.sequence.parent.mkdir(exist_ok=True)
+    sequences.write_fasta([game] + players, paths.sequence)
+    paths.annotations.parent.mkdir(exist_ok=True)
+    write_json(paths.annotations, {
+        "schema_version": REPORT_SCHEMA_VERSION,
+        "match_id": match_id,
+        "window_cycles": window_cycles,
+        "events": annotate_log(match_log, window_cycles),
+    })
+
+
 def stage_encode(config: dict, out_dir: Path) -> Path:
     """Encode every logged match into game/player sequences plus
     goal/threat window annotations; record the window size in the
@@ -344,21 +409,8 @@ def stage_encode(config: dict, out_dir: Path) -> Path:
     # encode rewrites the encoded files, so only the logs must exist
     manifest.window_cycles = None
     manifest.validate(out_dir)
-    for match_id in manifest.entries:
-        paths = match_paths(out_dir, match_id)
-        match_log = load_match_log(paths.log)
-        game = encode_game(match_log, window_cycles, game_id=match_id)
-        players = [encode_player(match_log, game, aid)
-                   for aid, _team in sorted(match_log.agents)]
-        paths.sequence.parent.mkdir(exist_ok=True)
-        sequences.write_fasta([game] + players, paths.sequence)
-        paths.annotations.parent.mkdir(exist_ok=True)
-        write_json(paths.annotations, {
-            "schema_version": REPORT_SCHEMA_VERSION,
-            "match_id": match_id,
-            "window_cycles": window_cycles,
-            "events": annotate_log(match_log, window_cycles),
-        })
+    _map_matches(_encode_one, [(match_id, out_dir, window_cycles)
+                               for match_id in manifest.entries])
     manifest.window_cycles = window_cycles
     manifest.created_at = _timestamp()
     save_manifest(manifest, manifest_path)

@@ -560,9 +560,10 @@ def load_match_log(path) -> MatchLog:
     agents that are not [id, team] pairs of unique ids and home or away
     teams, a cycle row that is not a list of 4 numbers per agent, 4 ball
     numbers and an event list (neither a bool nor NaN or Infinity is a
-    number here), and a missing or unexpected field raise ValueError
-    naming the file and the line.  The log holds the header's roster and
-    the rows' numbers as one (cycles, 4n + 4) float array."""
+    number here), an event whose cycle is not its row's, and a missing or
+    unexpected field raise ValueError naming the file and the line.  The
+    log holds the header's roster and the rows' numbers as one
+    (cycles, 4n + 4) float array."""
     lines, numbers = [], []
     with open(path) as fh:
         for number, line in enumerate(fh, 1):
@@ -613,7 +614,11 @@ def load_match_log(path) -> MatchLog:
                                  f"got {v!r:.60}")
             states.append(values)
             for ed in row[-1]:
-                events.append(MatchEvent(**ed))
+                event = MatchEvent(**ed)
+                if event.cycle != index - 1:
+                    raise ValueError(f"event cycle {event.cycle!r} is not its "
+                                     f"row's cycle {index - 1}")
+                events.append(event)
     except (KeyError, TypeError, ValueError) as err:
         what = f"missing field {err}" if isinstance(err, KeyError) else str(err)
         raise ValueError(f"match log {path} line {numbers[index]}: {what}") from err

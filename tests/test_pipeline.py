@@ -3,6 +3,8 @@
 import hashlib
 import json
 import logging
+import multiprocessing
+import os
 import shutil
 from collections import Counter
 from pathlib import Path
@@ -860,6 +862,115 @@ class TestBuildCorpus:
         assert bodies == PINNED_LOG_BODIES
         assert digests == PINNED_CORPUS
 
+
+
+def usable_cpus(monkeypatch, count: int):
+    """Let the stages see `count` CPUs to spread matches over."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(count)))
+
+
+class TestParallelStages:
+    """simulate and encode spread matches over the usable CPUs; the worker
+    count moves no byte and no error, and no worker outlives a stage."""
+
+    def test_one_and_two_workers_write_the_same_bytes(self, tmp_path,
+                                                      monkeypatch, caplog):
+        # each process that simulates or encodes a match appends its pid
+        pid_file = tmp_path / "pids"
+
+        def recording(function):
+            def wrapper(*args):
+                with open(pid_file, "a") as fh:
+                    fh.write(f"{os.getpid()}\n")
+                return function(*args)
+            return wrapper
+        for name in ("run_match", "load_match_log"):
+            monkeypatch.setattr(pipeline, name, recording(getattr(pipeline, name)))
+
+        runs = {}
+        for count in (1, 2):
+            usable_cpus(monkeypatch, count)
+            out = tmp_path / f"workers-{count}"
+            config = resolve_config({"seed": 4, "out_dir": str(out),
+                                     "simulate": {"matches": 3, "cycles": 300}})
+            caplog.clear()
+            with caplog.at_level(logging.INFO, logger="matchdna.pipeline"):
+                for stage in ("simulate", "encode"):
+                    run_stage(stage, config, out)
+                    assert multiprocessing.active_children() == []
+            pids = pid_file.read_text().split()
+            pid_file.unlink()
+            assert len(pids) == 6
+            if count == 1:
+                assert set(pids) == {str(os.getpid())}
+            else:
+                assert str(os.getpid()) not in pids
+            manifest = json.loads((out / "manifest.json").read_text())
+            runs[count] = (
+                {str(p.relative_to(out)): p.read_bytes()
+                 for folder in ("logs", "sequences", "annotations")
+                 for p in sorted((out / folder).iterdir())},
+                manifest["entries"], manifest["window_cycles"],
+                [r.getMessage() for r in caplog.records
+                 if r.getMessage().startswith("simulated")])
+        files, entries, window_cycles, simulated = runs[1]
+        assert len(files) == 9
+        assert entries == ["m000", "m001", "m002"]
+        assert window_cycles == 10
+        assert [line.split(":")[0] for line in simulated] == [
+            "simulated m000", "simulated m001", "simulated m002"]
+        assert runs[2] == runs[1]
+
+    @pytest.mark.parametrize("count", [1, 2])
+    def test_simulate_failure_names_first_failing_match(
+            self, tmp_path, monkeypatch, count):
+        # m001 aborts at cycle 3, long before m000 at cycle 199, so with two
+        # workers m001's error comes back first; the stage still names m000
+        fail_at = {7: 199, 8: 3}  # by rng seed; the smoke master seed is 7
+
+        class FailsAtCycle:
+            def __init__(self, cycle):
+                self.cycle = cycle
+
+            def act(self, agent_id, perceptions, cycle):
+                if cycle == self.cycle:
+                    raise ValueError("policy lost the ball")
+                return None
+
+        def failing_match(home, away, field_config):
+            policy = FailsAtCycle(fail_at[field_config.rng_seed])
+            return run_match(policy, policy, field_config)
+        monkeypatch.setattr(pipeline, "run_match", failing_match)
+        usable_cpus(monkeypatch, count)
+        config = smoke_config(tmp_path)
+        config["simulate"]["matches"] = 2
+        with pytest.raises(StageError) as err:
+            run_stage("simulate", config, tmp_path)
+        assert str(err.value.cause) == ("match m000 aborted at cycle 199: "
+                                        "ValueError: policy lost the ball")
+        assert multiprocessing.active_children() == []
+
+    @pytest.mark.parametrize("count", [1, 2])
+    def test_encode_failure_names_first_failing_log(
+            self, tmp_path, monkeypatch, count):
+        config = smoke_config(tmp_path)
+        config["simulate"]["matches"] = 2
+        run_stage("simulate", config, tmp_path)
+        # m000's log goes wrong at its last cycle row, m001's at its first
+        for match_id, line in (("m000", 201), ("m001", 2)):
+            path = match_paths(tmp_path, match_id).log
+            lines = path.read_text().splitlines()
+            row = json.loads(lines[line - 1])
+            lines[line - 1] = json.dumps(row[:-1] + [[{"cycle": 5000,
+                                                       "kind": "idle"}]])
+            path.write_text("\n".join(lines) + "\n")
+        usable_cpus(monkeypatch, count)
+        with pytest.raises(StageError) as err:
+            run_stage("encode", config, tmp_path)
+        assert str(err.value.cause) == (
+            f"match log {match_paths(tmp_path, 'm000').log} line 201: "
+            "event cycle 5000 is not its row's cycle 199")
+        assert multiprocessing.active_children() == []
 
 class TestCli:
     def test_pipeline_subcommand_exit_zero(self, tmp_path, capsys):

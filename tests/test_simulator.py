@@ -583,6 +583,13 @@ class TestSerialization:
          "argument after \\*\\* must be a mapping"),
         (7, lambda row: row[:-1] + [[{**row[-1][0], "foo": 1}]],
          "unexpected keyword argument 'foo'"),
+        # annotate_log indexed the ball's x with the cycle of an event:
+        # past the log it raised a bare IndexError, and at -1 it read the
+        # last row and wrote a threat at window -1
+        (7, lambda row: row[:-1] + [[{**row[-1][0], "cycle": 5000}]],
+         "event cycle 5000 is not its row's cycle 4"),
+        (7, lambda row: row[:-1] + [[{**row[-1][0], "cycle": -1}]],
+         "event cycle -1 is not its row's cycle 4"),
         (7, lambda row: ["oops"] + row[1:],
          "cycle row value 0 must be a number, got 'oops'"),
         (7, lambda row: row[:3] + [True] + row[4:],
@@ -620,7 +627,8 @@ class TestSerialization:
         (53, lambda tail: {k: v for k, v in tail.items() if k != "valid"},
          "missing field 'valid'")],
         ids=["row-short", "row-no-events", "row-long", "row-not-list",
-             "events-not-list", "event-key", "x-string", "speed-bool",
+             "events-not-list", "event-key", "event-cycle-after-log",
+             "event-cycle-negative", "x-string", "speed-bool",
              "heading-list", "ball-vy-null", "x-nan", "ball-vy-minus-inf",
              "header-no-agents",
              "agents-short-pair", "agents-team-not-string", "agents-not-list",
