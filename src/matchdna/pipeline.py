@@ -8,9 +8,9 @@ annotation files sit at fixed paths derived from its id (match_paths).
 Every artifact carries a schema_version and every random draw flows from
 a seed recorded in the resolved run config; the manifest's creation
 timestamp is the single nondeterministic field.  simulate and encode run
-their matches on forked workers, one per usable CPU; each match's files
-are written by the one process that runs it, so no artifact depends on
-the worker count.
+their matches on forked workers, one per usable CPU (_worker_count says
+where they do not); each match's files are written by the one process
+that runs it, so no artifact depends on the worker count.
 
 Each stage setting's default and integer range live in one place, the
 SETTINGS table; DEFAULT_CONFIG is built from it, and run_stage and
@@ -23,6 +23,7 @@ from __future__ import annotations
 import copy
 import logging
 import os
+import sys
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
 from pathlib import Path
@@ -289,40 +290,35 @@ def _timestamp() -> str:
 
 # ----- stages ---------------------------------------------------------------
 
+def _worker_count(matches: int) -> int:
+    """How many processes _map_matches spreads `matches` calls over: one
+    per CPU this process may use (`taskset -c 0` gives one) and at most one
+    per match.  One where the platform cannot tell the CPUs, and on Python
+    3.12 and later, where os.fork warns (DeprecationWarning) in a process
+    that runs another thread, as numpy's OpenBLAS does once imported."""
+    if sys.version_info >= (3, 12) or not hasattr(os, "sched_getaffinity"):
+        return 1
+    return min(len(os.sched_getaffinity(0)), matches)
+
+
 def _map_matches(function, arguments: list) -> list:
-    """[function(*args) for args in arguments] over the matches, on a pool
-    of one worker per CPU this process may use and at most one per match
-    (`taskset -c 0` gives one); with one worker, or where the platform
-    cannot tell the CPUs, the calls run in this process.  Workers are
-    forked, so they start with the library imported instead of importing
-    it again for every stage.  Results come back in order, so a failure
-    raises the error of the first failing match, whichever worker
-    finished first.  No worker outlives the call."""
-    cpus = (len(os.sched_getaffinity(0))
-            if hasattr(os, "sched_getaffinity") else 1)
-    workers = min(cpus, len(arguments))
+    """[function(*args) for args in arguments], on _worker_count forked
+    workers, or in this process when that is one.  Workers are forked, so
+    they start with the library imported instead of importing it again
+    for every stage.  Results come back in order, so a failure raises the
+    error of the first failing match, whichever worker finished first; a
+    worker that dies raises BrokenProcessPool.  No worker outlives the
+    call."""
+    workers = _worker_count(len(arguments))
     if workers < 2:
         return [function(*args) for args in arguments]
     # imported here, so that a process that never spreads matches (the
     # learners, a one-CPU run) does not spend its import time and memory
     import multiprocessing
-    pool = multiprocessing.get_context("fork").Pool(workers)
-    try:
-        tasks = [(function, args) for args in arguments]
-        results = list(pool.imap(_call, tasks, chunksize=1))
-        pool.close()
-    except BaseException:
-        pool.terminate()
-        raise
-    finally:
-        pool.join()
-    return results
-
-
-def _call(function_and_args):
-    """function(*args), for Pool.imap, which passes one argument."""
-    function, args = function_and_args
-    return function(*args)
+    from concurrent.futures import ProcessPoolExecutor
+    with ProcessPoolExecutor(
+            workers, mp_context=multiprocessing.get_context("fork")) as pool:
+        return list(pool.map(function, *zip(*arguments)))
 
 
 def _simulate_one(match_id: str, field_config: FieldConfig, out_dir: Path):

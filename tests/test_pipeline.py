@@ -6,7 +6,10 @@ import logging
 import multiprocessing
 import os
 import shutil
+import signal
+import sys
 from collections import Counter
+from concurrent.futures.process import BrokenProcessPool
 from pathlib import Path
 
 import pytest
@@ -869,6 +872,17 @@ def usable_cpus(monkeypatch, count: int):
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(count)))
 
 
+# from Python 3.12 on os.fork warns in a process that runs a thread, so
+# the stages run every match in the calling process there
+FORK_WARNS = sys.version_info >= (3, 12)
+
+
+def _die_in_worker(parent_pid: int):
+    """Kill the calling process unless it is `parent_pid`."""
+    if os.getpid() != parent_pid:
+        os.kill(os.getpid(), signal.SIGKILL)
+
+
 class TestParallelStages:
     """simulate and encode spread matches over the usable CPUs; the worker
     count moves no byte and no error, and no worker outlives a stage."""
@@ -901,7 +915,7 @@ class TestParallelStages:
             pids = pid_file.read_text().split()
             pid_file.unlink()
             assert len(pids) == 6
-            if count == 1:
+            if count == 1 or FORK_WARNS:
                 assert set(pids) == {str(os.getpid())}
             else:
                 assert str(os.getpid()) not in pids
@@ -920,6 +934,37 @@ class TestParallelStages:
         assert [line.split(":")[0] for line in simulated] == [
             "simulated m000", "simulated m001", "simulated m002"]
         assert runs[2] == runs[1]
+
+    @pytest.mark.parametrize("cpus, matches, workers",
+                             [(1, 3, 1), (2, 3, 2), (4, 3, 3), (2, 1, 1), (2, 0, 0)])
+    def test_worker_count_follows_cpus_and_matches(self, monkeypatch, cpus,
+                                                   matches, workers):
+        monkeypatch.setattr(sys, "version_info", (3, 11, 0))
+        usable_cpus(monkeypatch, cpus)
+        assert pipeline._worker_count(matches) == workers
+
+    def test_python_3_12_runs_matches_in_this_process(self, monkeypatch):
+        monkeypatch.setattr(sys, "version_info", (3, 12, 0))
+        usable_cpus(monkeypatch, 4)
+        assert pipeline._worker_count(3) == 1
+        assert pipeline._map_matches(os.getpid, [(), (), ()]) == [os.getpid()] * 3
+        assert multiprocessing.active_children() == []
+
+    @pytest.mark.skipif(FORK_WARNS, reason="matches run in this process")
+    def test_dead_worker_raises_instead_of_hanging(self, monkeypatch):
+        def waited_too_long(signum, frame):
+            raise TimeoutError("a dead worker left the stage waiting")
+        previous = signal.signal(signal.SIGALRM, waited_too_long)
+        signal.alarm(60)
+        usable_cpus(monkeypatch, 2)
+        try:
+            with pytest.raises(BrokenProcessPool):
+                pipeline._map_matches(_die_in_worker,
+                                      [(os.getpid(),), (os.getpid(),)])
+        finally:
+            signal.alarm(0)
+            signal.signal(signal.SIGALRM, previous)
+        assert multiprocessing.active_children() == []
 
     @pytest.mark.parametrize("count", [1, 2])
     def test_simulate_failure_names_first_failing_match(
