@@ -19,7 +19,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .fuzzy_ca import SUPPORTED_RULES, check_unit_interval, terminal_states
+from .fuzzy_ca import (
+    SUPPORTED_RULES,
+    RuleSet,
+    check_unit_interval,
+    terminal_states,
+)
 from .jsonfile import read_json, write_json
 from .mining import GOAL, THREAT
 from .sequences import IDLE
@@ -426,14 +431,42 @@ def _node_to_dict(node):
                          for c, ch in sorted(node.children.items())}}
 
 
-def _node_from_dict(d):
-    if d["kind"] == "leaf":
-        return Leaf(d["label"], d["pure"], d.get("size", 0))
-    node = Internal(rules=list(d["rules"]),
-                    centroids=np.array(d["centroids"], dtype=float),
-                    k=d["k"])
-    node.children = {int(c): _node_from_dict(ch)
-                     for c, ch in d["children"].items()}
+def _node_from_dict(d, n_cells, where="root"):
+    """The node `d` describes, refused naming it (root, root/0, ...) unless
+    a leaf's label is an integer and its pure a bool, or an internal
+    node's rules are n_cells supported integer rule numbers, its centroids
+    k rows of n_cells numbers and every child key one of 0..k-1."""
+    try:
+        if d["kind"] == "leaf":
+            label, pure = d["label"], d["pure"]
+            if type(label) is not int or type(pure) is not bool:
+                raise ValueError(f"a leaf needs an integer label and a bool "
+                                 f"pure, got {label!r} and {pure!r}")
+            return Leaf(label, pure, d.get("size", 0))
+        rules, centroids, k = d["rules"], d["centroids"], d["k"]
+        # RuleSet refuses a rule number that is not a supported integer
+        if not isinstance(rules, list) or len(rules) != n_cells or \
+                RuleSet(rules).is_matrix:
+            raise ValueError(f"rules must be a list of {n_cells} rule "
+                             f"numbers, got {rules!r:.60}")
+        if type(k) is not int or k < 1:
+            raise ValueError(f"k must be a positive integer, got {k!r}")
+        if not (isinstance(centroids, list) and len(centroids) == k and all(
+                isinstance(row, list) and len(row) == n_cells
+                and all(type(v) in (int, float) for v in row)
+                for row in centroids)):
+            raise ValueError(f"centroids must be {k} rows of {n_cells} "
+                             f"numbers, got {centroids!r:.60}")
+        children = d["children"]
+        for key in children:
+            if key not in [str(c) for c in range(k)]:
+                raise ValueError(f"child key {key!r} is not one of 0..{k - 1}")
+    except ValueError as err:
+        raise ValueError(f"node {where}: {err}") from None
+    node = Internal(rules=rules, centroids=np.array(centroids, dtype=float),
+                    k=k)
+    node.children = {int(c): _node_from_dict(ch, n_cells, f"{where}/{c}")
+                     for c, ch in children.items()}
     return node
 
 
@@ -453,9 +486,18 @@ def save_tree(tree: FmacaTree, path):
 
 def load_tree(path) -> FmacaTree:
     """The tree saved at `path`, refused naming the file unless it holds
-    a JSON object of this code's tree schema_version."""
-    d = read_json(path, "tree", TREE_SCHEMA_VERSION)
-    return FmacaTree(root=_node_from_dict(d["root"]), n_cells=d["n_cells"],
+    a JSON object of this code's tree schema_version whose n_cells is a
+    positive integer and whose every node holds (see _node_from_dict)."""
+    d = read_json(path, "tree", TREE_SCHEMA_VERSION, ("n_cells", "root"))
+    n_cells = d["n_cells"]
+    if type(n_cells) is not int or n_cells < 1:
+        raise ValueError(f"{path}: tree n_cells must be a positive integer, "
+                         f"got {n_cells!r}")
+    try:
+        root = _node_from_dict(d["root"], n_cells)
+    except ValueError as err:
+        raise ValueError(f"{path}: tree {err}") from None
+    return FmacaTree(root=root, n_cells=n_cells,
                      window=d.get("window"), goal_class=d.get("goal_class"),
                      class_names={int(k): v
                                   for k, v in d.get("class_names", {}).items()})

@@ -67,11 +67,20 @@ class RuleSet:
     Wraps a rule vector (n,), one rule number per cell, or a rule matrix
     (m, n) whose row i is the rule vector of state row i; a matrix steps
     an (m, n) batch only.  Either way repeated stepping is a handful of
-    vectorized array operations.
+    vectorized array operations.  A rule number that is not an integer (a
+    bool is not) or not supported is refused, naming the first one.
     """
 
     def __init__(self, rules):
-        numbers = np.asarray(rules, dtype=np.int64)
+        numbers = np.asarray(rules)
+        if numbers.dtype.kind not in "iu" or not isinstance(rules, np.ndarray):
+            # numpy would truncate a float and read a bool in a list of
+            # ints as 0 or 1
+            for value in np.asarray(rules, dtype=object).flat:
+                if isinstance(value, (bool, np.bool_)) or \
+                        not isinstance(value, (int, np.integer)):
+                    raise ValueError(f"rule number {value!r} is not an integer")
+        numbers = numbers.astype(np.int64, copy=False)
         if numbers.ndim not in (1, 2) or numbers.shape[-1] == 0:
             raise ValueError("rule vector must have at least one cell")
         in_range = (numbers >= 0) & (numbers < len(_MASK_TABLE))

@@ -378,9 +378,13 @@ def annotate_log(match_log, window_cycles: int) -> list:
 
 
 def _encode_one(match_id: str, out_dir: Path, window_cycles: int) -> None:
-    """Encode one logged match into its sequence and annotation files."""
+    """Encode one logged match into its sequence and annotation files; a
+    log marked invalid is refused, naming the match and its error."""
     paths = match_paths(out_dir, match_id)
     match_log = load_match_log(paths.log)
+    if not match_log.valid:
+        raise ValueError(f"match {match_id}: {paths.log} is marked invalid: "
+                         f"{match_log.error}")
     game = encode_game(match_log, window_cycles, game_id=match_id)
     players = [encode_player(match_log, game, aid)
                for aid, _team in sorted(match_log.agents)]

@@ -10,11 +10,16 @@ maps the same windows to that player's dominant action letter:
 
 with '-' wherever the player was not the possession holder or executed
 no movement command.
+
+encode_player reads the log's events in one pass: each of the player's
+executed commands counts once, into window cycle // window_cycles, where
+the game letter of that window is the player.  An event whose cycle lies
+outside the log raises ValueError naming the cycle.
 """
 
 from __future__ import annotations
 
-import math
+from collections import Counter, defaultdict
 from dataclasses import dataclass
 
 from .simulator import MatchLog, possession_timeline
@@ -31,6 +36,9 @@ SYMBOL_ACTIONS = {
     "T": "pass-toward-teammate",
     IDLE: "idle",
 }
+
+# executed command kind -> letter; a kick that reached a teammate is T
+_KIND_LETTERS = {"turn": "A", "move": "C", "kick": "G"}
 
 # tie priority when a window has equally frequent actions: scoring
 # actions dominate
@@ -59,10 +67,6 @@ class PlayerSequence:
         return len(self.letters)
 
 
-def _window_count(cycles: int, window_cycles: int) -> int:
-    return math.ceil(cycles / window_cycles)
-
-
 def encode_game(log: MatchLog, window_cycles: int, game_id: str = "0") -> GameSequence:
     if window_cycles < 1:
         raise ValueError("window_cycles must be >= 1")
@@ -70,70 +74,39 @@ def encode_game(log: MatchLog, window_cycles: int, game_id: str = "0") -> GameSe
         raise ValueError("cannot encode an empty match log")
     timeline = possession_timeline(log)
     letters = []
-    for w in range(_window_count(len(timeline), window_cycles)):
-        chunk = timeline[w * window_cycles:(w + 1) * window_cycles]
-        counts = {}
-        for holder in chunk:
-            if holder is not None:
-                counts[holder] = counts.get(holder, 0) + 1
-        best = max(counts, key=lambda h: (counts[h], h)) if counts else None
-        if best is not None and counts[best] * 2 > len(chunk):
-            letters.append(best)
-        else:
-            letters.append(IDLE)
+    for start in range(0, len(timeline), window_cycles):
+        chunk = timeline[start:start + window_cycles]
+        # only the most common entry can hold a strict majority
+        holder, held = Counter(chunk).most_common(1)[0]
+        letters.append(holder if holder is not None and 2 * held > len(chunk)
+                       else IDLE)
     return GameSequence(game_id, "".join(letters), window_cycles)
-
-
-def _pass_kick_cycles(log: MatchLog) -> set:
-    """(kicker, cycle) pairs whose kick reached a teammate."""
-    return {(e.agent, e.kick_cycle) for e in log.events
-            if e.kind == "pass_completed"}
 
 
 def encode_player(log: MatchLog, game: GameSequence, player_id: str) -> PlayerSequence:
     if player_id not in dict(log.agents):
         raise ValueError(f"unknown player id {player_id!r}")
-    passes = _pass_kick_cycles(log)
-    # letter of each executed movement command, indexed by cycle
-    actions_by_cycle = {}
+    cycles, w, holders = len(log.per_cycle_states), game.window_cycles, game.letters
+    played, pass_kicks = [], set()  # (cycle, kind) in held windows
     for e in log.events:
         if e.agent != player_id:
             continue
-        if e.kind == "turn":
-            letter = "A"
-        elif e.kind == "move":
-            letter = "C"
-        elif e.kind == "kick":
-            letter = "T" if (player_id, e.cycle) in passes else "G"
-        else:
-            continue
-        actions_by_cycle.setdefault(e.cycle, []).append(letter)
-
-    w = game.window_cycles
-    letters = []
-    for t, game_letter in enumerate(game.letters):
-        if game_letter != player_id:
-            letters.append(IDLE)
-            continue
-        window_letters = []
-        for cycle in range(t * w, (t + 1) * w):
-            window_letters.extend(actions_by_cycle.get(cycle, ()))
-        if not window_letters:
-            letters.append(IDLE)
-            continue
-        counts = {}
-        for letter in window_letters:
-            counts[letter] = counts.get(letter, 0) + 1
-        letters.append(max(counts, key=lambda s: (counts[s], _PRIORITY[s])))
+        if not 0 <= e.cycle < cycles:
+            raise ValueError(f"event cycle {e.cycle} is outside the log's "
+                             f"{cycles} cycles")
+        if e.kind == "pass_completed":
+            pass_kicks.add(e.kick_cycle)
+        elif e.kind in _KIND_LETTERS and holders[e.cycle // w] == player_id:
+            played.append((e.cycle, e.kind))
+    counts = defaultdict(Counter)  # held window -> letter -> commands
+    for cycle, kind in played:
+        passed = kind == "kick" and cycle in pass_kicks
+        counts[cycle // w]["T" if passed else _KIND_LETTERS[kind]] += 1
+    letters = [IDLE] * len(holders)
+    for window, window_counts in counts.items():
+        letters[window] = max(window_counts,
+                              key=lambda s: (window_counts[s], _PRIORITY[s]))
     return PlayerSequence(player_id, game.game_id, "".join(letters))
-
-
-def decode_symbol(symbol: str) -> str:
-    """Inverse action lookup; raises on anything outside the alphabet."""
-    try:
-        return SYMBOL_ACTIONS[symbol]
-    except KeyError:
-        raise ValueError(f"symbol {symbol!r} outside alphabet {ALPHABET}") from None
 
 
 # ----- FASTA-style text ------------------------------------------------------

@@ -89,9 +89,6 @@ class ShootingPolicy:
             mem = self._memory[agent_id] = _AgentMemory()
         return mem
 
-    def letters_of(self, agent_id) -> str:
-        return "".join(self.memory(agent_id).letters)
-
     # ----- geometry helpers -------------------------------------------------
 
     def _view(self, perception, agent_id):

@@ -475,13 +475,15 @@ def run_match(home_policy, away_policy, config: FieldConfig,
                      "cycle": world.cycle}
     log.per_cycle_states = states[:world.cycle]  # the cycles that completed
     log.score = (world.score[HOME], world.score[AWAY])
-    if log.score[0] > log.score[1]:
-        log.outcome = "home_win"
-    elif log.score[0] < log.score[1]:
-        log.outcome = "away_win"
-    else:
-        log.outcome = "draw"
+    log.outcome = _outcome(*log.score)
     return log
+
+
+def _outcome(home_goals, away_goals) -> str:
+    """What a match with this score is: home_win, away_win or draw."""
+    if home_goals > away_goals:
+        return "home_win"
+    return "away_win" if home_goals < away_goals else "draw"
 
 
 # ----- serialization -------------------------------------------------------
@@ -537,7 +539,8 @@ _loads = json.JSONDecoder(parse_constant=_refuse_constant).decode
 
 def _header_agents(header) -> list:
     """The header's [id, team] pairs as tuples, refused unless each is a
-    pair of strings, no id repeats and every team is home or away."""
+    pair of strings, every id is one letter of AGENT_IDS, no id repeats
+    and every team is home or away."""
     agents = header["agents"]
     if not (isinstance(agents, list) and all(
             isinstance(pair, list) and len(pair) == 2
@@ -545,6 +548,10 @@ def _header_agents(header) -> list:
         raise ValueError(f"header agents must be a list of [id, team] "
                          f"pairs, got {agents!r}")
     ids = [aid for aid, _team in agents]
+    for aid in ids:
+        if len(aid) != 1 or aid not in AGENT_IDS:
+            raise ValueError(f"header agent id {aid!r} is not one letter "
+                             f"of {AGENT_IDS!r}")
     if len(set(ids)) != len(ids):
         raise ValueError(f"header agents repeat an id: {ids!r}")
     for aid, team in agents:
@@ -554,13 +561,33 @@ def _header_agents(header) -> list:
     return [tuple(pair) for pair in agents]
 
 
+def _check_tail(tail):
+    """Refuse a closing line unless score is two non-negative integers,
+    outcome is the score's, valid is a bool and an invalid log's error is
+    an object."""
+    score, outcome, valid = tail["score"], tail["outcome"], tail["valid"]
+    if not (isinstance(score, list) and len(score) == 2 and all(
+            type(goals) is int and goals >= 0 for goals in score)):
+        raise ValueError(f"score must be two non-negative integers, "
+                         f"got {score!r}")
+    if outcome != _outcome(*score):
+        raise ValueError(f"outcome {outcome!r} does not match score {score}, "
+                         f"which is {_outcome(*score)!r}")
+    if type(valid) is not bool:
+        raise ValueError(f"valid must be true or false, got {valid!r}")
+    if not valid and not isinstance(tail.get("error"), dict):
+        raise ValueError(f"an invalid log's error must be an object, "
+                         f"got {tail.get('error')!r}")
+
+
 def load_match_log(path) -> MatchLog:
     """The MatchLog a file of log_to_jsonl's lines holds.  A line that is
     not JSON, a header config whose keys are not FieldConfig's, header
-    agents that are not [id, team] pairs of unique ids and home or away
-    teams, a cycle row that is not a list of 4 numbers per agent, 4 ball
-    numbers and an event list (neither a bool nor NaN or Infinity is a
-    number here), an event whose cycle is not its row's, and a missing or
+    agents that are not [id, team] pairs of unique one-letter AGENT_IDS
+    ids and home or away teams, a closing line that _check_tail refuses, a
+    cycle row that is not a list of 4 numbers per agent, 4 ball numbers
+    and an event list (neither a bool nor NaN or Infinity is a number
+    here), an event whose cycle is not its row's, and a missing or
     unexpected field raise ValueError naming the file and the line.  The
     log holds the header's roster and the rows' numbers as one
     (cycles, 4n + 4) float array."""
@@ -596,6 +623,7 @@ def load_match_log(path) -> MatchLog:
                        agents=_header_agents(header))
         width = 4 * len(log.agents) + 5
         index = len(lines) - 1
+        _check_tail(tail)
         log.outcome = tail["outcome"]
         log.score = tuple(tail["score"])
         log.valid = tail["valid"]

@@ -5,6 +5,9 @@ two classes of patterns drawn from per-feature bands [0, 0.3] and
 [0.7, 1.0], a 0.4 margin apart.
 """
 
+import json
+import re
+
 import numpy as np
 import pytest
 
@@ -413,6 +416,84 @@ class TestFeedback:
 
 
 class TestSerialization:
+
+    @staticmethod
+    def saved_tree(tmp_path, edit):
+        """A hand-built 5-cell tree, saved, its JSON edited by `edit` and
+        written back; the path."""
+        child = Internal(rules=[204] * 5, centroids=np.zeros((2, 5)), k=2,
+                         children={0: Leaf(1), 1: Leaf(2)})
+        tree = FmacaTree(root=Internal(
+            rules=[238, 254, 238, 252, 204], centroids=np.eye(2, 5), k=2,
+            children={0: child, 1: Leaf(2)}), n_cells=5)
+        doc = tree_to_dict(tree)
+        edit(doc)
+        path = tmp_path / "tree.json"
+        path.write_text(json.dumps(doc))
+        return path
+
+    def test_hand_built_tree_loads(self, tmp_path):
+        path = self.saved_tree(tmp_path, lambda doc: None)
+        assert tree_to_dict(at.load_tree(path)) == json.loads(path.read_text())
+
+    @pytest.mark.parametrize("edit, message", [
+        # a rule of 240.7 classified as 240, and a 2-wide centroid failed
+        # at the first classify with a bare numpy broadcast error
+        (lambda d: d["root"]["rules"].__setitem__(0, 240.7),
+         "node root: rule number 240.7 is not an integer"),
+        (lambda d: d["root"]["rules"].__setitem__(4, True),
+         "node root: rule number True is not an integer"),
+        (lambda d: d["root"]["rules"].__setitem__(1, 30),
+         "node root: unsupported rule number 30"),
+        (lambda d: d["root"]["rules"].pop(),
+         "node root: rules must be a list of 5 rule numbers"),
+        (lambda d: d["root"].__setitem__("rules", [[204]] * 5),
+         "node root: rules must be a list of 5 rule numbers"),
+        (lambda d: d["root"].__setitem__("centroids", [[0.0, 1.0]] * 2),
+         "node root: centroids must be 2 rows of 5 numbers"),
+        (lambda d: d["root"]["centroids"].append([0.0] * 5),
+         "node root: centroids must be 2 rows of 5 numbers"),
+        (lambda d: d["root"]["centroids"][1].__setitem__(3, "x"),
+         "node root: centroids must be 2 rows of 5 numbers"),
+        (lambda d: d["root"]["centroids"][1].__setitem__(3, False),
+         "node root: centroids must be 2 rows of 5 numbers"),
+        (lambda d: d["root"].__setitem__("k", 2.0),
+         "node root: k must be a positive integer, got 2.0"),
+        (lambda d: d["root"]["children"].__setitem__(
+            "2", d["root"]["children"].pop("1")),
+         "node root: child key '2' is not one of 0..1"),
+        (lambda d: d["root"]["children"].__setitem__(
+            "-1", d["root"]["children"].pop("1")),
+         "node root: child key '-1' is not one of 0..1"),
+        (lambda d: d["root"]["children"]["0"]["rules"].__setitem__(2, 204.5),
+         "node root/0: rule number 204.5 is not an integer"),
+        (lambda d: d.__setitem__("n_cells", "5"),
+         "tree n_cells must be a positive integer, got '5'"),
+        # a label of 1.5 or true classified as 1, and "goal" failed at the
+        # first classify with a bare int() error
+        (lambda d: d["root"]["children"]["1"].__setitem__("label", 1.5),
+         "node root/1: a leaf needs an integer label and a bool pure, "
+         "got 1.5 and True"),
+        (lambda d: d["root"]["children"]["0"]["children"]["1"].__setitem__(
+            "label", True),
+         "node root/0/1: a leaf needs an integer label"),
+        (lambda d: d["root"]["children"]["1"].__setitem__("label", "goal"),
+         "node root/1: a leaf needs an integer label"),
+        (lambda d: d["root"]["children"]["1"].__setitem__("pure", 1),
+         "node root/1: a leaf needs an integer label and a bool pure, "
+         "got 2 and 1")],
+        ids=["rule-float", "rule-bool", "rule-unsupported", "rules-short",
+             "rules-nested", "centroids-narrow", "centroids-extra-row",
+             "centroid-string", "centroid-bool", "k-float", "child-key-k",
+             "child-key-negative", "child-rule-float", "n_cells-string",
+             "leaf-label-float", "leaf-label-bool", "leaf-label-string",
+             "leaf-pure-int"])
+    def test_bad_node_refused_naming_file(self, tmp_path, edit, message):
+        path = self.saved_tree(tmp_path, edit)
+        with pytest.raises(ValueError,
+                           match=f"{re.escape(str(path))}: .*{re.escape(message)}"):
+            at.load_tree(path)
+
     def test_round_trip_preserves_predictions(self, tmp_path):
         rng = np.random.default_rng(70)
         patterns, labels = make_margin_dataset(rng, n_per_class=30, n_cells=4)

@@ -5,6 +5,7 @@ values for the rule vector <238, 254, 238, 252>; they were computed by
 hand from the bounded-sum semantics before the implementation existed.
 """
 
+import re
 from math import lcm
 
 import numpy as np
@@ -212,6 +213,25 @@ class TestTerminalStates:
         assert conv.all()
         np.testing.assert_allclose(terms[0], [0.2, 0.8])
         np.testing.assert_allclose(terms[1], [0.0, 0.0])
+
+
+class TestRuleNumbers:
+    @pytest.mark.parametrize("rules, bad", [
+        ([238.7, 254.2], "238.7"), ([238, 254.0], "254.0"),
+        ([True, 254], "True"), ([238, False], "False"),
+        ([[238, 254], [238, "254"]], "'254'"), ([238, None], "None"),
+        (np.array([238.0, 254.0]), "238.0"), (np.array([True]), "True")])
+    def test_non_integer_refused_naming_first(self, rules, bad):
+        # numpy truncated 238.7 to 238 and read True as rule 1
+        with pytest.raises(ValueError,
+                           match=f"rule number {re.escape(bad)} is not an integer"):
+            RuleSet(rules)
+
+    @pytest.mark.parametrize("rules", [
+        [238, 254], (np.int64(238), 254), np.array([238, 254], dtype=np.uint8),
+        np.array([[238, 254], [252, 204]])])
+    def test_integers_of_any_kind_taken(self, rules):
+        assert RuleSet(rules).rules == np.asarray(rules).tolist()
 
 
 class TestRuleMatrix:

@@ -472,6 +472,26 @@ class TestPipelineRun:
         assert str(err.value.cause) == ("match m000 aborted at cycle 12: "
                                         "ValueError: policy lost the ball")
 
+    def test_log_marked_invalid_fails_encode_naming_match_and_error(
+            self, tmp_path):
+        # simulate never writes an aborted match's log, but a log copied
+        # in from elsewhere may be one; its rows stop where the match did
+        config = smoke_config(tmp_path)
+        run_stage("simulate", config, tmp_path)
+        path = match_paths(tmp_path, "m000").log
+        lines = path.read_text().splitlines()
+        error = {"cycle": 12, "message": "policy lost the ball",
+                 "type": "ValueError"}
+        lines[-1] = json.dumps({**json.loads(lines[-1]), "valid": False,
+                                "error": error})
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(StageError) as err:
+            run_stage("encode", config, tmp_path)
+        assert err.value.stage == "encode"
+        assert str(err.value.cause) == (f"match m000: {path} is marked "
+                                        f"invalid: {error}")
+        assert not match_paths(tmp_path, "m000").sequence.exists()
+
     def test_window_cycles_checked_against_manifest(self, tmp_path):
         config = smoke_config(tmp_path)
         for stage in ("simulate", "encode"):

@@ -1,10 +1,16 @@
 """Codec tests built on hand-assembled match logs."""
 
+import math
+import random
+import re
+from collections import Counter
+
 import numpy as np
 import pytest
 
 from matchdna import sequences as seqmod
 from matchdna.simulator import (
+    AGENT_IDS,
     AWAY,
     HOME,
     FieldConfig,
@@ -14,7 +20,6 @@ from matchdna.simulator import (
 )
 from matchdna.sequences import (
     GameSequence,
-    decode_symbol,
     encode_game,
     encode_player,
     parse_fasta,
@@ -139,6 +144,135 @@ class TestEncodePlayer:
             encode_player(log, encode_game(log, 1), "z")
 
 
+def reference_game(timeline, window_cycles):
+    """Game letters by the per-cycle rule: each window's strict-majority
+    holder, ties broken by id."""
+    letters = []
+    for t in range(math.ceil(len(timeline) / window_cycles)):
+        chunk = timeline[t * window_cycles:(t + 1) * window_cycles]
+        counts = {}
+        for holder in chunk:
+            if holder is not None:
+                counts[holder] = counts.get(holder, 0) + 1
+        best = max(counts, key=lambda h: (counts[h], h)) if counts else None
+        if best is not None and counts[best] * 2 > len(chunk):
+            letters.append(best)
+        else:
+            letters.append("-")
+    return "".join(letters)
+
+
+def reference_player(events, game, player_id):
+    """Player letters by the per-cycle rule: list each cycle's actions,
+    then walk every cycle of every window the player holds."""
+    passes = {(e.agent, e.kick_cycle) for e in events
+              if e.kind == "pass_completed"}
+    actions_by_cycle = {}
+    for e in events:
+        if e.agent != player_id:
+            continue
+        if e.kind == "turn":
+            letter = "A"
+        elif e.kind == "move":
+            letter = "C"
+        elif e.kind == "kick":
+            letter = "T" if (player_id, e.cycle) in passes else "G"
+        else:
+            continue
+        actions_by_cycle.setdefault(e.cycle, []).append(letter)
+    w = game.window_cycles
+    letters = []
+    for t, game_letter in enumerate(game.letters):
+        window_letters = []
+        if game_letter == player_id:
+            for cycle in range(t * w, (t + 1) * w):
+                window_letters.extend(actions_by_cycle.get(cycle, ()))
+        if not window_letters:
+            letters.append("-")
+            continue
+        counts = {}
+        for letter in window_letters:
+            counts[letter] = counts.get(letter, 0) + 1
+        letters.append(max(counts, key=lambda s: (counts[s],
+                                                  seqmod._PRIORITY[s])))
+    return "".join(letters)
+
+
+def random_log(rng):
+    """A log of 1-3 players a side and 1-200 cycles: possession in runs
+    (loose ball included), one command per active player per cycle, some
+    kicks completed as passes, and events of other kinds mixed in."""
+    ids = AGENT_IDS[:2 * rng.randint(1, 3)]
+    cycles = rng.randint(1, 200)
+    timeline = []
+    while len(timeline) < cycles:
+        timeline += [rng.choice(ids + "_")] * rng.randint(1, 12)
+    timeline = [None if h == "_" else h for h in timeline[:cycles]]
+    events = []
+    for cycle in range(cycles):
+        for aid in ids:
+            if rng.random() < 0.6:
+                kind = rng.choice(("turn", "move", "kick", "kick"))
+                events.append(MatchEvent(cycle, kind, agent=aid))
+                if kind == "kick" and rng.random() < 0.4:
+                    done = min(cycles - 1, cycle + rng.randint(0, 4))
+                    events.append(MatchEvent(done, "pass_completed", agent=aid,
+                                             agent2=rng.choice(ids),
+                                             kick_cycle=cycle))
+        if rng.random() < 0.1:
+            events.append(MatchEvent(cycle, rng.choice(("goal", "idle"))))
+        if rng.random() < 0.1:
+            events.append(MatchEvent(cycle, "possession_change",
+                                     agent=rng.choice(ids)))
+    events.sort(key=lambda e: e.cycle)
+    return synthetic_log(timeline, events, ids)
+
+
+class TestPerCycleReference:
+    def test_encoders_match_the_per_cycle_rule(self):
+        seen = {"loose": 0, "pass": 0, "tie": 0}
+        for seed in range(300):
+            rng = random.Random(seed)
+            log = random_log(rng)
+            window_cycles = rng.randint(1, 15)
+            game = encode_game(log, window_cycles, game_id=str(seed))
+            timeline = seqmod.possession_timeline(log)
+            assert game.letters == reference_game(timeline, window_cycles), seed
+            seen["loose"] += game.letters.count("-")
+            for aid, _team in log.agents:
+                player = encode_player(log, game, aid)
+                assert player.letters == reference_player(log.events, game,
+                                                          aid), (seed, aid)
+                seen["pass"] += player.letters.count("T")
+                kinds = {}  # held window -> the player's command kinds
+                for e in log.events:
+                    window = e.cycle // window_cycles
+                    if e.agent == aid and game.letters[window] == aid and \
+                            e.kind in ("turn", "move", "kick"):
+                        kinds.setdefault(window, []).append(e.kind)
+                for window in kinds.values():
+                    top = Counter(window).most_common(2)
+                    seen["tie"] += len(top) == 2 and top[0][1] == top[1][1]
+        # the draws reach every case the two rules could disagree on
+        assert all(seen.values()), seen
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_out_of_range_event_cycle_refused_by_name(self, seed):
+        rng = random.Random(seed)
+        log = random_log(rng)
+        cycles = len(log.per_cycle_states)
+        game = encode_game(log, rng.randint(1, 15))
+        aid = rng.choice(log.agents)[0]
+        bad = rng.choice((-1, -rng.randint(2, 50), cycles,
+                          cycles + rng.randint(1, 50)))
+        kind = rng.choice(("turn", "move", "kick", "pass_completed"))
+        log.events.insert(rng.randint(0, len(log.events)),
+                          MatchEvent(bad, kind, agent=aid, kick_cycle=0))
+        with pytest.raises(ValueError,
+                           match=re.escape(f"event cycle {bad} is outside")):
+            encode_player(log, game, aid)
+
+
 class TestInvariants:
     def test_lengths_match_and_alphabet_closed(self):
         cfg = FieldConfig(cycle_count=120, rng_seed=21)
@@ -174,17 +308,6 @@ class TestInvariants:
         cfg = FieldConfig(cycle_count=60, rng_seed=5)
         log = run_match(Barrage(7), Barrage(8), cfg)
         assert encode_game(log, 10) == encode_game(log, 10)
-
-
-class TestDecode:
-    def test_symbol_round_trip(self):
-        assert decode_symbol("G") == "kick-toward-goal"
-        assert decode_symbol("-") == "idle"
-        assert decode_symbol("T") == "pass-toward-teammate"
-
-    def test_unknown_symbol(self):
-        with pytest.raises(ValueError):
-            decode_symbol("Z")
 
 
 class TestFasta:

@@ -52,7 +52,7 @@ class TestFindBall:
         perc = perception((-10, 0), (0, 0), 0.0)  # ball directly behind
         cmds = drive(policy, perc, 2)
         assert cmds[0].kind == "turn" and cmds[0].x == shooting.SCAN_STEP
-        assert policy.letters_of("a").startswith("AA")
+        assert "".join(policy.memory("a").letters).startswith("AA")
 
     def test_ball_in_view_advances_to_approach(self):
         policy = ShootingPolicy(HOME)
@@ -87,7 +87,7 @@ class TestRoundAndShoot:
         cmds = drive(policy, perc, 16)
         # goal dead ahead (rel 0) -> counterclockwise macro AAACT, then
         # align ATACT, then shoot AATAA capped by the strong kick
-        assert policy.letters_of("a") == "AAACT" + "ATACT" + "AATAA" + "G"
+        assert "".join(policy.memory("a").letters) == "AAACT" + "ATACT" + "AATAA" + "G"
         # the hook gets the whole letter history at the shot decision
         assert windows == ["AAACTATACT"]
         kicks = [c for c in cmds if c is not None and c.kind == "kick"]
@@ -98,7 +98,7 @@ class TestRoundAndShoot:
         # heading 90 puts the goal (at bearing 0) to the agent's right
         perc = perception((0, 3), (0, 0), 90.0)
         drive(policy, perc, 5)
-        assert policy.letters_of("a") == "AGGGT"
+        assert "".join(policy.memory("a").letters) == "AGGGT"
 
     def test_hook_sees_at_most_letter_history(self):
         windows = []
@@ -108,14 +108,14 @@ class TestRoundAndShoot:
         drive(policy, perception((3, 0), (0, 0), 0.0), 200)
         # every veto sends the agent round again, so the history fills up
         assert max(len(w) for w in windows) == shooting.LETTER_HISTORY
-        assert len(policy.letters_of("a")) == shooting.LETTER_HISTORY
+        assert len(policy.memory("a").letters) == shooting.LETTER_HISTORY
 
     def test_veto_reverses_direction(self):
         answers = iter([FeedbackDecision(proceed=False), FeedbackDecision(proceed=True)])
         policy = ShootingPolicy(HOME, feedback=lambda w: next(answers))
         perc = perception((3, 0), (0, 0), 0.0)
         drive(policy, perc, 30)
-        letters = policy.letters_of("a")
+        letters = "".join(policy.memory("a").letters)
         # first pass counterclockwise, veto flips to the clockwise macro
         assert letters.startswith("AAACT" + "ATACT" + "AGGGT")
         assert policy.memory("a").flip
@@ -130,7 +130,7 @@ class TestRoundAndShoot:
         perc = perception((3, 0), (0, 0), 0.0)
         drive(policy, perc, 15)
         # the align window ATACT is vetoed, so the clockwise macro follows
-        assert policy.letters_of("a") == "AAACT" + "ATACT" + "AGGGT"
+        assert "".join(policy.memory("a").letters) == "AAACT" + "ATACT" + "AGGGT"
         assert policy.memory("a").flip
 
     def test_wide_tree_vetoes_through_policy(self):
@@ -148,7 +148,7 @@ class TestRoundAndShoot:
             HOME, feedback=lambda w: decisions.append(ca_feedback(tree, w))
             or decisions[-1])
         drive(policy, perception((3, 0), (0, 0), 0.0), 15)
-        assert policy.letters_of("a") == "AAACT" + "ATACT" + "AGGGT"
+        assert "".join(policy.memory("a").letters) == "AAACT" + "ATACT" + "AGGGT"
         assert len(decisions) == 1
         assert not decisions[0].proceed and not decisions[0].flagged
         assert policy.memory("a").flip
