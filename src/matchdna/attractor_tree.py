@@ -487,7 +487,8 @@ def save_tree(tree: FmacaTree, path):
 def load_tree(path) -> FmacaTree:
     """The tree saved at `path`, refused naming the file unless it holds
     a JSON object of this code's tree schema_version whose n_cells is a
-    positive integer and whose every node holds (see _node_from_dict)."""
+    positive integer, whose every node holds (see _node_from_dict) and
+    whose class_names map integer strings to strings."""
     d = read_json(path, "tree", TREE_SCHEMA_VERSION, ("n_cells", "root"))
     n_cells = d["n_cells"]
     if type(n_cells) is not int or n_cells < 1:
@@ -497,7 +498,17 @@ def load_tree(path) -> FmacaTree:
         root = _node_from_dict(d["root"], n_cells)
     except ValueError as err:
         raise ValueError(f"{path}: tree {err}") from None
+    names = d.get("class_names", {})
+    if not isinstance(names, dict):
+        raise ValueError(f"{path}: tree class_names must be an object, "
+                         f"got {names!r:.60}")
+    for key, name in names.items():
+        if not (key.isascii() and key.removeprefix("-").isdigit()):
+            raise ValueError(f"{path}: tree class_names key {key!r} is not "
+                             f"an integer")
+        if not isinstance(name, str):
+            raise ValueError(f"{path}: tree class_names[{key!r}] must be a "
+                             f"string, got {name!r}")
     return FmacaTree(root=root, n_cells=n_cells,
                      window=d.get("window"), goal_class=d.get("goal_class"),
-                     class_names={int(k): v
-                                  for k, v in d.get("class_names", {}).items()})
+                     class_names={int(k): v for k, v in names.items()})

@@ -11,6 +11,10 @@ The array has a null boundary: the missing neighbor beyond either end reads
 as 0.  Rule numbers follow the usual decimal naming of 3-neighborhood next
 state functions; only the 16 OR/NOT-expressible ones are supported and any
 other number is rejected.
+
+One table, _RULE_TABLE, gives a rule number its meaning: (uses_left,
+uses_self, uses_right, complemented), NaN if unsupported.  Everything reads
+it through _rule_masks, the one place a rule number is refused.
 """
 
 from __future__ import annotations
@@ -20,45 +24,42 @@ from itertools import count, islice
 
 import numpy as np
 
-# Non-complemented rules as the neighborhood subset they OR together,
-# encoded (left, self, right).
-_RULE_TERMS = {
-    0: (False, False, False),
-    170: (False, False, True),
-    204: (False, True, False),
-    238: (False, True, True),
-    240: (True, False, False),
-    250: (True, False, True),
-    252: (True, True, False),
-    254: (True, True, True),
-}
-
-# base rule -> complemented counterpart (NOT of the base output)
+# base rule (an OR of neighbors) -> complemented counterpart (its NOT)
 COMPLEMENT_OF = {0: 255, 170: 85, 204: 51, 238: 17, 240: 15, 250: 5, 252: 3, 254: 1}
-_BASE_OF = {c: b for b, c in COMPLEMENT_OF.items()}
 
-SUPPORTED_RULES = frozenset(_RULE_TERMS) | frozenset(_BASE_OF)
+SUPPORTED_RULES = frozenset(COMPLEMENT_OF) | frozenset(COMPLEMENT_OF.values())
 
 DEFAULT_TOLERANCE = 1e-9
 
-
-def _rule_terms(rule: int) -> tuple[bool, bool, bool, bool]:
-    """Return (uses_left, uses_self, uses_right, complemented) for a rule."""
-    if rule in _RULE_TERMS:
-        return _RULE_TERMS[rule] + (False,)
-    if rule in _BASE_OF:
-        return _RULE_TERMS[_BASE_OF[rule]] + (True,)
-    raise ValueError(f"unsupported rule number {rule}; expected one of "
-                     f"{sorted(SUPPORTED_RULES)}")
+# On crisp 0/1 inputs a rule's output for neighborhood (l, s, r) is bit
+# 4l + 2s + r of its number, so a base rule reads left when bit 4 is set
+# (only l is 1), self when bit 2 is and right when bit 1 is
+_RULE_TABLE = np.full((256, 4), np.nan)
+for _base, _complement in COMPLEMENT_OF.items():
+    _RULE_TABLE[[_base, _complement], :3] = [(_base >> bit) & 1 for bit in (4, 2, 1)]
+    _RULE_TABLE[[_base, _complement], 3] = (0, 1)
 
 
-# rule number -> (left, self, right, complemented) masks, one row per
-# number so a whole rule matrix compiles with one lookup
-_MASK_TABLE = np.zeros((256, 4))
-_SUPPORTED_TABLE = np.zeros(256, dtype=bool)
-for _rule in SUPPORTED_RULES:
-    _MASK_TABLE[_rule] = _rule_terms(_rule)
-    _SUPPORTED_TABLE[_rule] = True
+def _rule_masks(rules) -> tuple[np.ndarray, np.ndarray]:
+    """(numbers, masks) of a rule number or array of them: the numbers as
+    int64 and their _RULE_TABLE rows packed mask first, shape
+    (4,) + numbers.shape.  A number that is not an integer (a bool is
+    not) or has no supported row is refused, naming the first one."""
+    numbers = np.asarray(rules)
+    if numbers.dtype.kind not in "iu" or not isinstance(rules, np.ndarray):
+        # numpy would truncate a float and read a bool in a list as 0 or 1
+        for value in np.asarray(rules, dtype=object).flat:
+            if isinstance(value, (bool, np.bool_)) or \
+                    not isinstance(value, (int, np.integer)):
+                raise ValueError(f"rule number {value!r} is not an integer")
+    numbers = numbers.astype(np.int64, copy=False)
+    in_range = (numbers >= 0) & (numbers < len(_RULE_TABLE))
+    masks = np.take(_RULE_TABLE.T, np.where(in_range, numbers, 0), axis=1)
+    bad = ~in_range | np.isnan(masks[3])
+    if bad.any():
+        raise ValueError(f"unsupported rule number {numbers[bad][0]}; expected "
+                         f"one of {sorted(SUPPORTED_RULES)}")
+    return numbers, masks
 
 
 class RuleSet:
@@ -72,28 +73,12 @@ class RuleSet:
     """
 
     def __init__(self, rules):
-        numbers = np.asarray(rules)
-        if numbers.dtype.kind not in "iu" or not isinstance(rules, np.ndarray):
-            # numpy would truncate a float and read a bool in a list of
-            # ints as 0 or 1
-            for value in np.asarray(rules, dtype=object).flat:
-                if isinstance(value, (bool, np.bool_)) or \
-                        not isinstance(value, (int, np.integer)):
-                    raise ValueError(f"rule number {value!r} is not an integer")
-        numbers = numbers.astype(np.int64, copy=False)
+        numbers, masks = _rule_masks(rules)
         if numbers.ndim not in (1, 2) or numbers.shape[-1] == 0:
             raise ValueError("rule vector must have at least one cell")
-        in_range = (numbers >= 0) & (numbers < len(_MASK_TABLE))
-        bad = ~in_range | ~_SUPPORTED_TABLE[np.where(in_range, numbers, 0)]
-        if bad.any():
-            _rule_terms(int(numbers[bad][0]))  # raises, naming the number
-        masks = _MASK_TABLE[numbers]
         self._numbers = numbers
+        self._masks = masks  # (left, self, right, complemented) masks
         self.n = numbers.shape[-1]
-        self._left = masks[..., 0]
-        self._self = masks[..., 1]
-        self._right = masks[..., 2]
-        self._comp = masks[..., 3].astype(bool)
 
     @classmethod
     def coerce(cls, rules) -> "RuleSet":
@@ -109,15 +94,17 @@ class RuleSet:
         return self._numbers.ndim == 2
 
     def take(self, rows) -> "RuleSet":
-        """The rule rows that step the selected state rows, sliced from the
-        compiled masks; a rule vector steps every row, so it is returned
-        as is."""
+        """The rule rows that step the state rows a boolean mask selects,
+        sliced from the compiled masks; a rule vector steps every row, so
+        it is returned as is."""
         if not self.is_matrix:
             return self
         part = object.__new__(RuleSet)
         part.n = self.n
-        for name in ("_numbers", "_left", "_self", "_right", "_comp"):
-            setattr(part, name, getattr(self, name)[rows])
+        part._numbers = self._numbers[rows]
+        # compress keeps each mask contiguous, which apply steps faster
+        # than the strided result of self._masks[:, rows]
+        part._masks = np.compress(rows, self._masks, axis=1)
         return part
 
     def __len__(self):
@@ -143,8 +130,9 @@ class RuleSet:
         left[:, 1:] = s[:, :-1]
         right = np.zeros(s.shape)
         right[:, :-1] = s[:, 1:]
-        nxt = np.minimum(1.0, left * self._left + s * self._self + right * self._right)
-        nxt = np.where(self._comp, 1.0 - nxt, nxt)
+        uses_left, uses_self, uses_right, complemented = self._masks
+        nxt = np.minimum(1.0, left * uses_left + s * uses_self + right * uses_right)
+        nxt = np.where(complemented, 1.0 - nxt, nxt)
         return nxt if batch else nxt[0]
 
     def dependency_matrix(self) -> np.ndarray:
@@ -155,13 +143,10 @@ class RuleSet:
         """
         if self.is_matrix:
             raise ValueError("dependency_matrix needs a single rule vector")
-        n = self.n
-        dep = np.zeros((n, n), dtype=bool)
-        idx = np.arange(n)
-        dep[idx[1:], idx[1:] - 1] = self._left[1:].astype(bool)
-        dep[idx, idx] = self._self.astype(bool)
-        dep[idx[:-1], idx[:-1] + 1] = self._right[:-1].astype(bool)
-        return dep
+        uses_left, uses_self, uses_right = self._masks[:3].astype(bool)
+        # cell i reads i-1 below the diagonal and i+1 above it
+        return (np.diag(uses_left[1:], -1) | np.diag(uses_self)
+                | np.diag(uses_right[:-1], 1))
 
 
 def check_unit_interval(values, what: str):
@@ -179,7 +164,7 @@ def eval_rule(rule: int, left: float, self_state: float, right: float) -> float:
     for name, v in (("left", left), ("self", self_state), ("right", right)):
         if not 0.0 <= v <= 1.0:
             raise ValueError(f"{name} value {v} outside [0, 1]")
-    uses_l, uses_s, uses_r, comp = _rule_terms(rule)
+    uses_l, uses_s, uses_r, comp = _rule_masks(rule)[1].tolist()
     total = uses_l * left + uses_s * self_state + uses_r * right
     out = min(1.0, total)
     return 1.0 - out if comp else out
@@ -379,8 +364,7 @@ def terminal_states(patterns: np.ndarray, rules, max_steps: int = 200,
 def parse_rule_vector(text: str) -> list[int]:
     """Parse '238,254,238,252' into a validated rule list."""
     rules = [int(tok) for tok in text.replace(" ", "").split(",") if tok]
-    for r in rules:
-        _rule_terms(r)
+    _rule_masks(rules)
     return rules
 
 

@@ -301,6 +301,19 @@ def _worker_count(matches: int) -> int:
     return min(len(os.sched_getaffinity(0)), matches)
 
 
+def _exit_with_parent():
+    """Pool initializer: a daemon thread ends this worker once its parent
+    has exited, which the pool leaves undone when the parent is killed."""
+    import multiprocessing
+    import threading
+    parent = multiprocessing.parent_process()
+
+    def watch():
+        parent.join()
+        os._exit(1)
+    threading.Thread(target=watch, daemon=True).start()
+
+
 def _map_matches(function, arguments: list) -> list:
     """[function(*args) for args in arguments], on _worker_count forked
     workers, or in this process when that is one.  Workers are forked, so
@@ -308,7 +321,7 @@ def _map_matches(function, arguments: list) -> list:
     for every stage.  Results come back in order, so a failure raises the
     error of the first failing match, whichever worker finished first; a
     worker that dies raises BrokenProcessPool.  No worker outlives the
-    call."""
+    call, even when this process is killed during it (_exit_with_parent)."""
     workers = _worker_count(len(arguments))
     if workers < 2:
         return [function(*args) for args in arguments]
@@ -317,7 +330,8 @@ def _map_matches(function, arguments: list) -> list:
     import multiprocessing
     from concurrent.futures import ProcessPoolExecutor
     with ProcessPoolExecutor(
-            workers, mp_context=multiprocessing.get_context("fork")) as pool:
+            workers, mp_context=multiprocessing.get_context("fork"),
+            initializer=_exit_with_parent) as pool:
         return list(pool.map(function, *zip(*arguments)))
 
 

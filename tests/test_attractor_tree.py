@@ -494,6 +494,29 @@ class TestSerialization:
                            match=f"{re.escape(str(path))}: .*{re.escape(message)}"):
             at.load_tree(path)
 
+    @pytest.mark.parametrize("names, message", [
+        # a key of "x" failed with a bare int() error, and a value was
+        # never checked
+        ({"1": "goal", "x": "threat"},
+         "tree class_names key 'x' is not an integer"),
+        ({"1.0": "goal"}, "tree class_names key '1.0' is not an integer"),
+        ({"1": "goal", "2": 2}, "tree class_names['2'] must be a string, got 2"),
+        ({"1": None}, "tree class_names['1'] must be a string, got None"),
+        (["goal", "threat"], "tree class_names must be an object")],
+        ids=["key-letter", "key-float", "value-int", "value-null", "list"])
+    def test_bad_class_names_refused_naming_file_and_key(self, tmp_path,
+                                                          names, message):
+        path = self.saved_tree(
+            tmp_path, lambda doc: doc.__setitem__("class_names", names))
+        with pytest.raises(ValueError, match=f"{re.escape(str(path))}: "
+                                             f"{re.escape(message)}"):
+            at.load_tree(path)
+
+    def test_class_names_load_with_integer_keys(self, tmp_path):
+        path = self.saved_tree(tmp_path, lambda doc: doc.__setitem__(
+            "class_names", {"1": "goal", "-2": "threat"}))
+        assert at.load_tree(path).class_names == {1: "goal", -2: "threat"}
+
     def test_round_trip_preserves_predictions(self, tmp_path):
         rng = np.random.default_rng(70)
         patterns, labels = make_margin_dataset(rng, n_per_class=30, n_cells=4)

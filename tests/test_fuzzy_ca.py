@@ -61,6 +61,14 @@ class TestEvalRule:
         with pytest.raises(ValueError):
             eval_rule(30, 0.1, 0.2, 0.3)
 
+    @pytest.mark.parametrize("rule, shown", [
+        (238.0, "238.0"), (True, "True"), ("238", "'238'")])
+    def test_rejects_non_integer_rule(self, rule, shown):
+        # 238.0 used to step as rule 238 and True as rule 1
+        with pytest.raises(ValueError,
+                           match=f"rule number {re.escape(shown)} is not an integer"):
+            eval_rule(rule, 0.1, 0.2, 0.3)
+
     def test_rejects_out_of_range_input(self):
         with pytest.raises(ValueError):
             eval_rule(204, 0.0, 1.5, 0.0)
@@ -213,6 +221,42 @@ class TestTerminalStates:
         assert conv.all()
         np.testing.assert_allclose(terms[0], [0.2, 0.8])
         np.testing.assert_allclose(terms[1], [0.0, 0.0])
+
+
+# the eight crisp neighborhoods (l, s, r); row k is neighborhood k = 4l+2s+r
+CRISP = np.array([[(k >> 2) & 1, (k >> 1) & 1, k & 1] for k in range(8)], float)
+
+# every number whose crisp truth table is the OR of a neighbor subset or
+# its NOT, derived from the bits alone
+OR_NOT_RULES = {
+    sum(((l & ul | s & us | r & ur) ^ comp) << (4 * l + 2 * s + r)
+        for l in (0, 1) for s in (0, 1) for r in (0, 1))
+    for ul in (0, 1) for us in (0, 1) for ur in (0, 1) for comp in (0, 1)}
+
+
+class TestTruthTable:
+    """Every number 0..255: a supported rule's output on a crisp
+    neighborhood (l, s, r) is bit 4l+2s+r of its number; any other
+    number is refused alike by every entry point."""
+
+    def test_supported_rules_are_the_or_not_rules(self):
+        assert SUPPORTED_RULES == OR_NOT_RULES
+
+    @pytest.mark.parametrize("rule", range(256))
+    def test_rule_number_is_its_truth_table(self, rule):
+        if rule not in SUPPORTED_RULES:
+            message = (f"unsupported rule number {rule}; expected one of "
+                       f"{sorted(SUPPORTED_RULES)}")
+            for refuse in (lambda: RuleSet([204, rule, 204]),
+                           lambda: eval_rule(rule, 0.0, 0.0, 0.0),
+                           lambda: fuzzy_ca.parse_rule_vector(f"204,{rule}")):
+                with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+                    refuse()
+            return
+        bits = [(rule >> k) & 1 for k in range(8)]
+        # the middle cell of a 3-cell state sees (l, s, r) as its neighborhood
+        assert RuleSet([204, rule, 204]).apply(CRISP)[:, 1].tolist() == bits
+        assert [eval_rule(rule, *row) for row in CRISP.tolist()] == bits
 
 
 class TestRuleNumbers:

@@ -7,7 +7,10 @@ import multiprocessing
 import os
 import shutil
 import signal
+import subprocess
 import sys
+import textwrap
+import time
 from collections import Counter
 from concurrent.futures.process import BrokenProcessPool
 from pathlib import Path
@@ -897,6 +900,15 @@ def usable_cpus(monkeypatch, count: int):
 FORK_WARNS = sys.version_info >= (3, 12)
 
 
+def _running(pid: int) -> bool:
+    """Whether process `pid` exists and is not a zombie."""
+    try:
+        stat = Path(f"/proc/{pid}/stat").read_text()
+    except FileNotFoundError:
+        return False
+    return stat.rsplit(")", 1)[1].split()[0] != "Z"
+
+
 def _die_in_worker(parent_pid: int):
     """Kill the calling process unless it is `parent_pid`."""
     if os.getpid() != parent_pid:
@@ -985,6 +997,50 @@ class TestParallelStages:
             signal.alarm(0)
             signal.signal(signal.SIGALRM, previous)
         assert multiprocessing.active_children() == []
+
+    @pytest.mark.skipif(not Path("/proc/self").exists(),
+                        reason="reads process states from /proc")
+    def test_workers_exit_when_their_parent_is_killed(self, tmp_path):
+        # a child maps a sleeping function on two forced workers, each
+        # writing its pid first; SIGKILL gives the child no chance to
+        # shut its pool down, so only the workers themselves can exit
+        code = textwrap.dedent(f"""
+            import os, time
+            from pathlib import Path
+            from matchdna import pipeline
+            pipeline._worker_count = lambda matches: 2
+            def nap(path):
+                Path(path).write_text(str(os.getpid()))
+                time.sleep(60)
+            pipeline._map_matches(nap, [({str(tmp_path / "a")!r},),
+                                        ({str(tmp_path / "b")!r},)])
+            """)
+        src = str(Path(pipeline.__file__).parents[1])
+        child = subprocess.Popen(
+            [sys.executable, "-c", code],
+            env={**os.environ, "PYTHONPATH": src + os.pathsep
+                 + os.environ.get("PYTHONPATH", "")})
+        paths = [tmp_path / "a", tmp_path / "b"]
+        pids = []
+        try:
+            deadline = time.monotonic() + 30
+            while not all(p.exists() and p.read_text() for p in paths):
+                assert child.poll() is None, "the child exited early"
+                assert time.monotonic() < deadline, "no worker started"
+                time.sleep(0.05)
+            pids = [int(p.read_text()) for p in paths]
+            assert child.pid not in pids and pids[0] != pids[1]
+            child.kill()
+            child.wait()
+            deadline = time.monotonic() + 5
+            while any(map(_running, pids)) and time.monotonic() < deadline:
+                time.sleep(0.05)
+            assert not any(map(_running, pids)), pids
+        finally:
+            child.kill()
+            child.wait()
+            for pid in filter(_running, pids):
+                os.kill(pid, signal.SIGKILL)
 
     @pytest.mark.parametrize("count", [1, 2])
     def test_simulate_failure_names_first_failing_match(
