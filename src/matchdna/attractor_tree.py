@@ -487,8 +487,9 @@ def save_tree(tree: FmacaTree, path):
 def load_tree(path) -> FmacaTree:
     """The tree saved at `path`, refused naming the file unless it holds
     a JSON object of this code's tree schema_version whose n_cells is a
-    positive integer, whose every node holds (see _node_from_dict) and
-    whose class_names map integer strings to strings."""
+    positive integer, whose every node holds (see _node_from_dict),
+    whose class_names map integer strings to strings, and whose window
+    and goal_class are null or n_cells and a class_names key."""
     d = read_json(path, "tree", TREE_SCHEMA_VERSION, ("n_cells", "root"))
     n_cells = d["n_cells"]
     if type(n_cells) is not int or n_cells < 1:
@@ -509,6 +510,15 @@ def load_tree(path) -> FmacaTree:
         if not isinstance(name, str):
             raise ValueError(f"{path}: tree class_names[{key!r}] must be a "
                              f"string, got {name!r}")
-    return FmacaTree(root=root, n_cells=n_cells,
-                     window=d.get("window"), goal_class=d.get("goal_class"),
-                     class_names={int(k): v for k, v in names.items()})
+    class_names = {int(k): v for k, v in names.items()}
+    window, goal_class = d.get("window"), d.get("goal_class")
+    if window is not None and not (type(window) is int and window == n_cells):
+        raise ValueError(f"{path}: tree window must be null or n_cells "
+                         f"{n_cells}, got {window!r:.60}")
+    if goal_class is not None and not (type(goal_class) is int
+                                       and goal_class in class_names):
+        raise ValueError(f"{path}: tree goal_class must be null or a key of "
+                         f"class_names {sorted(class_names)}, "
+                         f"got {goal_class!r:.60}")
+    return FmacaTree(root=root, n_cells=n_cells, window=window,
+                     goal_class=goal_class, class_names=class_names)

@@ -25,8 +25,8 @@ from .jsonfile import read_json
 log = logging.getLogger(__name__)
 
 
-def _common_parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
+def _common_parser(**kw) -> argparse.ArgumentParser:
+    common = argparse.ArgumentParser(add_help=False, **kw)
     common.add_argument("--config", help="JSON run config file")
     common.add_argument("--seed", type=int, help="master seed override")
     common.add_argument("--out-dir", help="artifact directory override")
@@ -36,12 +36,15 @@ def _common_parser() -> argparse.ArgumentParser:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    common = _common_parser()
     parser = argparse.ArgumentParser(
         prog="matchdna",
         description="simulate matches, encode play sequences, mine patterns, "
                     "and train sequence-driven classifiers",
-        parents=[common])
+        parents=[_common_parser()])
+    # a global flag is taken before or after the subcommand; the
+    # subcommand's copy sets nothing unless given, so it cannot overwrite
+    # a value given before it with its default
+    common = _common_parser(argument_default=argparse.SUPPRESS)
     sub = parser.add_subparsers(dest="command", required=True)
 
     sub.add_parser("simulate", parents=[common],

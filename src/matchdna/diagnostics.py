@@ -118,45 +118,33 @@ def _trial_bit_series(rules, config: DiagnosticsConfig) -> tuple[np.ndarray, np.
     keeping at least one window's worth of samples.
 
     A deterministic batch runs a transient and then a cycle, so stepping
-    stops at the batch's first exact repeat, found with Brent's
-    checkpoint: s(t) is compared with the state s(a) kept since step a,
-    and the checkpoint moves on whenever t-a reaches a power of two.
-    From the repeat's period p the transient mu is the first i with
-    s(i) == s(i+p); steps mu..mu+p-1 are the cycle, and step t >= mu
-    maps to state mu + (t-mu) % p.  `bits` holds the distinct states
-    and then up to window-1 states of continuation, so every window
-    that starts at one of them lies whole in `bits`; `index` maps each
-    step of the series to its distinct state.  Stepping is exact and
-    deterministic, so s(t) equals s(mu + (t-mu) % p) bit for bit and
-    bits[index] is, element for element, the series that stepping to
-    run_steps gives; the reductions below therefore return the same
-    floats.  A batch that never repeats steps to run_steps and is its
-    own index.
+    stops at the batch's first exact repeat: step t whose state was first
+    seen at step mu.  Steps mu..t-1 are the cycle, and step t' >= mu maps
+    to state mu + (t'-mu) % (t-mu).  `bits` holds the distinct states and
+    then up to window-1 states of continuation, so every window that
+    starts at one of them lies whole in `bits`; `index` maps each step of
+    the series to its distinct state, so bits[index] is, element for
+    element, the series that stepping to run_steps gives, and the
+    reductions below return the same floats.  A batch that never repeats
+    steps to run_steps and is its own index.
     """
     rs = RuleSet.coerce(rules)
     seqs = np.random.SeedSequence(config.rng_seed).spawn(config.trials)
     cur = np.vstack([np.random.default_rng(s).random(rs.n) for s in seqs])
-    states = [cur]
-    mark, mark_step, span = cur, 0, 1  # Brent checkpoint s(a), a, next move
-    period = 0
+    # states lie in [0, 1] and apply never makes -0.0 or NaN, so two
+    # states are equal as floats exactly when their bytes are
+    step_of = {cur.tobytes(): 0}  # distinct states in step order
     for t in range(1, config.run_steps + 1):
         cur = rs.apply(cur)
-        if (cur == mark).all():
-            period = t - mark_step
+        mu = step_of.setdefault(cur.tobytes(), t)
+        if mu < t:
             break
-        states.append(cur)
-        if t - mark_step == span:
-            mark, mark_step, span = cur, t, 2 * span
-    states = np.array(states)
+    states = np.frombuffer(b"".join(step_of)).reshape(-1, *cur.shape)
+    del step_of  # its keys copy `states`: a long run must not keep both
     index = np.arange(config.run_steps + 1)
-    distinct = len(states)
-    if period:
-        # s(i) == s(i+p) for i < a, else the cycle starts at a itself
-        same = (states[period:] == states[:-period]).all(axis=(1, 2))
-        mu = int(np.argmax(np.append(same, True)))
-        distinct = mu + period
-        index = np.where(index < distinct, index, mu + (index - mu) % period)
-    bits = binarize(states[index[:distinct + config.window - 1]])
+    if mu < t:
+        index = np.where(index < t, index, mu + (index - mu) % (t - mu))
+    bits = binarize(states)[index[:len(states) + config.window - 1]]
     return bits, index[min(config.window, len(index) - config.window):]
 
 

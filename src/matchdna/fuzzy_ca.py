@@ -30,6 +30,7 @@ COMPLEMENT_OF = {0: 255, 170: 85, 204: 51, 238: 17, 240: 15, 250: 5, 252: 3, 254
 SUPPORTED_RULES = frozenset(COMPLEMENT_OF) | frozenset(COMPLEMENT_OF.values())
 
 DEFAULT_TOLERANCE = 1e-9
+MAX_PERIOD = 32  # longest cycle terminal_states' probe looks for
 
 # On crisp 0/1 inputs a rule's output for neighborhood (l, s, r) is bit
 # 4l + 2s + r of its number, so a base rule reads left when bit 4 is set
@@ -267,16 +268,16 @@ def _orbit(rs: RuleSet, state: np.ndarray):
         yield state
 
 
-def _probe(first: np.ndarray, later, max_period: int):
+def _probe(first: np.ndarray, later):
     """The period probe of a batch at s(T) = `first`, with s(T+1), s(T+2),
-    ... drawn from the iterable `later`.  A row's first j <= max_period
+    ... drawn from the iterable `later`.  A row's first j <= MAX_PERIOD
     with s(T+j) within DEFAULT_TOLERANCE of s(T) closes its cycle,
     represented by the lexmin of s(T)..s(T+j-1); a row with no such j is
     truncated and keeps s(T).  Returns (terminals, converged)."""
     out = first.copy()
     found = np.zeros(len(first), dtype=bool)
     stack = [first]
-    for s in islice(later, max_period):
+    for s in islice(later, MAX_PERIOD):
         hit = ~found & (np.abs(s - first).max(axis=1) <= DEFAULT_TOLERANCE)
         if hit.any():
             out[hit] = _lexmin(np.stack(stack)[:, hit])
@@ -287,8 +288,8 @@ def _probe(first: np.ndarray, later, max_period: int):
     return out, found
 
 
-def terminal_states(patterns: np.ndarray, rules, max_steps: int = 200,
-                    max_period: int = 32) -> tuple[np.ndarray, np.ndarray]:
+def terminal_states(patterns: np.ndarray, rules,
+                    max_steps: int = 200) -> tuple[np.ndarray, np.ndarray]:
     """Terminal representative for every row of a pattern batch.
 
     `rules` is one rule vector (n,) for every row, or an (m, n) rule
@@ -296,7 +297,7 @@ def terminal_states(patterns: np.ndarray, rules, max_steps: int = 200,
     step together as one batch.  Whole-batch stepping: fixed points and
     period-2 cycles are detected as they occur and their rows leave the
     batch; rows still live after max_steps are probed for cycles up to
-    max_period.  Anything longer counts as truncated.  Returns
+    MAX_PERIOD.  Anything longer counts as truncated.  Returns
     (terminals, converged); cycle rows are represented by the
     lexicographically smallest state of the cycle, truncated rows by
     their last state.
@@ -347,7 +348,7 @@ def terminal_states(patterns: np.ndarray, rules, max_steps: int = 200,
                 phase = (max_steps - mark_step) % lag  # s(max_steps)'s index
                 later = (cycle[(phase + j) % lag] for j in count(1))
                 out[live[rep]], converged[live[rep]] = _probe(
-                    cycle[phase], later, max_period)
+                    cycle[phase], later)
                 done = done | rep
         prev, cur = cur, nxt
         if lag == span:
@@ -357,7 +358,7 @@ def terminal_states(patterns: np.ndarray, rules, max_steps: int = 200,
             live, prev, cur, mark, rs = (live[keep], prev[keep], cur[keep],
                                          mark[keep], rs.take(keep))
     if live.size:
-        out[live], converged[live] = _probe(cur, _orbit(rs, cur), max_period)
+        out[live], converged[live] = _probe(cur, _orbit(rs, cur))
     return out, converged
 
 

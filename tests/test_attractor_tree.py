@@ -512,6 +512,35 @@ class TestSerialization:
                                              f"{re.escape(message)}"):
             at.load_tree(path)
 
+    @pytest.mark.parametrize("fields, message", [
+        # "5" failed with a TypeError, and 3 or 0 with an error that did
+        # not name the file
+        ({"window": "5"}, "tree window must be null or n_cells 5, got '5'"),
+        ({"window": 3}, "tree window must be null or n_cells 5, got 3"),
+        ({"window": 0}, "tree window must be null or n_cells 5, got 0"),
+        ({"window": 5.0}, "tree window must be null or n_cells 5, got 5.0"),
+        ({"window": True}, "tree window must be null or n_cells 5, got True"),
+        # a goal_class no leaf can carry vetoed every shot
+        ({"goal_class": "1", "class_names": {"1": "goal"}},
+         "tree goal_class must be null or a key of class_names [1], got '1'"),
+        ({"goal_class": 7, "class_names": {"1": "goal", "2": "threat"}},
+         "tree goal_class must be null or a key of class_names [1, 2], "
+         "got 7"),
+        ({"goal_class": True, "class_names": {"1": "goal"}},
+         "tree goal_class must be null or a key of class_names [1], "
+         "got True"),
+        ({"goal_class": 1},
+         "tree goal_class must be null or a key of class_names [], got 1")],
+        ids=["window-string", "window-short", "window-zero", "window-float",
+             "window-bool", "goal-string", "goal-unnamed", "goal-bool",
+             "goal-no-names"])
+    def test_bad_window_or_goal_class_refused_naming_file(self, tmp_path,
+                                                          fields, message):
+        path = self.saved_tree(tmp_path, lambda doc: doc.update(fields))
+        with pytest.raises(ValueError, match=f"{re.escape(str(path))}: "
+                                             f"{re.escape(message)}"):
+            at.load_tree(path)
+
     def test_class_names_load_with_integer_keys(self, tmp_path):
         path = self.saved_tree(tmp_path, lambda doc: doc.__setitem__(
             "class_names", {"1": "goal", "-2": "threat"}))

@@ -185,6 +185,21 @@ def reference_series(rules, config):
             repeats)
 
 
+def first_repeat_step(rules, config):
+    """The first step whose whole-batch state equals one seen at an
+    earlier step, or run_steps if the batch never repeats."""
+    rs = RuleSet.coerce(rules)
+    seqs = np.random.SeedSequence(config.rng_seed).spawn(config.trials)
+    cur = np.vstack([np.random.default_rng(s).random(rs.n) for s in seqs])
+    seen = {cur.tobytes()}
+    for t in range(1, config.run_steps + 1):
+        cur = rs.apply(cur)
+        if cur.tobytes() in seen:
+            return t
+        seen.add(cur.tobytes())
+    return config.run_steps
+
+
 def reference_entropy(series, w):
     csum = np.cumsum(series, axis=0, dtype=np.int64)
     pad = np.zeros((1,) + csum.shape[1:], dtype=np.int64)
@@ -263,6 +278,21 @@ class TestStoppedSeries:
         diag.rule_vector_diagnostics([250, 1, 3, 5, 3, 250, 252, 204],
                                      DiagnosticsConfig())
         assert 0 < len(calls) <= 64
+
+    @pytest.mark.parametrize("rules", [
+        [0] * 6, [51] * 6, [250, 1, 3, 5, 3, 250, 252, 204],
+        [5, 250, 3, 51, 170, 204, 1, 252],
+        # never repeats within the default 10,000 steps
+        [170, 3, 240, 1, 1, 240, 51, 252]])
+    def test_default_probe_stops_at_the_first_repeat(self, rules, monkeypatch):
+        cfg = DiagnosticsConfig()
+        want = first_repeat_step(rules, cfg)
+        calls = []
+        apply = RuleSet.apply
+        monkeypatch.setattr(RuleSet, "apply",
+                            lambda self, state: calls.append(1) or apply(self, state))
+        diag.rule_vector_diagnostics(rules, cfg)
+        assert len(calls) == want
 
 
 class TestConfigValidation:

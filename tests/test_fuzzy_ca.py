@@ -298,16 +298,16 @@ class TestRuleMatrix:
             assert conv[i] == c1[0], (i, rules)
         return terms, conv
 
-    def test_planted_terminal_kinds(self):
+    def test_planted_terminal_kinds(self, monkeypatch):
         rules = np.array([r for r, _p, _c in self.PLANTED])
         patterns = np.array([p for _r, p, _c in self.PLANTED])
-        terms, conv = self.assert_rows_match(patterns, rules, max_steps=20,
-                                             max_period=8)
+        monkeypatch.setattr(fuzzy_ca, "MAX_PERIOD", 8)
+        terms, conv = self.assert_rows_match(patterns, rules, max_steps=20)
         assert conv.tolist() == [c for _r, _p, c in self.PLANTED]
         np.testing.assert_allclose(terms[1], [0.2, 0.8])
         np.testing.assert_allclose(terms[2], [0.2, 0.7])
 
-    def test_rows_match_per_vector_calls(self):
+    def test_rows_match_per_vector_calls(self, monkeypatch):
         rng = np.random.default_rng(314)
         pool = np.array(sorted(SUPPORTED_RULES))
         seen = set()
@@ -320,9 +320,10 @@ class TestRuleMatrix:
                 patterns = rng.random((m, n))
             rules = rng.choice(pool, size=(m, n))
             max_steps = int(rng.choice([3, 20, 80]))
-            max_period = int(rng.choice([2, 8, 32]))
-            _terms, conv = self.assert_rows_match(
-                patterns, rules, max_steps=max_steps, max_period=max_period)
+            monkeypatch.setattr(fuzzy_ca, "MAX_PERIOD",
+                                int(rng.choice([2, 8, 32])))
+            _terms, conv = self.assert_rows_match(patterns, rules,
+                                                  max_steps=max_steps)
             seen.update(conv.tolist())
         assert seen == {True, False}
 
@@ -398,9 +399,11 @@ def reference_terminal_states(patterns, rules, max_steps=200, max_period=32):
     return out, converged
 
 
-def assert_same_as_reference(patterns, rules, **kw):
-    """Bit-identical terminals (compared as int64) and converged flags."""
-    terms, conv = fuzzy_ca.terminal_states(patterns, rules, **kw)
+def assert_same_as_reference(patterns, rules, max_steps):
+    """Bit-identical terminals (compared as int64) and converged flags,
+    at the probe's current fuzzy_ca.MAX_PERIOD."""
+    terms, conv = fuzzy_ca.terminal_states(patterns, rules, max_steps=max_steps)
+    kw = dict(max_steps=max_steps, max_period=fuzzy_ca.MAX_PERIOD)
     want_terms, want_conv = reference_terminal_states(patterns, rules, **kw)
     assert np.array_equal(terms.view(np.int64), want_terms.view(np.int64)), kw
     assert np.array_equal(conv, want_conv), kw
@@ -467,7 +470,7 @@ class TestExactEarlyExit:
     """terminal_states against the loop that steps every row to
     max_steps: the same bytes, with fewer steps."""
 
-    def test_seeded_fuzz_matches_reference(self):
+    def test_seeded_fuzz_matches_reference(self, monkeypatch):
         rng = np.random.default_rng(2024)
         pool = np.array(sorted(SUPPORTED_RULES))
         seen = set()
@@ -483,15 +486,17 @@ class TestExactEarlyExit:
                 patterns = rng.integers(0, 9, size=(m, n)) / 8
             shape = (m, n) if case % 2 else n
             rules = rng.choice(pool, size=shape)
-            _terms, conv = assert_same_as_reference(
-                patterns, rules, max_steps=int(rng.integers(1, 201)),
-                max_period=int(rng.integers(1, 33)))
+            max_steps = int(rng.integers(1, 201))
+            monkeypatch.setattr(fuzzy_ca, "MAX_PERIOD",
+                                int(rng.integers(1, 33)))
+            _terms, conv = assert_same_as_reference(patterns, rules, max_steps)
             seen.update(conv.tolist())
         assert seen == {True, False}
 
     @pytest.mark.parametrize("max_steps,max_period", [
         (80, 32), (200, 32), (80, 8), (200, 12), (12, 32), (5, 40), (1, 32)])
-    def test_planted_cycles_match_reference(self, max_steps, max_period):
+    def test_planted_cycles_match_reference(self, max_steps, max_period,
+                                            monkeypatch):
         climbs = [2.0 ** -(i % 6) for i in range(len(PLANTED_PERIODS))]
         patterns, rules, periods = planted_batch(PLANTED_PERIODS, climbs)
         # evolve, which shares no stepping with terminal_states, confirms
@@ -504,8 +509,8 @@ class TestExactEarlyExit:
             starts.append(traj.terminal.start)
         periods, starts = np.array(periods), np.array(starts)
         assert periods.min() == 3 and periods.max() == 40
-        _terms, conv = assert_same_as_reference(
-            patterns, rules, max_steps=max_steps, max_period=max_period)
+        monkeypatch.setattr(fuzzy_ca, "MAX_PERIOD", max_period)
+        _terms, conv = assert_same_as_reference(patterns, rules, max_steps)
         # grid states never come within tolerance of one another, so a row
         # converges only if it is on its cycle by max_steps and the cycle
         # fits in max_period; a longer period stays truncated

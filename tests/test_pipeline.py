@@ -17,7 +17,7 @@ from pathlib import Path
 
 import pytest
 
-from matchdna import pipeline
+from matchdna import cli, pipeline
 from matchdna.attractor_tree import (
     GaConfig,
     fit_window_classifier,
@@ -29,7 +29,7 @@ from matchdna.classifier_system import (
     SequenceReplayEnvironment,
     train,
 )
-from matchdna.cli import main
+from matchdna.cli import build_parser, main
 from matchdna.mining import GOAL, THREAT
 from matchdna.pipeline import (
     CorpusManifest,
@@ -1107,6 +1107,23 @@ class TestCli:
         code = main(["mine", "--out-dir", str(tmp_path / "nothing")])
         assert code == 1
         assert "mine" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", [
+        ["pipeline"], ["mine", "--top", "4"], ["feedback", "--letters", "AC"]])
+    def test_global_flags_before_or_after_the_subcommand(self, tmp_path,
+                                                         command):
+        config_path = tmp_path / "cfg.json"
+        config_path.write_text(json.dumps(SMOKE))
+        flags = ["--config", str(config_path), "--seed", "5",
+                 "--out-dir", str(tmp_path / "x"), "--verbose"]
+        before = build_parser().parse_args(flags + command)
+        after = build_parser().parse_args(command[:1] + flags + command[1:])
+        assert vars(before) == vars(after)
+        assert before.verbose
+        config = cli._resolve(before)
+        assert config == cli._resolve(after)
+        assert (config["seed"], config["out_dir"]) == (5, str(tmp_path / "x"))
+        assert config["simulate"]["matches"] == SMOKE["simulate"]["matches"]
 
     def test_fca_run_prints_trajectory(self, capsys):
         code = main(["fca-run", "--rules", "238,254,238,252",
