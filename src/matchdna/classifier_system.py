@@ -11,10 +11,13 @@ when available and from parent crossover otherwise.
 The population lives in parallel numpy arrays (condition matrix, action
 codes, strengths); ClassifierRule is the string view used at the edges.
 
-train keeps a match index: one boolean row over the rules per context
-seen so far.  A context's first visit goes through match_set (which
-validates it); later visits read the stored row.  Covering recomputes
-its slot's column and a GA round every column.  select_action draws
+train keeps a match table: one boolean row over the rules for every
+possible context, len(ALPHABET) ** CONTEXT_LENGTH rows (3,125 x 200
+rules, 625 KB), built when train starts.  A context's matching rule
+indices, its row's nonzero(), are kept from its first visit until the
+next refresh; a string that is no context goes to match_set, which
+refuses it.  Covering recomputes its slot's column and a GA round every
+column, each as one broadcast over the table.  select_action draws
 the winner the way Generator.choice(matches, p=bids / total) does
 internally (normalized cumsum, one double, right-sided searchsorted):
 the same double and the same winner, without re-checking p per call.
@@ -32,6 +35,7 @@ strength array, so any learner that keeps strengths can share it.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import product
 from typing import ClassVar
 
 import numpy as np
@@ -161,13 +165,15 @@ def select_action(matches: np.ndarray, population: Population,
     """Bid-proportional winner; uniform fallback when every bid is zero."""
     if len(matches) == 0:
         raise ValueError("empty match set; run covering first")
-    bids = bid_fraction * population.strengths[matches]
-    total = bids.sum()
+    bids = population.strengths[matches]
+    bids *= bid_fraction
+    total = np.add.reduce(bids)
     if total <= 0.0:
         winner = int(matches[rng.integers(len(matches))])
     else:
         # Generator.choice(matches, p=bids / total) without its checks of p
-        cdf = (bids / total).cumsum()
+        bids /= total
+        cdf = bids.cumsum()
         cdf /= cdf[-1]
         winner = int(matches[cdf.searchsorted(rng.random(), side="right")])
     return winner, ACTIONS[population.actions[winner]]
@@ -179,14 +185,18 @@ def bucket_brigade_update(strengths: np.ndarray, winner: int,
     """Winner pays its bid backward, then banks the external reward.
     Updates `strengths` in place; True when the winner was clamped at
     zero."""
-    bid = bid_fraction * strengths[winner]
-    strengths[winner] -= bid
-    if previous is not None:
+    strength = strengths.item(winner)
+    bid = bid_fraction * strength
+    strength -= bid
+    if previous == winner:  # pays itself: ((s - bid) + bid) need not be s
+        strength += bid
+    elif previous is not None:
         strengths[previous] += bid
-    strengths[winner] += reward
-    if strengths[winner] < 0.0:
+    strength += reward
+    if strength < 0.0:
         strengths[winner] = 0.0
         return True
+    strengths[winner] = strength
     return False
 
 
@@ -205,43 +215,44 @@ def covering(context: str, population: Population, rng) -> int:
 
 
 class _MatchIndex:
-    """train's match rows (one boolean per rule) by context; see the
-    module docstring."""
+    """train's match table: one boolean row over the rules for every
+    possible context; see the module docstring."""
 
     def __init__(self, population: Population):
         self._population = population
-        self._row_of = {}  # context -> row in _codes and _rows
-        self._codes = np.empty((64, CONTEXT_LENGTH), dtype=np.uint8)
-        self._rows = np.empty((64, len(population)), dtype=bool)
+        self._rows = np.empty((len(ALPHABET) ** CONTEXT_LENGTH, len(population)),
+                              dtype=bool)
+        # context -> its row; product varies the last letter fastest, as
+        # refresh's grid does
+        self._row_of = {"".join(letters): row for row, letters in enumerate(
+            product(ALPHABET, repeat=CONTEXT_LENGTH))}
+        self._found = {}  # context -> its row's rule indices, until refresh
+        self.refresh(slice(None))
 
     def matches(self, context: str) -> np.ndarray:
-        row = self._row_of.get(context)
-        if row is not None:
-            return self._rows[row].nonzero()[0]
-        found = match_set(context, self._population)
-        row = len(self._row_of)
-        if row == len(self._rows):  # full: double the capacity
-            self._codes = np.concatenate([self._codes,
-                                          np.empty_like(self._codes)])
-            self._rows = np.concatenate([self._rows,
-                                         np.empty_like(self._rows)])
-        self._codes[row] = encode_context(context)
-        self._rows[row] = False
-        self._rows[row, found] = True
-        self._row_of[context] = row
+        found = self._found.get(context)
+        if found is None:
+            row = self._row_of.get(context)
+            if row is None:  # not a context, which match_set refuses
+                match_set(context, self._population)
+            found = self._found[context] = self._rows[row].nonzero()[0]
         return found
 
     def refresh(self, rules) -> None:
-        """Recompute the columns of `rules` (an index or slice into the
-        population) for every stored context."""
-        seen = len(self._row_of)
-        codes = self._codes[:seen]
+        """Recompute the columns of `rules` (an index list or slice into
+        the population) for every context."""
         conds = self._population.conditions[rules]
-        ok = np.ones((seen, len(conds)), dtype=bool)
+        letters = np.arange(len(ALPHABET))[:, None]
+        ok = True
         for pos in range(CONTEXT_LENGTH):
             cond = conds[:, pos]
-            ok &= (codes[:, pos, None] == cond) | (cond == _WILD)
-        self._rows[:seen, rules] = ok
+            fits = (cond == letters) | (cond == _WILD)  # (letter, rule)
+            # the context's letter at `pos` indexes axis `pos` of the grid
+            shape = [1] * CONTEXT_LENGTH + [len(cond)]
+            shape[pos] = len(ALPHABET)
+            ok = ok & fits.reshape(shape)
+        self._rows[:, rules] = ok.reshape(len(self._rows), -1)
+        self._found.clear()
 
 
 def _condition_candidates(stats: MinerStats, length: int) -> list:

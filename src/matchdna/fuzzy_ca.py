@@ -79,6 +79,8 @@ class RuleSet:
             raise ValueError("rule vector must have at least one cell")
         self._numbers = numbers
         self._masks = masks  # (left, self, right, complemented) masks
+        # np.where would convert the float mask on every apply
+        self._complemented = masks[3].astype(bool)
         self.n = numbers.shape[-1]
 
     @classmethod
@@ -106,6 +108,7 @@ class RuleSet:
         # compress keeps each mask contiguous, which apply steps faster
         # than the strided result of self._masks[:, rows]
         part._masks = np.compress(rows, self._masks, axis=1)
+        part._complemented = np.compress(rows, self._complemented, axis=0)
         return part
 
     def __len__(self):
@@ -131,9 +134,9 @@ class RuleSet:
         left[:, 1:] = s[:, :-1]
         right = np.zeros(s.shape)
         right[:, :-1] = s[:, 1:]
-        uses_left, uses_self, uses_right, complemented = self._masks
+        uses_left, uses_self, uses_right = self._masks[:3]
         nxt = np.minimum(1.0, left * uses_left + s * uses_self + right * uses_right)
-        nxt = np.where(complemented, 1.0 - nxt, nxt)
+        nxt = np.where(self._complemented, 1.0 - nxt, nxt)
         return nxt if batch else nxt[0]
 
     def dependency_matrix(self) -> np.ndarray:

@@ -1,12 +1,14 @@
 """Tests for the bucket-brigade learning classifier system."""
 
 import hashlib
+from itertools import product
 
 import numpy as np
 import pytest
 
 from matchdna.classifier_system import (
     ACTIONS,
+    ALPHABET,
     CONTEXT_LENGTH,
     EVAL_BLOCK,
     REWARDED_HISTORY,
@@ -26,6 +28,7 @@ from matchdna.classifier_system import (
     population_to_csv,
     select_action,
     train,
+    _MatchIndex,
 )
 from matchdna.mining import DEFAULT_MOTIFS, AnnotatedSequence, Motif
 from matchdna.sequences import PlayerSequence
@@ -208,6 +211,22 @@ class TestBucketBrigade:
                                         bid_fraction=0.1)
         assert clamped is True
         assert strengths.tolist() == pytest.approx([0.0, 6.0])
+
+    def test_winner_paying_itself_rounds_through_the_bid(self):
+        # previous == winner: ((s - bid) + bid) + reward, clamped at zero;
+        # for s = 0.3 the round trip gives 0.30000000000000004, not s
+        s = 0.3
+        bid = 0.1 * s
+        for reward, want, want_clamped in [
+                (0.0, (s - bid) + bid, False),
+                (1.7, ((s - bid) + bid) + 1.7, False),
+                (-0.5, 0.0, True)]:
+            strengths = np.array([s, 5.0])
+            clamped = bucket_brigade_update(strengths, winner=0, previous=0,
+                                            reward=reward, bid_fraction=0.1)
+            assert clamped is want_clamped
+            assert strengths.tolist() == [want, 5.0]
+        assert (s - bid) + bid != s
 
 
 class TestCovering:
@@ -465,6 +484,39 @@ class TestTrain:
         pop_a, _ = train(SuffixOracleEnvironment(config), config)
         pop_b, _ = train(SuffixOracleEnvironment(other), other)
         assert population_to_csv(pop_a) != population_to_csv(pop_b)
+
+
+class TestMatchTable:
+    def test_every_context_row_equals_match_set(self):
+        # 8 rules, wildcards included; then one rewritten rule's column
+        rng = np.random.default_rng(8)
+        population = rules_population([
+            ("AACCT", "G", 1.0), ("##CCT", "G", 1.0), ("-####", "A", 1.0),
+            ("#####", "T", 1.0), ("A#C#-", "C", 1.0), ("TTTTT", "A", 1.0),
+            ("#-#-#", "G", 1.0), ("GCA##", "C", 1.0)])
+        index = _MatchIndex(population)
+        contexts = ["".join(c) for c in product(ALPHABET, repeat=CONTEXT_LENGTH)]
+        for context in contexts:
+            assert index.matches(context).tolist() == \
+                match_set(context, population).tolist(), context
+        slot = covering("CCAGT", population, rng)
+        index.refresh([slot])
+        for context in contexts:
+            assert index.matches(context).tolist() == \
+                match_set(context, population).tolist(), context
+        assert len(contexts) == len(ALPHABET) ** CONTEXT_LENGTH
+
+    @pytest.mark.parametrize("context", ["AACC", "AACCTT", "AA#CT", "AAXCT", ""])
+    def test_train_refuses_what_match_set_refuses(self, context):
+        class Fixed:
+            def context(self, rng):
+                return context
+
+            def feedback(self, context, action):
+                return 0.0, False
+
+        with pytest.raises(ValueError):
+            train(Fixed(), LcsConfig(max_iterations=3))
 
 
 def reference_train(environment, config):

@@ -41,6 +41,38 @@ def oracle_tandem(sequence, pattern):
     return runs
 
 
+def oracle_report(sequences, min_len, max_len):
+    """mine_report's rows and tandem runs: counts by slicing at every
+    start, runs by the regex oracle."""
+    rows, runs = [], []
+    for sid, s in sequences:
+        for pattern in sorted(oracle_unique(s, min_len, max_len)):
+            count = sum(s[i:i + len(pattern)] == pattern for i in range(len(s)))
+            rows.append((pattern, count, sid))
+            runs.extend((pattern, sid, start, copies)
+                        for start, copies in oracle_tandem(s, pattern))
+    return rows, runs
+
+
+def loop_match_motif(window, motif):
+    """match_motif as a per-letter loop, the reference for the regex."""
+    if len(window) != len(motif.template):
+        raise ValueError("length mismatch")
+    for w, t in zip(window, motif.template):
+        if t == "x":
+            if w not in "ACGT":
+                return False
+        elif w != t:
+            return False
+    return True
+
+
+def loop_find_motif(sequence, motif):
+    k = len(motif.template)
+    return [i for i in range(len(sequence) - k + 1)
+            if loop_match_motif(sequence[i:i + k], motif)]
+
+
 def random_sequence(rng, max_len=200):
     n = int(rng.integers(1, max_len + 1))
     return "".join(rng.choice(list(ALPHABET), size=n))
@@ -240,13 +272,110 @@ class TestMineReport:
                 letters = list(ALPHABET[:int(rng.integers(1, 6))])
                 size = int(rng.integers(0, 60))
                 sequences.append((f"s{i}", "".join(rng.choice(letters, size=size))))
-            rows, runs = [], []
-            for sid, s in sequences:
-                for pattern in sorted(oracle_unique(s, lo, hi)):
-                    count = sum(s[i:i + len(pattern)] == pattern for i in range(len(s)))
-                    rows.append((pattern, count, sid))
-                    runs.extend((pattern, sid, start, copies)
-                                for start, copies in oracle_tandem(s, pattern))
+            rows, runs = oracle_report(sequences, lo, hi)
             report = mining.mine_report(sequences, PatternQuery(lo, hi))
             assert report.rows == rows
             assert report.tandem_runs == runs
+
+
+class TestPlantedMining:
+    """Cases a whole-corpus k-gram kernel can get wrong, against the
+    slice and regex oracles."""
+
+    def assert_oracle(self, sequences, min_len, max_len):
+        report = mining.mine_report(sequences, PatternQuery(min_len, max_len))
+        rows, runs = oracle_report(sequences, min_len, max_len)
+        assert report.rows == rows
+        assert report.tandem_runs == runs
+        return report
+
+    def test_no_run_spans_two_sequences(self):
+        # laid end to end, "a" ends with CA and "b" begins with it, and so
+        # do "c" and "d": CACA twice across the joins
+        sequences = [("a", "GGTCA"), ("b", "CAGT"), ("c", "TCACA"), ("d", "CA")]
+        report = self.assert_oracle(sequences, 2, 4)
+        assert report.tandem_runs == [("CA", "c", 1, 2)]
+        for sid, letters in sequences:
+            assert find_tandem_repeats(letters, "CA") == \
+                oracle_tandem(letters, "CA"), sid
+
+    @pytest.mark.parametrize("k", [2, 3, 4, 5])
+    def test_idle_runs(self, k):
+        idle = "-" * 37
+        self.assert_oracle([("before", "AC" + idle), ("idle", idle),
+                            ("after", idle + "GT")], k, k)
+        assert find_tandem_repeats(idle, "-" * k) == [(0, 37 // k)]
+        assert count_occurrences(idle, "-" * k) == (38 - k, list(range(38 - k)))
+
+    @pytest.mark.parametrize("sequence, pattern", [
+        ("ACACACACACA", "ACACA"),
+        ("ACACAACACAACACA", "ACACA"),
+        ("GACACAACACAG", "ACACA"),
+        ("A" * 11, "AAAA"),
+        ("AAAAAAAAC" + "A" * 8, "AAAA"),
+    ])
+    def test_self_overlapping_patterns(self, sequence, pattern):
+        assert find_tandem_repeats(sequence, pattern) == \
+            oracle_tandem(sequence, pattern)
+        starts = [i for i in range(len(sequence))
+                  if sequence.startswith(pattern, i)]
+        assert count_occurrences(sequence, pattern) == (len(starts), starts)
+        self.assert_oracle([("s", sequence)], len(pattern) - 1, len(pattern))
+
+    def test_sequence_shorter_than_min_len_between_longer_ones(self):
+        self.assert_oracle([("long1", "CACACAGT"), ("short", "CA"),
+                            ("long2", "CACAGTGT")], 3, 4)
+
+    def test_rows_follow_python_string_order_fuzz(self):
+        # letters out of code-point order when listed, two outside ASCII:
+        # the kernel ranks a corpus's own letters by code point
+        rng = np.random.default_rng(37)
+        letters = ["a", "-", "Z", "\u00e9", "A", "\u4e2d"]
+        for _ in range(30):
+            pool = list(rng.choice(letters, size=int(rng.integers(1, 4)),
+                                   replace=False))
+            sequences = [(f"s{i}", "".join(rng.choice(pool, size=int(rng.integers(0, 30)))))
+                         for i in range(4)]
+            lo = int(rng.integers(1, 4))
+            self.assert_oracle(sequences, lo, lo + int(rng.integers(0, 3)))
+
+    def test_query_too_wide_for_int64_keys_refused(self):
+        # five distinct letters plus padding: 6 ** 24 fits in an int64 key,
+        # 6 ** 25 does not
+        self.assert_oracle([("a", "ACGT-")], 2, 24)
+        with pytest.raises(ValueError, match=r"2\*\*63 - 1"):
+            mining.mine_report([("a", "ACGT-")], PatternQuery(2, 25))
+        with pytest.raises(ValueError, match=r"2\*\*63 - 1"):
+            count_occurrences("ACGT-", "A" * 30)
+
+
+class TestMotifAgainstLoop:
+    def test_seeded_fuzz(self):
+        # few letters, so that five-letter templates match often
+        rng = np.random.default_rng(41)
+        hits = 0
+        for _ in range(400):
+            letters = list(rng.choice(list(ALPHABET), size=int(rng.integers(1, 4)),
+                                      replace=False))
+            template = "".join(rng.choice(letters + ["x"],
+                                          size=int(rng.integers(1, 6))))
+            motif = Motif(template, "goal")
+            sequence = "".join(rng.choice(letters, size=int(rng.integers(0, 40))))
+            starts = find_motif(sequence, motif)
+            assert starts == loop_find_motif(sequence, motif), (sequence, template)
+            for i in range(len(sequence) - len(template) + 1):
+                window = sequence[i:i + len(template)]
+                assert match_motif(window, motif) == \
+                    loop_match_motif(window, motif), (window, template)
+            hits += len(starts)
+            events = [(int(t), "goal") for t in
+                      rng.integers(0, len(sequence), size=3)] if sequence else []
+            corpus = [AnnotatedSequence("g", sequence, events),
+                      AnnotatedSequence("h", "ACGT", [(3, "goal")])]
+            lookback = len(template) + int(rng.integers(0, 5))
+            matched = sum(bool(loop_find_motif(
+                seq.letters[max(0, i + 1 - lookback):i + 1], motif))
+                for seq in corpus for i, _label in seq.events)
+            assert motif_occurrence_rate(corpus, motif, lookback) == \
+                100.0 * matched / (len(events) + 1)
+        assert hits > 500
