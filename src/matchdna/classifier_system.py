@@ -14,22 +14,33 @@ codes, strengths); ClassifierRule is the string view used at the edges.
 train keeps a match table: one boolean row over the rules for every
 possible context, len(ALPHABET) ** CONTEXT_LENGTH rows (3,125 x 200
 rules, 625 KB), built when train starts.  A context's matching rule
-indices, its row's nonzero(), are kept from its first visit until the
-next refresh; a string that is no context goes to match_set, which
-refuses it.  Covering recomputes its slot's column and a GA round every
-column, each as one broadcast over the table.  select_action draws
-the winner the way Generator.choice(matches, p=bids / total) does
-internally (normalized cumsum, one double, right-sided searchsorted):
-the same double and the same winner, without re-checking p per call.
-That needs finite, non-negative strengths: Population.random, covering
-and ga_discover only set such strengths, and the bucket brigade clamps
-a winner at zero.
+indices, its row's nonzero() as a list, are kept from its first visit
+until the next refresh; a string that is no context goes to match_set,
+which refuses it.  Covering recomputes its slot's column and a GA round
+every column, each as one broadcast over the table.
+
+A match set holds about 10 rules, too few for numpy calls to pay for
+themselves, so train's hot loop draws and pays credit on Python floats.
+It keeps the strengths and the action letters as lists and syncs them
+with the population only where numpy code touches it: before covering
+and at a GA round it writes the strengths back and re-reads both lists,
+and at return it writes the strengths back.  _draw, the one draw kernel
+(select_action wraps it), picks the winner as Generator.choice(matches,
+p=bids / total) does internally: normalized cumsum, one double,
+right-sided searchsorted.  It adds the bid total in np.add.reduce's
+order, 0.0 plus numpy's pairwise sum, because the winner, and so every
+pinned digest, hangs on the total's last bit; sum() would not do, since
+from Python 3.12 it adds floats with compensation.  The draw needs
+finite, non-negative strengths: Population.random, covering and
+ga_discover only set such strengths, and the bucket brigade clamps a
+winner at zero.
 
 LcsConfig holds what a run sets: ga_period, max_iterations and
 rng_seed.  population_size, bid_fraction, reward_win, reward_play and
 mutation_rate are class constants on it, readable from any config but
-not settable.  The credit rule, bucket_brigade_update, works on a plain
-strength array, so any learner that keeps strengths can share it.
+not settable.  The credit rule, bucket_brigade_update, works on any
+mutable sequence of float strengths, a list or an array, so any learner
+that keeps strengths can share it.
 """
 
 from __future__ import annotations
@@ -160,32 +171,66 @@ def match_set(context: str, population: Population) -> np.ndarray:
     return np.flatnonzero(ok.all(axis=1))
 
 
+def _pairwise_sum(values: list) -> float:
+    """values added in numpy's pairwise order: halves (rounded down to a
+    multiple of 8) above 128 values; from 8 up, eight running sums
+    combined as a tree; then a plain loop over what is left."""
+    n = len(values)
+    if n > 128:
+        half = n // 2 - n // 2 % 8
+        return _pairwise_sum(values[:half]) + _pairwise_sum(values[half:])
+    total = 0.0
+    end = 0
+    if n >= 8:
+        r0, r1, r2, r3, r4, r5, r6, r7 = values[:8]
+        end = n - n % 8
+        rest = iter(values[8:end])
+        for a, b, c, d, e, f, g, h in zip(rest, rest, rest, rest,
+                                          rest, rest, rest, rest):
+            r0, r1, r2, r3 = r0 + a, r1 + b, r2 + c, r3 + d
+            r4, r5, r6, r7 = r4 + e, r5 + f, r6 + g, r7 + h
+        total = ((r0 + r1) + (r2 + r3)) + ((r4 + r5) + (r6 + r7))
+    for v in values[end:]:
+        total += v
+    return total
+
+
+def _draw(matches: list, strengths, bid_fraction: float, rng) -> int:
+    """Bid-proportional pick from the rule indices `matches`, uniform
+    when every bid is zero; see the module docstring."""
+    bids = [strengths[i] * bid_fraction for i in matches]
+    total = 0.0 + _pairwise_sum(bids)  # == np.add.reduce(bids)
+    if total <= 0.0:
+        return matches[rng.integers(len(matches))]
+    cdf = []
+    acc = 0.0
+    for bid in bids:
+        acc += bid / total
+        cdf.append(acc)
+    last = cdf[-1]
+    u = rng.random()
+    i = 0
+    while cdf[i] / last <= u:
+        i += 1
+    return matches[i]
+
+
 def select_action(matches: np.ndarray, population: Population,
                   bid_fraction: float, rng) -> tuple[int, str]:
     """Bid-proportional winner; uniform fallback when every bid is zero."""
     if len(matches) == 0:
         raise ValueError("empty match set; run covering first")
-    bids = population.strengths[matches]
-    bids *= bid_fraction
-    total = np.add.reduce(bids)
-    if total <= 0.0:
-        winner = int(matches[rng.integers(len(matches))])
-    else:
-        # Generator.choice(matches, p=bids / total) without its checks of p
-        bids /= total
-        cdf = bids.cumsum()
-        cdf /= cdf[-1]
-        winner = int(matches[cdf.searchsorted(rng.random(), side="right")])
+    winner = int(_draw(list(matches), population.strengths.tolist(),
+                       bid_fraction, rng))
     return winner, ACTIONS[population.actions[winner]]
 
 
-def bucket_brigade_update(strengths: np.ndarray, winner: int,
-                          previous: int | None, reward: float,
-                          bid_fraction: float) -> bool:
+def bucket_brigade_update(strengths, winner: int, previous: int | None,
+                          reward: float, bid_fraction: float) -> bool:
     """Winner pays its bid backward, then banks the external reward.
-    Updates `strengths` in place; True when the winner was clamped at
-    zero."""
-    strength = strengths.item(winner)
+    Updates `strengths`, a list or array of floats, in place; True when
+    the winner was clamped at zero."""
+    strength = float(strengths[winner])
     bid = bid_fraction * strength
     strength -= bid
     if previous == winner:  # pays itself: ((s - bid) + bid) need not be s
@@ -229,13 +274,13 @@ class _MatchIndex:
         self._found = {}  # context -> its row's rule indices, until refresh
         self.refresh(slice(None))
 
-    def matches(self, context: str) -> np.ndarray:
+    def matches(self, context: str) -> list:
         found = self._found.get(context)
         if found is None:
             row = self._row_of.get(context)
             if row is None:  # not a context, which match_set refuses
                 match_set(context, self._population)
-            found = self._found[context] = self._rows[row].nonzero()[0]
+            found = self._found[context] = self._rows[row].nonzero()[0].tolist()
         return found
 
     def refresh(self, rules) -> None:
@@ -370,22 +415,27 @@ def train(environment, config: LcsConfig) -> tuple[Population, LearningCurve]:
     # there are no miner stats to seed discovery
     rewarded = {} if stats is None else None
     index = _MatchIndex(population)
+    # the hot loop's copies of the population's strengths and action
+    # letters; see the module docstring
+    strengths = population.strengths.tolist()
+    letters = [ACTIONS[a] for a in population.actions.tolist()]
 
     for iteration in range(1, config.max_iterations + 1):
         context = environment.context(rng)
         if episode_probe is None or episode_probe():
             previous = None
         matches = index.matches(context)
-        if len(matches) == 0:
+        if not matches:
+            population.strengths[:] = strengths
             slot = covering(context, population, rng)
+            strengths = population.strengths.tolist()
+            letters = [ACTIONS[a] for a in population.actions.tolist()]
             index.refresh([slot])
-            matches = np.array([slot])
-        winner, action = select_action(matches, population,
-                                       config.bid_fraction, rng)
-        reward, correct = environment.feedback(context, action)
+            matches = [slot]
+        winner = _draw(matches, strengths, config.bid_fraction, rng)
+        reward, correct = environment.feedback(context, letters[winner])
         population.clamp_count += bucket_brigade_update(
-            population.strengths, winner, previous, reward,
-            config.bid_fraction)
+            strengths, winner, previous, reward, config.bid_fraction)
         previous = winner
 
         if reward > 0 and rewarded is not None:
@@ -404,10 +454,14 @@ def train(environment, config: LcsConfig) -> tuple[Population, LearningCurve]:
             if rewarded is not None:
                 stats = MinerStats(patterns=mine_rewarded_patterns(
                     rewarded, CONTEXT_LENGTH))
+            population.strengths[:] = strengths
             ga_discover(population, stats, rng, config)
+            strengths = population.strengths.tolist()
+            letters = [ACTIONS[a] for a in population.actions.tolist()]
             index.refresh(slice(None))
             previous = None
 
+    population.strengths[:] = strengths
     if block_size:
         curve.points.append((config.max_iterations, block_hits / block_size))
     return population, curve
@@ -455,12 +509,11 @@ class SequenceReplayEnvironment:
             goal_windows = {i for i, label in getattr(seq, "events", ())
                             if label == GOAL}
             letters = seq.letters
-            steps = []
-            for t in range(1, len(letters)):
-                if letters[t] not in ACTIONS:
-                    continue
-                window = letters[max(0, t - length):t].rjust(length, IDLE)
-                steps.append((window, letters[t], t in goal_windows))
+            # padded[t:t + length] is the `length` letters before t,
+            # idle-padded on the left
+            padded = IDLE * length + letters
+            steps = [(padded[t:t + length], letters[t], t in goal_windows)
+                     for t in range(1, len(letters)) if letters[t] in ACTIONS]
             if steps:
                 self._episodes.append(steps)
         if not self._episodes:
