@@ -27,13 +27,17 @@ and at a GA round it writes the strengths back and re-reads both lists,
 and at return it writes the strengths back.  _draw, the one draw kernel
 (select_action wraps it), picks the winner as Generator.choice(matches,
 p=bids / total) does internally: normalized cumsum, one double,
-right-sided searchsorted.  It adds the bid total in np.add.reduce's
-order, 0.0 plus numpy's pairwise sum, because the winner, and so every
-pinned digest, hangs on the total's last bit; sum() would not do, since
-from Python 3.12 it adds floats with compensation.  The draw needs
-finite, non-negative strengths: Population.random, covering and
-ga_discover only set such strengths, and the bucket brigade clamps a
-winner at zero.
+right-sided searchsorted.  The winner, and so every pinned digest, hangs
+on the bid total's last bit, so the total is math.fsum's: correctly
+rounded, it does not depend on the order the bids are added in, on the
+Python version or on numpy.  The draw needs finite, non-negative
+strengths: Population.random, covering and ga_discover only set such
+strengths, and the bucket brigade clamps a winner at zero.
+
+SequenceReplayEnvironment keeps an episode as three lists, one entry
+per step: contexts, target letters and goal flags.  Equal contexts are
+one string, shared through one dict per environment, so a corpus of any
+length holds at most 3,125; context, feedback and new_episode only index.
 
 LcsConfig holds what a run sets: ga_period, max_iterations and
 rng_seed.  population_size, bid_fraction, reward_win, reward_play and
@@ -45,6 +49,8 @@ that keeps strengths can share it.
 
 from __future__ import annotations
 
+import math
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from itertools import product
 from typing import ClassVar
@@ -171,35 +177,11 @@ def match_set(context: str, population: Population) -> np.ndarray:
     return np.flatnonzero(ok.all(axis=1))
 
 
-def _pairwise_sum(values: list) -> float:
-    """values added in numpy's pairwise order: halves (rounded down to a
-    multiple of 8) above 128 values; from 8 up, eight running sums
-    combined as a tree; then a plain loop over what is left."""
-    n = len(values)
-    if n > 128:
-        half = n // 2 - n // 2 % 8
-        return _pairwise_sum(values[:half]) + _pairwise_sum(values[half:])
-    total = 0.0
-    end = 0
-    if n >= 8:
-        r0, r1, r2, r3, r4, r5, r6, r7 = values[:8]
-        end = n - n % 8
-        rest = iter(values[8:end])
-        for a, b, c, d, e, f, g, h in zip(rest, rest, rest, rest,
-                                          rest, rest, rest, rest):
-            r0, r1, r2, r3 = r0 + a, r1 + b, r2 + c, r3 + d
-            r4, r5, r6, r7 = r4 + e, r5 + f, r6 + g, r7 + h
-        total = ((r0 + r1) + (r2 + r3)) + ((r4 + r5) + (r6 + r7))
-    for v in values[end:]:
-        total += v
-    return total
-
-
 def _draw(matches: list, strengths, bid_fraction: float, rng) -> int:
     """Bid-proportional pick from the rule indices `matches`, uniform
     when every bid is zero; see the module docstring."""
     bids = [strengths[i] * bid_fraction for i in matches]
-    total = 0.0 + _pairwise_sum(bids)  # == np.add.reduce(bids)
+    total = math.fsum(bids)
     if total <= 0.0:
         return matches[rng.integers(len(matches))]
     cdf = []
@@ -504,44 +486,47 @@ class SequenceReplayEnvironment:
         self.config = config
         self._stats = stats
         length = CONTEXT_LENGTH
+        share = {}.setdefault  # a context -> its first equal string
         self._episodes = []
         for seq in corpus:
-            goal_windows = {i for i, label in getattr(seq, "events", ())
-                            if label == GOAL}
             letters = seq.letters
+            kept = [t for t, ch in enumerate(letters[1:], 1) if ch in ACTIONS]
+            if not kept:
+                continue
+            goals = [False] * len(kept)
+            for t, label in getattr(seq, "events", ()):
+                step = bisect_left(kept, t)
+                if label == GOAL and step < len(kept) and kept[step] == t:
+                    goals[step] = True
             # padded[t:t + length] is the `length` letters before t,
             # idle-padded on the left
             padded = IDLE * length + letters
-            steps = [(padded[t:t + length], letters[t], t in goal_windows)
-                     for t in range(1, len(letters)) if letters[t] in ACTIONS]
-            if steps:
-                self._episodes.append(steps)
+            windows = [padded[t:t + length] for t in kept]
+            self._episodes.append((list(map(share, windows, windows)),
+                                   [letters[t] for t in kept], goals))
         if not self._episodes:
             raise ValueError("corpus yielded no usable context windows")
-        self._steps = None
+        self._contexts = self._targets = self._goals = ()
         self._pos = 0
         self._fresh = True
 
     def context(self, rng) -> str:
-        if self._steps is None or self._pos >= len(self._steps):
-            self._steps = self._episodes[rng.integers(len(self._episodes))]
+        self._fresh = self._pos >= len(self._contexts)
+        if self._fresh:
+            self._contexts, self._targets, self._goals = \
+                self._episodes[rng.integers(len(self._episodes))]
             self._pos = 0
-            self._fresh = True
-        else:
-            self._fresh = False
-        self._current = self._steps[self._pos]
         self._pos += 1
-        return self._current[0]
+        return self._contexts[self._pos - 1]
 
     def new_episode(self) -> bool:
         return self._fresh
 
     def feedback(self, context: str, action: str):
-        _ctx, target, is_goal = self._current
-        correct = action == target
-        if not correct:
+        step = self._pos - 1
+        if action != self._targets[step]:
             return 0.0, False
-        return (self.config.reward_win if is_goal
+        return (self.config.reward_win if self._goals[step]
                 else self.config.reward_play), True
 
     def miner_stats(self):

@@ -9,11 +9,12 @@ patterns score 0 by convention.
 
 A probe steps its trials as one deterministic batch, so the run is a
 transient followed by a cycle.  Stepping stops at the batch's first
-exact repeat, and each distinct state's window entropy and lag-pair MI
-are computed once, then gathered by a step -> state index to the full
-run_steps length.  The reductions then see the same array, element for
-element, that stepping to run_steps gives, so every reported float is
-unchanged; a batch that never repeats is stepped to run_steps.
+exact repeat, and each distinct state's window one-counts and lag-pair
+MI are computed once.  Entropy adds h(k / window) times integer tallies
+of the (window, cell) pairs holding k ones, equal to the full run_steps
+series' own, by math.fsum; MI is gathered to full length by a step ->
+state index.  So stopping early changes no reported float; a batch that
+never repeats is stepped to run_steps.
 
 EDGE_OF_CHAOS_ENTROPY is the reference entropy level that evolved
 rule populations are reported to approach; it is context for reading
@@ -24,6 +25,7 @@ from __future__ import annotations
 
 import csv
 import io
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -153,17 +155,20 @@ def _entropy_report(bits, index, w: int) -> EntropyReport:
     averaged within trials, mean/std across.
 
     A window's one-counts depend only on the state it starts from, so
-    they are counted once per row of `bits` and gathered to every
-    window start of the series by `index`; the reduction then runs on
-    the same (windows, trials, n) array as on the stepped-out series.
+    they are counted once per row of `bits`, and `uses` counts the
+    window starts of the series each row stands for.  A trial's mean is
+    sum_k h(k / w) * tally_k / (windows * cells), added by fsum, where
+    tally_k counts the (window start, cell) pairs holding k ones.
     """
     # rolling per-cell one-counts via cumulative sums
-    csum = np.cumsum(bits, axis=0, dtype=np.int64)
-    pad = np.zeros((1,) + csum.shape[1:], dtype=np.int64)
-    csum = np.concatenate([pad, csum], axis=0)
+    csum = np.zeros((len(bits) + 1,) + bits.shape[1:], dtype=np.int64)
+    np.cumsum(bits, axis=0, dtype=np.int64, out=csum[1:])
     counts = csum[w:] - csum[:-w]          # (window starts, trials, n)
-    h_table = _h_bernoulli(np.arange(w + 1) / w)
-    per_trial = h_table[counts][index[:len(index) - w + 1]].mean(axis=(0, 2))
+    del csum
+    uses = np.bincount(index[:len(index) - w + 1], minlength=len(counts))
+    tallies = np.array([uses @ (counts == k).sum(axis=2) for k in range(w + 1)])
+    terms = _h_bernoulli(np.arange(w + 1) / w)[:, None] * tallies  # (k, trials)
+    per_trial = np.array(list(map(math.fsum, terms.T))) / (uses.sum() * counts.shape[2])
     return EntropyReport(mean_entropy=float(per_trial.mean()),
                          std_dev=float(per_trial.std()),
                          per_trial=[float(v) for v in per_trial])
@@ -174,9 +179,9 @@ def _mi_report(bits, index) -> MiReport:
     of the trial series bits[index].
 
     A lag pair's MI depends only on its first state, so it is computed
-    once per row of `bits` and gathered by `index`, as in
-    _entropy_report.  A trial series keeps at least `window` >= 2 rows,
-    so every trial has a lagged pair.
+    once per row of `bits` and gathered by `index` to every pair of the
+    series.  A trial series keeps at least `window` >= 2 rows, so every
+    trial has a lagged pair.
     """
     per_pair = _normalized_mi(bits[:-MI_LAG], bits[MI_LAG:])
     per_trial = per_pair[index[:len(index) - MI_LAG]].mean(axis=0)

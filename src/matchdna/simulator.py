@@ -500,7 +500,8 @@ _dumps = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
 def log_to_jsonl(log: MatchLog) -> str:
     """Serialize a MatchLog as JSON Lines: header, one positional row per
     cycle, trailing outcome line.  A state array that is not 4 values
-    per agent plus 4 wide raises ValueError giving both widths.  Floats
+    per agent plus 4 wide, or an event on a cycle with no row, raises
+    ValueError giving both widths, or the cycle and the cycle count.  Floats
     carry 6 decimals: '%.6f' reads back as round(x, 6), and a -0.000000
     is written as 0.000000, so that identical matches serialize
     byte-for-byte identically and no value loads as -0.0."""
@@ -514,6 +515,9 @@ def log_to_jsonl(log: MatchLog) -> str:
     lines = [_dumps(header)]
     events_by_cycle = {}
     for e in log.events:
+        if not 0 <= e.cycle < len(states):
+            raise ValueError(f"event cycle {e.cycle!r} is not one of the "
+                             f"log's {len(states)} cycles")
         events_by_cycle.setdefault(e.cycle, []).append(e.to_dict())
     # a row's floats in one '%' operation; its event list closes it
     row_format = "[" + "%.6f," * width
@@ -528,8 +532,9 @@ def log_to_jsonl(log: MatchLog) -> str:
 
 
 def save_match_log(log: MatchLog, path):
+    text = log_to_jsonl(log)  # before open: a refused log makes no file
     with open(path, "w") as fh:
-        fh.write(log_to_jsonl(log))
+        fh.write(text)
 
 
 _CONFIG_KEYS = sorted(f.name for f in fields(FieldConfig))

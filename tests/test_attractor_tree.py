@@ -126,8 +126,8 @@ class TestGaPinned:
                               DiagnosticsConfig(window=10, run_steps=400, trials=5,
                                                 rng_seed=3))
         assert rows == [{"generation": 0, "n": 8,
-                         "mean_entropy": 0.5754128037676634,
-                         "std_entropy": 5.1093920761763045e-05,
+                         "mean_entropy": 0.5754128037676589,
+                         "std_entropy": 5.1093920761817425e-05,
                          "mean_mi": 0.14388449474169213}]
 
     def test_fitness_of_rule_matrix_is_per_row_fitness(self):

@@ -1,6 +1,7 @@
 """Tests for the bucket-brigade learning classifier system."""
 
 import hashlib
+import math
 from itertools import product
 
 import numpy as np
@@ -30,7 +31,6 @@ from matchdna.classifier_system import (
     train,
     _MatchIndex,
     _draw,
-    _pairwise_sum,
 )
 from matchdna.mining import DEFAULT_MOTIFS, AnnotatedSequence, Motif
 from matchdna.sequences import IDLE, PlayerSequence
@@ -176,7 +176,7 @@ class TestSelectAction:
 
 
 class TestDrawKernel:
-    """_draw on Python floats against numpy's reduction and draw."""
+    """_draw on Python floats against numpy's draw."""
 
     @staticmethod
     def bid_lists():
@@ -189,18 +189,13 @@ class TestDrawKernel:
             bids[data.random(n) < 0.3] = 0.0
             yield bids.tolist()
 
-    def test_total_adds_in_numpy_order(self):
-        for bids in self.bid_lists():
-            assert 0.0 + _pairwise_sum(bids) == \
-                np.add.reduce(np.array(bids)), len(bids)
-
     def test_winner_equals_numpy_searchsorted_on_cdf_edges(self):
         # a draw equal to an entry of numpy's normalized cdf is where a
         # total one ulp off would change the winner
         data = np.random.default_rng(77)
         for bids in self.bid_lists():
             p = np.array(bids)
-            total = np.add.reduce(p)
+            total = math.fsum(bids)
             if total <= 0.0:
                 continue
             cdf = (p / total).cumsum()
@@ -827,13 +822,25 @@ class TestSequenceReplayEnvironment:
             letters = seq.letters
             goals = {t for t, label in getattr(seq, "events", ())
                      if label == "goal"}
-            steps = [(letters[max(0, t - CONTEXT_LENGTH):t].rjust(
-                          CONTEXT_LENGTH, IDLE), letters[t], t in goals)
-                     for t in range(1, len(letters)) if letters[t] in ACTIONS]
-            if steps:
-                want.append(steps)
+            kept = [t for t in range(1, len(letters)) if letters[t] in ACTIONS]
+            if kept:
+                want.append(([letters[max(0, t - CONTEXT_LENGTH):t].rjust(
+                                 CONTEXT_LENGTH, IDLE) for t in kept],
+                             [letters[t] for t in kept],
+                             [t in goals for t in kept]))
         assert env._episodes == want
-        assert any(step[2] for steps in want for step in steps)
+        assert any(any(goals) for _contexts, _targets, goals in want)
+
+    def test_equal_contexts_are_one_string(self):
+        data = np.random.default_rng(32)
+        corpus = [PlayerSequence("p", "m", "".join(data.choice(list("AC"), 40)))
+                  for _ in range(20)]
+        env = SequenceReplayEnvironment(corpus, LcsConfig())
+        contexts = [c for episode in env._episodes for c in episode[0]]
+        assert len(contexts) == 20 * 39
+        # 2 ** k windows end in k of the letters after 5 - k idle ones
+        assert len({id(c) for c in contexts}) == len(set(contexts)) <= \
+            sum(2 ** k for k in range(1, CONTEXT_LENGTH + 1))
 
     def test_sequences_walked_as_episodes(self):
         config = LcsConfig()

@@ -7,6 +7,7 @@ The entropy of a 9-zeros-one-one window is the frozen oracle value
 import collections
 import hashlib
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -201,12 +202,15 @@ def first_repeat_step(rules, config):
 
 
 def reference_entropy(series, w):
-    csum = np.cumsum(series, axis=0, dtype=np.int64)
-    pad = np.zeros((1,) + csum.shape[1:], dtype=np.int64)
-    csum = np.concatenate([pad, csum], axis=0)
-    counts = csum[w:] - csum[:-w]
+    """Tallies of the full-length series: per trial, how many (window,
+    cell) pairs hold k ones, weighted by h(k / w) and added by fsum."""
+    counts = np.stack([series[t:t + w].sum(axis=0, dtype=np.int64)
+                       for t in range(len(series) - w + 1)])
     h_table = diag._h_bernoulli(np.arange(w + 1) / w)
-    per_trial = h_table[counts].mean(axis=(0, 2))
+    per_trial = np.array([
+        math.fsum(float(h_table[k]) * int((counts[:, trial] == k).sum())
+                  for k in range(w + 1))
+        for trial in range(series.shape[1])]) / (counts.shape[0] * series.shape[2])
     return float(per_trial.mean()), float(per_trial.std()), \
         [float(v) for v in per_trial]
 
@@ -293,6 +297,32 @@ class TestStoppedSeries:
                             lambda self, state: calls.append(1) or apply(self, state))
         diag.rule_vector_diagnostics(rules, cfg)
         assert len(calls) == want
+
+
+def traced_peak(rules, config):
+    """tracemalloc's peak over one rule_vector_diagnostics call."""
+    diag.rule_vector_diagnostics(rules, config)
+    tracemalloc.start()
+    try:
+        diag.rule_vector_diagnostics(rules, config)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+class TestProbeMemory:
+    """Entropy is tallied per distinct state, so a probe that repeats
+    early makes no array with a row per step of its 10,000."""
+
+    def test_default_probe_that_repeats_early(self):
+        assert traced_peak([250, 1, 3, 5, 3, 250, 252, 204],
+                           DiagnosticsConfig()) < 4e6
+
+    def test_default_probe_that_never_repeats(self):
+        # the stopped series is the whole run here; gathering a float per
+        # (step, trial, cell) for entropy took the peak above 38.5 MB
+        assert traced_peak([170, 3, 240, 1, 1, 240, 51, 252],
+                           DiagnosticsConfig()) <= 38.5e6
 
 
 class TestConfigValidation:

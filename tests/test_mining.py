@@ -6,6 +6,7 @@ enumeration against a brute-force window slide.
 """
 
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -276,6 +277,25 @@ class TestMineReport:
             report = mining.mine_report(sequences, PatternQuery(lo, hi))
             assert report.rows == rows
             assert report.tandem_runs == runs
+
+    def test_transient_memory_under_the_report(self):
+        # a mostly non-idle corpus of 400 x 100 letters: the report holds
+        # about 95k rows, 7 MB, and the k-gram arrays and int64 keys are
+        # freed before the rows are made, so the peak above what the
+        # report keeps is a fraction of it
+        rng = np.random.default_rng(41)
+        sequences = [(f"p{i}", "".join(rng.choice(list(ALPHABET), size=100,
+                                                   p=[0.2125] * 4 + [0.15])))
+                     for i in range(400)]
+        mining.mine_report(sequences, PatternQuery(2, 5))
+        tracemalloc.start()
+        try:
+            report = mining.mine_report(sequences, PatternQuery(2, 5))
+            held, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(report.rows) > 90_000
+        assert peak - held < 0.6 * held, (held, peak)
 
 
 class TestPlantedMining:

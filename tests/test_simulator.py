@@ -850,6 +850,26 @@ class TestWriterAgainstReference:
                            rf"\(21, {width}\), but 4 agents take rows of 20 values"):
             log_to_jsonl(log)
 
+    @pytest.mark.parametrize("cycle", [5000, 50, -1])
+    def test_event_without_a_row_refused(self, cycle, tmp_path):
+        # 100 events on the log's 50 rows and one that no row carries
+        log = MatchLog(
+            config=FieldConfig(cycle_count=50, rng_seed=0),
+            agents=[("a", sim.HOME), ("c", sim.AWAY)],
+            events=[MatchEvent(c // 2, "idle") for c in range(100)] +
+            [MatchEvent(cycle, "idle")],
+            per_cycle_states=np.zeros((50, 12)))
+        with pytest.raises(ValueError, match=rf"^event cycle {cycle} is not "
+                           rf"one of the log's 50 cycles$"):
+            log_to_jsonl(log)
+        path = tmp_path / "match.jsonl"
+        with pytest.raises(ValueError, match="the log's 50 cycles"):
+            sim.save_match_log(log, path)
+        assert not path.exists()
+        log.events.pop()
+        sim.save_match_log(log, path)
+        assert load_match_log(path).events == log.events
+
     def test_load_of_save_returns_the_match(self, tmp_path):
         cfg = FieldConfig(cycle_count=300, rng_seed=7, players_per_team=2)
         log = run_match(ShootingPolicy(sim.HOME),
