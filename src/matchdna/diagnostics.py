@@ -88,20 +88,31 @@ def _h_bernoulli(p):
 
 def _normalized_mi(a, b) -> np.ndarray:
     """Normalized MI between 0/1 bit patterns along the last axis, whose
-    cells are the samples, for every leading index at once."""
-    a = np.asarray(a, dtype=np.float64)
-    b = np.asarray(b, dtype=np.float64)
+    cells are the samples, for every leading index at once.
+
+    The marginals and the four joint cells come from integer counts of
+    ones in a, in b and in both, so the bits are never copied as floats;
+    a count over n is the same float as the mean of 0.0/1.0 samples,
+    whose sum is exact.
+    """
+    a = np.asarray(a)
+    b = np.asarray(b)
     n = a.shape[-1]
-    pa = a.mean(axis=-1)
-    pb = b.mean(axis=-1)
+    ones_a = np.count_nonzero(a, axis=-1)
+    ones_b = np.count_nonzero(b, axis=-1)
+    both = np.count_nonzero(a & b, axis=-1)
+    pa = ones_a / n
+    pb = ones_b / n
     h_a = _h_bernoulli(pa)
     h_b = _h_bernoulli(pb)
     mi = np.zeros_like(h_a)
     for x in (0, 1):
         px = pa if x else 1.0 - pa
+        a_is_x = ones_a if x else n - ones_a
+        b_is_1 = both if x else ones_b - both  # of the cells where a == x
         for y in (0, 1):
             py = pb if y else 1.0 - pb
-            pxy = ((a == x) & (b == y)).sum(axis=-1) / n
+            pxy = (b_is_1 if y else a_is_x - b_is_1) / n
             good = pxy > 0.0
             with np.errstate(divide="ignore", invalid="ignore"):
                 term = pxy * np.log2(pxy / (px * py))

@@ -20,13 +20,28 @@ inside the same sequence, a run's copies are run lengths along stride k,
 and the greedy left-to-right pick jumps from one run to the next with
 searchsorted, so Python runs once per reported run.
 
+mine_report runs that kernel over chunks of whole sequences of at most
+_CHUNK_LETTERS letters in all, a longer sequence making a chunk of its
+own, so its int64 arrays stay a chunk's size however large the corpus.
+Rows and tandem runs are ordered sequence first, so appending them chunk
+by chunk gives the whole corpus's order, and a pattern found in several
+chunks is one string, shared through one dict.  The int64 refusal is
+still made once, for the whole corpus, before the first chunk: a chunk
+with fewer strings or letters would fit where the corpus does not.  The
+rows are kept as three columns, a pattern list, an array of counts and
+an id list, behind the read-only PatternRows sequence: about a third of
+the memory of one tuple per row.
+
 A motif template compiles to one regular expression, 'x' becoming
 [ACGT], which match_motif, find_motif and motif_occurrence_rate share.
 """
 
 from __future__ import annotations
 
+import operator
 import re
+from array import array
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 from functools import lru_cache
 
@@ -40,6 +55,7 @@ GOAL = "goal"
 THREAT = "threat"
 
 _INT64_MAX = int(np.iinfo(np.int64).max)
+_CHUNK_LETTERS = 8192  # mine_report's letters per chunk (module docstring)
 
 
 @dataclass(frozen=True)
@@ -91,10 +107,44 @@ THREAT_MOTIFS = (
 DEFAULT_MOTIFS = GOAL_MOTIFS + THREAT_MOTIFS
 
 
+class PatternRows(Sequence):
+    """Read-only (pattern, occurrences, sequence_id) rows held as three
+    columns: iterating, indexing and slicing give the tuples, and a
+    PatternRows equals a list or PatternRows with the same rows."""
+
+    __slots__ = ("_patterns", "_counts", "_ids")
+
+    def __init__(self, patterns=(), counts=(), ids=()):
+        self._patterns, self._counts, self._ids = patterns, counts, ids
+
+    def __len__(self) -> int:
+        return len(self._counts)
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return PatternRows(self._patterns[i], self._counts[i], self._ids[i])
+        return self._patterns[i], self._counts[i], self._ids[i]
+
+    def __iter__(self):
+        return zip(self._patterns, self._counts, self._ids)
+
+    def __eq__(self, other):
+        if not isinstance(other, (list, PatternRows)):
+            return NotImplemented
+        return len(self) == len(other) and all(map(operator.eq, self, other))
+
+    def __repr__(self) -> str:
+        return f"PatternRows({list(self)!r})"
+
+
 @dataclass
 class PatternReport:
-    """Per-sequence occurrence rows plus located tandem runs."""
-    rows: list = field(default_factory=list)        # (pattern, occurrences, sequence_id)
+    """Per-sequence occurrence rows plus located tandem runs.
+
+    rows is a read-only PatternRows: it cannot be appended to, and
+    list(report.rows) gives a list of the tuples, for JSON or editing.
+    """
+    rows: PatternRows = field(default_factory=PatternRows)
     tandem_runs: list = field(default_factory=list)  # (pattern, sequence_id, start, copies)
 
 
@@ -106,6 +156,16 @@ class AnnotatedSequence:
     events: list = field(default_factory=list)  # (window_index, label)
 
 
+def _refuse_wide(strings: int, base: int, width: int):
+    """Refuse a query whose sort keys, sequence * base ** width + key
+    over `strings` strings, do not fit in an int64."""
+    if strings * base ** width > _INT64_MAX:
+        raise ValueError(
+            f"query too wide for int64 keys: {strings} strings * "
+            f"{base} ** {width} exceeds the limit, strings * "
+            f"(distinct letters + 1) ** max_len <= 2**63 - 1")
+
+
 class _Kgrams:
     """The int64 keys of every k-gram of some strings laid end to end,
     for k up to `width` (see the module docstring)."""
@@ -115,13 +175,8 @@ class _Kgrams:
                                dtype=np.uint32)
         self.letters, ranks = np.unique(points, return_inverse=True)
         self.base = len(self.letters) + 1
-        # rows sort by sequence * stride + key, which must fit in an int64
         self.stride = self.base ** width
-        if len(texts) * self.stride > _INT64_MAX:
-            raise ValueError(
-                f"query too wide for int64 keys: {len(texts)} strings * "
-                f"{self.base} ** {width} exceeds the limit, strings * "
-                f"(distinct letters + 1) ** max_len <= 2**63 - 1")
+        _refuse_wide(len(texts), self.base, width)
         self.size = len(points)
         lengths = [len(t) for t in texts]
         ends = np.cumsum(lengths, dtype=np.int64)
@@ -283,10 +338,25 @@ def motif_occurrence_rate(corpus, motif: Motif, lookback: int) -> float:
     return 100.0 * hits / total
 
 
-def mine_report(sequences, query: PatternQuery) -> PatternReport:
-    """Full report over (sequence_id, letters) pairs: occurrence counts for
-    every enumerated pattern plus all tandem runs per sequence."""
-    pairs = list(sequences)
+def _chunks(pairs: list):
+    """Runs of consecutive pairs of at most _CHUNK_LETTERS letters in
+    all; a longer sequence is a chunk of its own."""
+    chunk, size = [], 0
+    for pair in pairs:
+        if chunk and size + len(pair[1]) > _CHUNK_LETTERS:
+            yield chunk
+            chunk, size = [], 0
+        chunk.append(pair)
+        size += len(pair[1])
+    if chunk:
+        yield chunk
+
+
+def _mine_chunk(pairs: list, query: PatternQuery, shared: dict,
+                columns: tuple, tandem_runs: list):
+    """Append the rows of `pairs` to the (patterns, counts, ids)
+    `columns` and their tandem runs to `tandem_runs`; `shared` maps each
+    pattern string to the one copy the rows hold."""
     grams = _Kgrams([letters for _id, letters in pairs], query.max_len)
     sort_keys, runs = [], []
     for k in range(query.min_len, query.max_len + 1):
@@ -315,26 +385,31 @@ def mine_report(sequences, query: PatternQuery) -> PatternReport:
     seq, key = np.divmod(sort_key[first], grams.stride)
     del sort_key, opens, first
     distinct, which = np.unique(key, return_inverse=True)
-    patterns = grams.decode(distinct)
+    patterns = np.fromiter((shared.setdefault(p, p) for p in grams.decode(distinct)),
+                           dtype=object, count=len(distinct))
     ids = np.fromiter((sequence_id for sequence_id, _ in pairs), dtype=object,
                       count=len(pairs))
-    texts, names = patterns[which], ids[seq]  # the rows' columns
-    del which
-    report = PatternReport()
+    texts, numbers, names = columns
+    texts.extend(patterns[which].tolist())
+    numbers.frombytes(counts.astype(np.int64, copy=False).tobytes())
+    names.extend(ids[seq].tolist())
 
     run_key, starts, copies = (np.concatenate(part) for part in zip(*runs))
     seq, key = np.divmod(run_key, grams.stride)
     pattern = distinct.searchsorted(key)
     for i in np.lexsort((starts, run_key)):
-        report.tandem_runs.append((
+        tandem_runs.append((
             patterns[pattern[i]], ids[seq[i]],
             int(starts[i] - grams.begin[starts[i]]), int(copies[i])))
 
-    # the rows' tuples (7 MB on a 40k-letter corpus) come once the int64
-    # arrays are gone: the traced peak is 10.2 MB there, 15.4 with them
-    # alive.  One list of the final size: grown by appends, its buffer
-    # would land above the freed arrays and hold them resident
-    del grams, distinct, seq, key, run_key, pattern, starts, copies
-    report.rows = np.fromiter(zip(texts, counts.tolist(), names),
-                              dtype=object, count=len(counts)).tolist()
-    return report
+
+def mine_report(sequences, query: PatternQuery) -> PatternReport:
+    """Full report over (sequence_id, letters) pairs: occurrence counts for
+    every enumerated pattern plus all tandem runs per sequence."""
+    pairs = list(sequences)
+    letters = set().union(*(text for _id, text in pairs))
+    _refuse_wide(len(pairs), len(letters) + 1, query.max_len)
+    columns, tandem_runs, shared = ([], array("q"), []), [], {}
+    for chunk in _chunks(pairs):
+        _mine_chunk(chunk, query, shared, columns, tandem_runs)
+    return PatternReport(PatternRows(*columns), tandem_runs)

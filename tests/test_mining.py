@@ -296,6 +296,116 @@ class TestMineReport:
             tracemalloc.stop()
         assert len(report.rows) > 90_000
         assert peak - held < 0.6 * held, (held, peak)
+        # column rows and chunks of at most 8,192 letters: one tuple per
+        # row and whole-corpus arrays held 7.66 MB and peaked at 11.1 MB
+        assert held <= 3.5e6 and peak <= 5.5e6, (held, peak)
+
+
+class TestChunkedMining:
+    """mine_report mines chunks of whole sequences of at most
+    _CHUNK_LETTERS letters; no bound may change a row, a run or a
+    refusal."""
+
+    @staticmethod
+    def report_at(monkeypatch, bound, sequences, query):
+        with monkeypatch.context() as patch:
+            patch.setattr(mining, "_CHUNK_LETTERS", bound)
+            return mining.mine_report(sequences, query)
+
+    def test_bounds_change_nothing_fuzz(self, monkeypatch):
+        # repeated ids, empty strings, letters outside ASCII, and
+        # sequences longer than the bound, each its own chunk
+        rng = np.random.default_rng(53)
+        letters = list(ALPHABET) + ["\u00e9", "\u4e2d"]
+        corpora = [[], [("e", "")], [("e", ""), ("f", ""), ("g", "CA")]]
+        for _ in range(40):
+            pool = list(rng.choice(letters, size=int(rng.integers(1, 5)),
+                                   replace=False))
+            corpora.append([
+                (f"s{int(rng.integers(0, 4))}",
+                 "".join(rng.choice(pool, size=int(rng.integers(0, 90)))))
+                for _ in range(int(rng.integers(1, 12)))])
+        for sequences in corpora:
+            lo = int(rng.integers(1, 4))
+            hi = lo + int(rng.integers(0, 3))
+            query = PatternQuery(lo, hi)
+            whole = self.report_at(monkeypatch, 10 ** 9, sequences, query)
+            rows, runs = oracle_report(sequences, lo, hi)
+            assert whole.rows == rows and whole.tandem_runs == runs
+            for bound in (1, 7, 64):
+                report = self.report_at(monkeypatch, bound, sequences, query)
+                assert report.rows == rows, bound
+                assert report.tandem_runs == runs, bound
+
+    def test_chunks_hold_whole_sequences(self, monkeypatch):
+        monkeypatch.setattr(mining, "_CHUNK_LETTERS", 7)
+        pairs = [("a", "ACG"), ("b", ""), ("c", "TTTT"), ("d", "A" * 9),
+                 ("e", "C"), ("f", "GG")]
+        assert [[sid for sid, _ in chunk] for chunk in mining._chunks(pairs)] == \
+            [["a", "b", "c"], ["d"], ["e", "f"]]
+
+    def test_patterns_shared_across_chunks(self, monkeypatch):
+        report = self.report_at(monkeypatch, 1, [("a", "CAC"), ("b", "CAT")],
+                                PatternQuery(2, 2))
+        assert list(report.rows) == [("AC", 1, "a"), ("CA", 1, "a"),
+                                     ("AT", 1, "b"), ("CA", 1, "b")]
+        assert report.rows[1][0] is report.rows[3][0]
+
+    def test_refusal_counts_the_whole_corpus(self, monkeypatch):
+        # one string fits 6 ** 24 under 2**63 - 1, two do not, so each
+        # one-string chunk would fit where the corpus does not
+        sequences = [("a", "ACGT-"), ("b", "ACGT-")]
+        refusals = []
+        for bound in (mining._CHUNK_LETTERS, 1):
+            with pytest.raises(ValueError, match=r"2\*\*63 - 1") as refused:
+                self.report_at(monkeypatch, bound, sequences, PatternQuery(2, 24))
+            refusals.append(str(refused.value))
+        assert refusals[0] == refusals[1]
+        assert "2 strings * 6 ** 24" in refusals[0]
+
+
+class TestPatternRows:
+    """PatternReport.rows is a read-only sequence over three columns."""
+
+    SEQUENCES = [("g1", "CACACA"), ("g2", "ACG")]
+    ROWS = [("AC", 2, "g1"), ("CA", 3, "g1"), ("AC", 1, "g2"), ("CG", 1, "g2")]
+
+    def rows(self):
+        return mining.mine_report(self.SEQUENCES, PatternQuery(2, 2)).rows
+
+    def test_sequence_protocol(self):
+        rows = self.rows()
+        assert len(rows) == 4
+        assert rows[0] == ("AC", 2, "g1") and rows[-1] == ("CG", 1, "g2")
+        assert rows[-4] == rows[0]
+        with pytest.raises(IndexError):
+            rows[4]
+        assert rows[1:3] == self.ROWS[1:3] and rows[::-1] == self.ROWS[::-1]
+        assert rows[5:] == []
+        assert ("CA", 3, "g1") in rows and ("CA", 3, "g2") not in rows
+        assert list(reversed(rows)) == self.ROWS[::-1]
+        assert rows.index(("AC", 1, "g2")) == 2 and rows.count(rows[0]) == 1
+
+    def test_equality_both_ways(self):
+        rows = self.rows()
+        assert rows == self.ROWS and self.ROWS == rows
+        assert rows == self.rows() and not rows != self.ROWS
+        assert rows != self.ROWS[:-1] and self.ROWS[1:] != rows
+        assert rows != [("AC", 2, "g1")] * 4
+        assert rows != tuple(self.ROWS)
+        assert mining.PatternReport().rows == []
+
+    def test_iterates_the_same_each_time(self):
+        rows = self.rows()
+        first = list(rows)
+        assert first == list(rows) == self.ROWS
+        assert all(type(count) is int for _, count, _ in rows)
+
+    def test_read_only(self):
+        rows = self.rows()
+        assert not hasattr(rows, "append")
+        with pytest.raises(TypeError):
+            rows[0] = ("AC", 9, "g1")
 
 
 class TestPlantedMining:
