@@ -433,16 +433,33 @@ def _node_to_dict(node):
 
 def _node_from_dict(d, n_cells, where="root"):
     """The node `d` describes, refused naming it (root, root/0, ...) unless
-    a leaf's label is an integer and its pure a bool, or an internal
+    it is an object whose kind is leaf or internal and which has every
+    key of its kind, and a leaf's label is an integer, its pure a bool
+    and its size, when given, a non-negative integer, or an internal
     node's rules are n_cells supported integer rule numbers, its centroids
-    k rows of n_cells numbers and every child key one of 0..k-1."""
+    k rows of n_cells numbers and its children a non-empty object whose
+    every key is one of 0..k-1."""
     try:
-        if d["kind"] == "leaf":
-            label, pure = d["label"], d["pure"]
+        if not isinstance(d, dict):
+            raise ValueError(f"a node must be an object, got {d!r:.60}")
+        kind = d.get("kind")
+        if kind not in ("leaf", "internal"):
+            raise ValueError(f"kind must be 'leaf' or 'internal', "
+                             f"got {kind!r:.60}")
+        keys = ("label", "pure") if kind == "leaf" else \
+            ("rules", "k", "centroids", "children")
+        for key in keys:
+            if key not in d:
+                raise ValueError(f"{kind} node has no {key!r} key")
+        if kind == "leaf":
+            label, pure, size = d["label"], d["pure"], d.get("size", 0)
             if type(label) is not int or type(pure) is not bool:
                 raise ValueError(f"a leaf needs an integer label and a bool "
                                  f"pure, got {label!r} and {pure!r}")
-            return Leaf(label, pure, d.get("size", 0))
+            if type(size) is not int or size < 0:
+                raise ValueError(f"a leaf's size must be a non-negative "
+                                 f"integer, got {size!r:.60}")
+            return Leaf(label, pure, size)
         rules, centroids, k = d["rules"], d["centroids"], d["k"]
         # RuleSet refuses a rule number that is not a supported integer
         if not isinstance(rules, list) or len(rules) != n_cells or \
@@ -458,6 +475,9 @@ def _node_from_dict(d, n_cells, where="root"):
             raise ValueError(f"centroids must be {k} rows of {n_cells} "
                              f"numbers, got {centroids!r:.60}")
         children = d["children"]
+        if not isinstance(children, dict) or not children:
+            raise ValueError(f"children must be a non-empty object, "
+                             f"got {children!r:.60}")
         for key in children:
             if key not in [str(c) for c in range(k)]:
                 raise ValueError(f"child key {key!r} is not one of 0..{k - 1}")

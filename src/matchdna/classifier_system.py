@@ -8,8 +8,11 @@ environment's reward.  Every ga_period iterations a discovery GA rebuilds
 the weakest quartile, seeding conditions from mined patterns and motifs
 when available and from parent crossover otherwise.
 
-The population lives in parallel numpy arrays (condition matrix, action
-codes, strengths); ClassifierRule is the string view used at the edges.
+A Population holds each rule once: its conditions as one (rules,
+CONTEXT_LENGTH) uint8 code matrix, which the match table broadcasts
+over, its action letters as a list and its strengths as a list of
+Python floats.  train, covering and ga_discover all change those lists
+in place; ClassifierRule is the string view used at the edges.
 
 train keeps a match table: one boolean row over the rules for every
 possible context, len(ALPHABET) ** CONTEXT_LENGTH rows (3,125 x 200
@@ -20,19 +23,16 @@ which refuses it.  Covering recomputes its slot's column and a GA round
 every column, each as one broadcast over the table.
 
 A match set holds about 10 rules, too few for numpy calls to pay for
-themselves, so train's hot loop draws and pays credit on Python floats.
-It keeps the strengths and the action letters as lists and syncs them
-with the population only where numpy code touches it: before covering
-and at a GA round it writes the strengths back and re-reads both lists,
-and at return it writes the strengths back.  _draw, the one draw kernel
-(select_action wraps it), picks the winner as Generator.choice(matches,
-p=bids / total) does internally: normalized cumsum, one double,
-right-sided searchsorted.  The winner, and so every pinned digest, hangs
-on the bid total's last bit, so the total is math.fsum's: correctly
-rounded, it does not depend on the order the bids are added in, on the
-Python version or on numpy.  The draw needs finite, non-negative
-strengths: Population.random, covering and ga_discover only set such
-strengths, and the bucket brigade clamps a winner at zero.
+themselves, so train's hot loop draws and pays credit on the
+population's Python floats.  _draw, the one draw kernel, picks the
+winner as Generator.choice(matches, p=bids / total) does internally:
+normalized cumsum, one double, right-sided searchsorted.  The winner,
+and so every pinned digest, hangs on the bid total's last bit, so the
+total is math.fsum's: correctly rounded, it does not depend on the order
+the bids are added in, on the Python version or on numpy.  The draw
+needs finite, non-negative strengths: Population.random, covering and
+ga_discover only set such strengths, and the bucket brigade clamps a
+winner at zero.
 
 SequenceReplayEnvironment keeps an episode as three lists, one entry
 per step: contexts, target letters and goal flags.  Equal contexts are
@@ -136,13 +136,13 @@ def decode_condition(codes) -> str:
 
 
 class Population:
-    """Structure-of-arrays rule store of fixed size."""
+    """Rule store of fixed size: a condition code matrix, a list of action
+    letters and a list of float strengths (see the module docstring)."""
 
-    def __init__(self, conditions: np.ndarray, actions: np.ndarray,
-                 strengths: np.ndarray):
+    def __init__(self, conditions: np.ndarray, actions, strengths):
         self.conditions = conditions.astype(np.uint8)
-        self.actions = actions.astype(np.uint8)
-        self.strengths = strengths.astype(float)
+        self.actions = list(actions)
+        self.strengths = [float(s) for s in strengths]
         self.clamp_count = 0  # bucket-brigade updates clamped at zero
         self.cover_count = 0  # rules replaced by covering
 
@@ -154,14 +154,13 @@ class Population:
         conds = rng.integers(0, len(ALPHABET), size=shape).astype(np.uint8)
         conds[wild] = _WILD
         actions = rng.integers(0, len(ACTIONS), size=config.population_size)
-        strengths = np.full(config.population_size, 100.0)
-        return cls(conds, actions, strengths)
+        return cls(conds, [ACTIONS[a] for a in actions.tolist()],
+                   [100.0] * config.population_size)
 
     def rules(self) -> list:
-        return [ClassifierRule(decode_condition(self.conditions[i]),
-                               ACTIONS[self.actions[i]],
-                               float(self.strengths[i]))
-                for i in range(len(self.strengths))]
+        return [ClassifierRule(decode_condition(cond), action, strength)
+                for cond, action, strength in
+                zip(self.conditions, self.actions, self.strengths)]
 
     def __len__(self):
         return len(self.strengths)
@@ -197,16 +196,6 @@ def _draw(matches: list, strengths, bid_fraction: float, rng) -> int:
     return matches[i]
 
 
-def select_action(matches: np.ndarray, population: Population,
-                  bid_fraction: float, rng) -> tuple[int, str]:
-    """Bid-proportional winner; uniform fallback when every bid is zero."""
-    if len(matches) == 0:
-        raise ValueError("empty match set; run covering first")
-    winner = int(_draw(list(matches), population.strengths.tolist(),
-                       bid_fraction, rng))
-    return winner, ACTIONS[population.actions[winner]]
-
-
 def bucket_brigade_update(strengths, winner: int, previous: int | None,
                           reward: float, bid_fraction: float) -> bool:
     """Winner pays its bid backward, then banks the external reward.
@@ -235,8 +224,8 @@ def covering(context: str, population: Population, rng) -> int:
     cond[rng.random(len(ctx)) < COVER_WILDCARD_PROB] = _WILD
     slot = int(np.argmin(population.strengths))
     population.conditions[slot] = cond
-    population.actions[slot] = rng.integers(0, len(ACTIONS))
-    population.strengths[slot] = float(population.strengths.mean())
+    population.actions[slot] = ACTIONS[rng.integers(0, len(ACTIONS))]
+    population.strengths[slot] = float(np.mean(population.strengths))
     population.cover_count += 1
     return slot
 
@@ -337,11 +326,14 @@ def ga_discover(population: Population, stats: MinerStats, rng,
     """
     n = len(population)
     quartile = max(1, n // 4)
-    order = np.argsort(population.strengths, kind="stable")
+    # victims and survivors are disjoint, so the parents' strengths read
+    # here are the ones the loop below leaves alone
+    strengths = np.array(population.strengths)
+    order = np.argsort(strengths, kind="stable")
     victims = order[:quartile]
     survivors = order[quartile:]
 
-    weights = population.strengths[survivors]
+    weights = strengths[survivors]
     total = weights.sum()
     probs = weights / total if total > 0 else None
 
@@ -363,11 +355,11 @@ def ga_discover(population: Population, stats: MinerStats, rng,
                                         size=int(mutate.sum()))
         action = population.actions[pa if rng.random() < 0.5 else pb]
         if rng.random() < config.mutation_rate:
-            action = rng.integers(0, len(ACTIONS))
+            action = ACTIONS[rng.integers(0, len(ACTIONS))]
         population.conditions[slot] = cond
         population.actions[slot] = action
-        population.strengths[slot] = 0.5 * (population.strengths[pa] +
-                                            population.strengths[pb])
+        population.strengths[slot] = float(0.5 * (strengths[pa] +
+                                                  strengths[pb]))
 
 
 def train(environment, config: LcsConfig) -> tuple[Population, LearningCurve]:
@@ -397,10 +389,6 @@ def train(environment, config: LcsConfig) -> tuple[Population, LearningCurve]:
     # there are no miner stats to seed discovery
     rewarded = {} if stats is None else None
     index = _MatchIndex(population)
-    # the hot loop's copies of the population's strengths and action
-    # letters; see the module docstring
-    strengths = population.strengths.tolist()
-    letters = [ACTIONS[a] for a in population.actions.tolist()]
 
     for iteration in range(1, config.max_iterations + 1):
         context = environment.context(rng)
@@ -408,16 +396,16 @@ def train(environment, config: LcsConfig) -> tuple[Population, LearningCurve]:
             previous = None
         matches = index.matches(context)
         if not matches:
-            population.strengths[:] = strengths
             slot = covering(context, population, rng)
-            strengths = population.strengths.tolist()
-            letters = [ACTIONS[a] for a in population.actions.tolist()]
             index.refresh([slot])
             matches = [slot]
-        winner = _draw(matches, strengths, config.bid_fraction, rng)
-        reward, correct = environment.feedback(context, letters[winner])
+        winner = _draw(matches, population.strengths, config.bid_fraction,
+                       rng)
+        reward, correct = environment.feedback(context,
+                                               population.actions[winner])
         population.clamp_count += bucket_brigade_update(
-            strengths, winner, previous, reward, config.bid_fraction)
+            population.strengths, winner, previous, reward,
+            config.bid_fraction)
         previous = winner
 
         if reward > 0 and rewarded is not None:
@@ -436,14 +424,10 @@ def train(environment, config: LcsConfig) -> tuple[Population, LearningCurve]:
             if rewarded is not None:
                 stats = MinerStats(patterns=mine_rewarded_patterns(
                     rewarded, CONTEXT_LENGTH))
-            population.strengths[:] = strengths
             ga_discover(population, stats, rng, config)
-            strengths = population.strengths.tolist()
-            letters = [ACTIONS[a] for a in population.actions.tolist()]
             index.refresh(slice(None))
             previous = None
 
-    population.strengths[:] = strengths
     if block_size:
         curve.points.append((config.max_iterations, block_hits / block_size))
     return population, curve

@@ -5,7 +5,7 @@ Sequences are plain strings over the five-letter play alphabet
 {A, C, G, T, -}.  '-' is an ordinary symbol for literal mining but is never
 covered by the motif wildcard 'x'.
 
-Every literal count goes through one whole-corpus k-gram kernel,
+mine_report counts every pattern with one whole-corpus k-gram kernel,
 _Kgrams.  It lays the strings end to end and ranks the corpus's own
 distinct characters from 1 in code-point order, with 0 as padding.  The
 k letters at a position become one int64 key: their ranks as the
@@ -32,8 +32,11 @@ rows are kept as three columns, a pattern list, an array of counts and
 an id list, behind the read-only PatternRows sequence: about a third of
 the memory of one tuple per row.
 
-A motif template compiles to one regular expression, 'x' becoming
-[ACGT], which match_motif, find_motif and motif_occurrence_rate share.
+enumerate_unique and find_tandem_repeats are mine_report's answer for
+one sequence.  A motif template compiles to one zero-width lookahead
+regular expression, 'x' becoming [ACGT], which match_motif, find_motif
+and motif_occurrence_rate share; count_occurrences finds a literal
+pattern's overlapping starts with the same idiom.
 """
 
 from __future__ import annotations
@@ -245,45 +248,33 @@ def _greedy_runs(order: np.ndarray, spans: np.ndarray) -> list:
 
 
 def enumerate_unique(sequence: str, query: PatternQuery) -> set:
-    """All distinct substrings of `sequence` with length in the query band."""
-    grams = _Kgrams([sequence], query.max_len)
-    keys = [grams.keys(k)[grams.starts(k)]
-            for k in range(query.min_len, query.max_len + 1)]
-    return set(grams.decode(np.unique(np.concatenate(keys))))
-
-
-def _occurrences(sequence: str, pattern: str) -> tuple:
-    """The _Kgrams of `sequence` then `pattern`, and the ascending starts
-    of the pattern in the sequence."""
-    if not pattern:
-        raise ValueError("pattern must be non-empty")
-    k = len(pattern)
-    grams = _Kgrams([sequence, pattern], k)
-    starts = grams.starts(k)
-    key = grams.keys(k)
-    n = len(sequence)
-    return grams, starts[(starts < n) & (key[starts] == key[n])]
+    """All distinct substrings of `sequence` with length in the query
+    band: the patterns of mine_report's rows for it."""
+    return {pattern for pattern, _count, _id in
+            mine_report([("", sequence)], query).rows}
 
 
 def count_occurrences(sequence: str, pattern: str) -> tuple[int, list[int]]:
     """Count possibly overlapping literal occurrences; also return starts."""
-    starts = _occurrences(sequence, pattern)[1]
-    return len(starts), starts.tolist()
+    if not pattern:
+        raise ValueError("pattern must be non-empty")
+    starts = [m.start() for m in
+              re.finditer(f"(?={re.escape(pattern)})", sequence)]
+    return len(starts), starts
 
 
 def find_tandem_repeats(sequence: str, pattern: str) -> list[tuple[int, int]]:
-    """Maximal runs of >= 2 adjacent back-to-back copies of `pattern`.
+    """Maximal runs of >= 2 adjacent back-to-back copies of `pattern`:
+    the tandem runs mine_report finds for it in `sequence`.
 
     Runs are located greedily left to right; each is reported once as
     (start_index, copy_count) and cannot be extended by another copy on
     either side.
     """
-    grams, starts = _occurrences(sequence, pattern)
-    copies = grams.copies(len(pattern))[starts]
-    run = copies >= 2
-    starts, copies = starts[run], copies[run]
-    return [(int(starts[i]), int(copies[i]))
-            for i in _greedy_runs(starts, copies * len(pattern))]
+    k = len(pattern)  # PatternQuery refuses an empty pattern
+    runs = mine_report([("", sequence)], PatternQuery(k, k)).tandem_runs
+    return [(start, copies) for found, _id, start, copies in runs
+            if found == pattern]
 
 
 @lru_cache(maxsize=64)

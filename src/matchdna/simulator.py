@@ -595,13 +595,14 @@ def load_match_log(path) -> MatchLog:
     """The MatchLog a file of log_to_jsonl's lines holds.  A line that is
     not JSON, a header config whose keys are not FieldConfig's, header
     agents that are not [id, team] pairs of unique one-letter AGENT_IDS
-    ids and home or away teams, a closing line that _check_tail refuses, a
-    cycle row that is not a list of 4 numbers per agent, 4 ball numbers
-    and an event list (neither a bool nor NaN or Infinity is a number
-    here), an event whose cycle is not its row's, and a missing or
-    unexpected field raise ValueError naming the file and the line.  The
-    log holds the header's roster and the rows' numbers as one
-    (cycles, 4n + 4) float array."""
+    ids and home or away teams, a closing line that _check_tail refuses,
+    a log marked valid that does not hold exactly cycle_count cycle rows
+    or an invalid one that holds more, a cycle row that is not a list of
+    4 numbers per agent, 4 ball numbers and an event list (neither a bool
+    nor NaN or Infinity is a number here), an event whose cycle is not
+    its row's, and a missing or unexpected field raise ValueError naming
+    the file and the line.  The log holds the header's roster and the
+    rows' numbers as one (cycles, 4n + 4) float array."""
     lines, numbers = [], []
     with open(path) as fh:
         for number, line in enumerate(fh, 1):
@@ -635,6 +636,10 @@ def load_match_log(path) -> MatchLog:
         width = 4 * len(log.agents) + 5
         index = len(lines) - 1
         _check_tail(tail)
+        rows, cycles = len(lines) - 2, log.config.cycle_count
+        if rows > cycles or (tail["valid"] and rows != cycles):
+            raise ValueError(f"a log marked valid={tail['valid']} with "
+                             f"cycle_count {cycles} holds {rows} cycle rows")
         log.outcome = tail["outcome"]
         log.score = tuple(tail["score"])
         log.valid = tail["valid"]

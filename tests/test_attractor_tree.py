@@ -481,13 +481,47 @@ class TestSerialization:
          "node root/1: a leaf needs an integer label"),
         (lambda d: d["root"]["children"]["1"].__setitem__("pure", 1),
          "node root/1: a leaf needs an integer label and a bool pure, "
-         "got 2 and 1")],
+         "got 2 and 1"),
+        # a node that is a list failed with a bare TypeError, a missing
+        # key with a bare KeyError and list children with an
+        # AttributeError
+        (lambda d: d["root"]["children"].__setitem__("1", [2, True]),
+         "node root/1: a node must be an object, got [2, True]"),
+        (lambda d: d["root"].pop("kind"),
+         "node root: kind must be 'leaf' or 'internal', got None"),
+        (lambda d: d["root"]["children"]["0"].pop("children"),
+         "node root/0: internal node has no 'children' key"),
+        (lambda d: d["root"]["children"]["1"].pop("label"),
+         "node root/1: leaf node has no 'label' key"),
+        (lambda d: d["root"]["children"]["0"].__setitem__(
+            "children", [{"kind": "leaf", "label": 1, "pure": True}]),
+         "node root/0: children must be a non-empty object"),
+        # these loaded, and the first classify failed with
+        # "max() arg is an empty sequence"
+        (lambda d: d["root"]["children"]["0"].update(kind="bogus",
+                                                     children={}),
+         "node root/0: kind must be 'leaf' or 'internal', got 'bogus'"),
+        (lambda d: d["root"]["children"]["0"].__setitem__("children", {}),
+         "node root/0: children must be a non-empty object, got {}"),
+        # these loaded, and classify_batch failed with a TypeError on "x"
+        (lambda d: d["root"]["children"]["1"].__setitem__("size", "x"),
+         "node root/1: a leaf's size must be a non-negative integer, "
+         "got 'x'"),
+        (lambda d: d["root"]["children"]["1"].__setitem__("size", -1),
+         "node root/1: a leaf's size must be a non-negative integer, "
+         "got -1"),
+        (lambda d: d["root"]["children"]["1"].__setitem__("size", True),
+         "node root/1: a leaf's size must be a non-negative integer, "
+         "got True")],
         ids=["rule-float", "rule-bool", "rule-unsupported", "rules-short",
              "rules-nested", "centroids-narrow", "centroids-extra-row",
              "centroid-string", "centroid-bool", "k-float", "child-key-k",
              "child-key-negative", "child-rule-float", "n_cells-string",
              "leaf-label-float", "leaf-label-bool", "leaf-label-string",
-             "leaf-pure-int"])
+             "leaf-pure-int", "node-list", "kind-missing",
+             "children-missing", "leaf-label-missing", "children-list",
+             "kind-unknown", "children-empty", "leaf-size-string",
+             "leaf-size-negative", "leaf-size-bool"])
     def test_bad_node_refused_naming_file(self, tmp_path, edit, message):
         path = self.saved_tree(tmp_path, edit)
         with pytest.raises(ValueError,
@@ -540,6 +574,11 @@ class TestSerialization:
         with pytest.raises(ValueError, match=f"{re.escape(str(path))}: "
                                              f"{re.escape(message)}"):
             at.load_tree(path)
+
+    def test_leaf_without_size_loads_as_size_zero(self, tmp_path):
+        path = self.saved_tree(
+            tmp_path, lambda doc: doc["root"]["children"]["1"].pop("size"))
+        assert at.load_tree(path).root.children[1].size == 0
 
     def test_class_names_load_with_integer_keys(self, tmp_path):
         path = self.saved_tree(tmp_path, lambda doc: doc.__setitem__(

@@ -475,8 +475,6 @@ class TestPlantedMining:
         self.assert_oracle([("a", "ACGT-")], 2, 24)
         with pytest.raises(ValueError, match=r"2\*\*63 - 1"):
             mining.mine_report([("a", "ACGT-")], PatternQuery(2, 25))
-        with pytest.raises(ValueError, match=r"2\*\*63 - 1"):
-            count_occurrences("ACGT-", "A" * 30)
 
 
 class TestMotifAgainstLoop:

@@ -565,6 +565,32 @@ class TestSerialization:
         with pytest.raises(ValueError, match="cut.jsonl has no closing outcome line"):
             load_match_log(path)
 
+    @pytest.mark.parametrize("valid, keep, message", [
+        # the last 20 rows of a valid log deleted: it loaded as 30 rows,
+        # still valid, and encoded without a word
+        (True, range(1, 31), "marked valid=True with cycle_count 50 holds "
+                             "30 cycle rows"),
+        (True, [1, *range(1, 51)], "marked valid=True with cycle_count 50 "
+                                   "holds 51 cycle rows"),
+        (False, [1, *range(1, 51)], "marked valid=False with cycle_count 50 "
+                                    "holds 51 cycle rows")],
+        ids=["valid-short", "valid-long", "invalid-long"])
+    def test_row_count_refused_naming_file_and_closing_line(
+            self, tmp_path, valid, keep, message):
+        lines = log_to_jsonl(run_match(
+            Barrage(3), Barrage(4), small_config(cycle_count=50))).splitlines()
+        rows = [lines[i] for i in keep]  # the header is line 0
+        tail = json.loads(lines[-1])
+        if not valid:
+            tail.update(valid=False, error={"type": "RuntimeError",
+                                            "message": "stop", "cycle": 50})
+        path = tmp_path / "rows.jsonl"
+        path.write_text("\n".join([lines[0], *rows, json.dumps(tail)]) + "\n")
+        closing = len(rows) + 2
+        with pytest.raises(ValueError, match=rf"rows\.jsonl line {closing}: "
+                                             rf"a log {message}"):
+            load_match_log(path)
+
     def test_last_line_not_an_object_names_file(self, tmp_path):
         lines = log_to_jsonl(run_match(None, None, small_config())).splitlines()
         path = tmp_path / "number.jsonl"
