@@ -29,7 +29,7 @@ chunks is one string, shared through one dict.  The int64 refusal is
 still made once, for the whole corpus, before the first chunk: a chunk
 with fewer strings or letters would fit where the corpus does not.  The
 rows are kept as three columns, a pattern list, an array of counts and
-an id list, behind the read-only PatternRows sequence: about a third of
+an id list, behind the read-only, iterable PatternRows: about a third of
 the memory of one tuple per row.
 
 enumerate_unique and find_tandem_repeats are mine_report's answer for
@@ -41,10 +41,8 @@ pattern's overlapping starts with the same idiom.
 
 from __future__ import annotations
 
-import operator
 import re
 from array import array
-from collections.abc import Sequence
 from dataclasses import dataclass, field
 from functools import lru_cache
 
@@ -110,10 +108,9 @@ THREAT_MOTIFS = (
 DEFAULT_MOTIFS = GOAL_MOTIFS + THREAT_MOTIFS
 
 
-class PatternRows(Sequence):
+class PatternRows:
     """Read-only (pattern, occurrences, sequence_id) rows held as three
-    columns: iterating, indexing and slicing give the tuples, and a
-    PatternRows equals a list or PatternRows with the same rows."""
+    columns: iterating gives the tuples, as many as len counts."""
 
     __slots__ = ("_patterns", "_counts", "_ids")
 
@@ -123,21 +120,8 @@ class PatternRows(Sequence):
     def __len__(self) -> int:
         return len(self._counts)
 
-    def __getitem__(self, i):
-        if isinstance(i, slice):
-            return PatternRows(self._patterns[i], self._counts[i], self._ids[i])
-        return self._patterns[i], self._counts[i], self._ids[i]
-
     def __iter__(self):
         return zip(self._patterns, self._counts, self._ids)
-
-    def __eq__(self, other):
-        if not isinstance(other, (list, PatternRows)):
-            return NotImplemented
-        return len(self) == len(other) and all(map(operator.eq, self, other))
-
-    def __repr__(self) -> str:
-        return f"PatternRows({list(self)!r})"
 
 
 @dataclass

@@ -268,8 +268,9 @@ def save_manifest(manifest: CorpusManifest, path) -> None:
 
 def load_manifest(path) -> CorpusManifest:
     """The manifest at `path`, refused naming the file unless its entries
-    are a list of match id strings and its window_cycles an integer or
-    null."""
+    are a list of match id strings, each a plain file name (not empty,
+    "." or "..", with no "/" or "\\"), and its window_cycles an integer
+    or null."""
     doc = read_json(path, "manifest", MANIFEST_SCHEMA_VERSION,
                     ("entries", "window_cycles", "created_at"))
     entries = doc["entries"]
@@ -277,6 +278,10 @@ def load_manifest(path) -> CorpusManifest:
             and all(isinstance(e, str) for e in entries)):
         raise ValueError(f"{path}: entries must be a list of match id "
                          f"strings, got {entries!r}")
+    for match_id in entries:
+        if match_id in ("", ".", "..") or "/" in match_id or "\\" in match_id:
+            raise ValueError(f"{path}: match id {match_id!r} is not a plain "
+                             f"file name")
     window_cycles = doc["window_cycles"]
     if window_cycles is not None:
         _integer(f"{path}: window_cycles", window_cycles)

@@ -11,6 +11,10 @@ maps the same windows to that player's dominant action letter:
 with '-' wherever the player was not the possession holder or executed
 no movement command.
 
+T means two things for now: here a completed pass, but in
+shooting.ShootingPolicy's macros a power-30 sidestep dash, which this
+encoder writes as C, until the two are given one meaning.
+
 encode_player reads the log's events in one pass: each of the player's
 executed commands counts once, into window cycle // window_cycles, where
 the game letter of that window is the player.  An event whose cycle lies
@@ -33,6 +37,7 @@ SYMBOL_ACTIONS = {
     "A": "turn-toward-ball",
     "C": "move-toward-ball",
     "G": "kick-toward-goal",
+    # the encoder's T; the shooting policy's T is a power-30 sidestep
     "T": "pass-toward-teammate",
     IDLE: "idle",
 }

@@ -19,14 +19,16 @@ FIELD_LENGTH, FIELD_WIDTH, GOAL_WIDTH, KICKABLE_DISTANCE, DASH_GAIN,
 KICK_GAIN, BALL_DECAY and PLAYER_DECAY.  A FieldConfig holds only what a
 run varies: cycle_count, rng_seed and players_per_team.
 
-The match log (schema 3) is JSON Lines.  Its header records those three
+The match log (schema 4) is JSON Lines.  Its header records those three
 values, the schema version and the agents as [id, team] pairs in id
 order.  Each cycle follows as one positional row: x, y, heading and
 speed per agent in the header's order, then the ball's x, y, vx and vy,
 each to 6 decimals, then the cycle's event dicts, so a row of n agents
-holds 4n + 5 values.  A closing line records outcome, score, valid and,
-for an aborted match, error.  In memory a MatchLog holds the same: the
-roster once, and the rows' numbers as one (cycles, 4n + 4) float array.
+holds 4n + 5 values.  An event dict carries no cycle: its row's position
+is its cycle.  A closing line records score, valid and, for an aborted
+match, error; the outcome is the score's.  In memory a MatchLog holds the
+same: the roster once, the rows' numbers as one (cycles, 4n + 4) float
+array, and each event with its cycle.
 
 Conventions: x runs along the field length, y across the width, the
 origin is the center spot.  The home team attacks +x.  Headings are
@@ -42,7 +44,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-SCHEMA_VERSION = 3
+SCHEMA_VERSION = 4
 
 FIELD_LENGTH = 105.0
 FIELD_WIDTH = 68.0
@@ -64,6 +66,10 @@ KICK_POWER_RANGE = (0.0, 100.0)
 KICK_ANGLE_RANGE = (-180.0, 180.0)
 
 MOVEMENT_KINDS = ("turn", "dash", "kick", "catch")
+# what World.step logs: an executed turn, dash (move) or kick, no
+# executed command (idle), and what follows from the ball's motion
+EVENT_KINDS = frozenset(("turn", "move", "kick", "idle", "goal",
+                         "possession_change", "pass_completed"))
 
 HOME = "home"
 AWAY = "away"
@@ -152,7 +158,7 @@ class Ack(NamedTuple):
 @dataclass
 class MatchEvent:
     cycle: int
-    kind: str                 # goal | possession_change | pass_completed | kick | turn | move | idle
+    kind: str                 # one of EVENT_KINDS
     agent: str | None = None
     agent2: str | None = None
     team: str | None = None
@@ -160,7 +166,8 @@ class MatchEvent:
     kick_cycle: int | None = None
 
     def to_dict(self):
-        d = {"cycle": self.cycle, "kind": self.kind}
+        """The event as the log writes it: its row gives the cycle."""
+        d = {"kind": self.kind}
         if self.agent is not None:
             d["agent"] = self.agent
         if self.agent2 is not None:
@@ -499,7 +506,7 @@ _dumps = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
 
 def log_to_jsonl(log: MatchLog) -> str:
     """Serialize a MatchLog as JSON Lines: header, one positional row per
-    cycle, trailing outcome line.  A state array that is not 4 values
+    cycle, closing score line.  A state array that is not 4 values
     per agent plus 4 wide, or an event on a cycle with no row, raises
     ValueError giving both widths, or the cycle and the cycle count.  Floats
     carry 6 decimals: '%.6f' reads back as round(x, 6), and a -0.000000
@@ -524,7 +531,7 @@ def log_to_jsonl(log: MatchLog) -> str:
     for cycle, values in enumerate(states.tolist()):
         row = (row_format % tuple(values)).replace("-0.000000", "0.000000")
         lines.append(row + _dumps(events_by_cycle.get(cycle, [])) + "]")
-    tail = {"outcome": log.outcome, "score": list(log.score), "valid": log.valid}
+    tail = {"score": list(log.score), "valid": log.valid}
     if not log.valid:
         tail["error"] = log.error
     lines.append(_dumps(tail))
@@ -574,21 +581,53 @@ def _header_agents(header) -> list:
 
 def _check_tail(tail):
     """Refuse a closing line unless score is two non-negative integers,
-    outcome is the score's, valid is a bool and an invalid log's error is
-    an object."""
-    score, outcome, valid = tail["score"], tail["outcome"], tail["valid"]
+    valid is a bool and an invalid log's error is an object."""
+    score, valid = tail["score"], tail["valid"]
     if not (isinstance(score, list) and len(score) == 2 and all(
             type(goals) is int and goals >= 0 for goals in score)):
         raise ValueError(f"score must be two non-negative integers, "
                          f"got {score!r}")
-    if outcome != _outcome(*score):
-        raise ValueError(f"outcome {outcome!r} does not match score {score}, "
-                         f"which is {_outcome(*score)!r}")
     if type(valid) is not bool:
         raise ValueError(f"valid must be true or false, got {valid!r}")
     if not valid and not isinstance(tail.get("error"), dict):
         raise ValueError(f"an invalid log's error must be an object, "
                          f"got {tail.get('error')!r}")
+
+
+# an event's team and effective as World.step writes them (bool is not
+# int, so an effective of 1 is refused)
+_EVENT_TEAMS = frozenset((None, HOME, AWAY))
+_EFFECTIVE_TYPES = frozenset((bool, type(None)))
+
+
+def _check_event(event: MatchEvent, agents: frozenset):
+    """Refuse an event no match writes: a list or object value, a kind
+    outside EVENT_KINDS, an agent or agent2 outside `agents` (the roster's
+    ids and None), an effective that is not a bool, a team other than home
+    or away, or a kick_cycle that is not an int in [0, the event's
+    cycle]."""
+    for name, value in vars(event).items():
+        if isinstance(value, (list, dict)):
+            raise ValueError(f"event {name} {value!r:.60} is not a string, "
+                             f"number, bool or null")
+    if event.kind not in EVENT_KINDS:
+        raise ValueError(f"event kind {event.kind!r} is not one of "
+                         f"{sorted(EVENT_KINDS)}")
+    for name, aid in (("agent", event.agent), ("agent2", event.agent2)):
+        if aid not in agents:
+            raise ValueError(f"event {name} {aid!r} is not in the roster "
+                             f"{sorted(agents - {None})}")
+    if type(event.effective) not in _EFFECTIVE_TYPES:
+        raise ValueError(f"event effective must be true or false, "
+                         f"got {event.effective!r}")
+    if event.team not in _EVENT_TEAMS:
+        raise ValueError(f"event team {event.team!r} is neither {HOME!r} "
+                         f"nor {AWAY!r}")
+    kick_cycle = event.kick_cycle
+    if kick_cycle is not None and not (
+            type(kick_cycle) is int and 0 <= kick_cycle <= event.cycle):
+        raise ValueError(f"event kick_cycle {kick_cycle!r} is not an integer "
+                         f"in [0, {event.cycle}]")
 
 
 def load_match_log(path) -> MatchLog:
@@ -599,10 +638,11 @@ def load_match_log(path) -> MatchLog:
     a log marked valid that does not hold exactly cycle_count cycle rows
     or an invalid one that holds more, a cycle row that is not a list of
     4 numbers per agent, 4 ball numbers and an event list (neither a bool
-    nor NaN or Infinity is a number here), an event whose cycle is not
-    its row's, and a missing or unexpected field raise ValueError naming
-    the file and the line.  The log holds the header's roster and the
-    rows' numbers as one (cycles, 4n + 4) float array."""
+    nor NaN or Infinity is a number here), an event that _check_event
+    refuses, and a missing or unexpected field (an event's cycle among
+    them) raise ValueError naming the file and the line.  The log holds
+    the header's roster, the rows' numbers as one (cycles, 4n + 4) float
+    array, each event with its row's cycle and the score's outcome."""
     lines, numbers = [], []
     with open(path) as fh:
         for number, line in enumerate(fh, 1):
@@ -623,8 +663,8 @@ def load_match_log(path) -> MatchLog:
     if version != SCHEMA_VERSION:
         raise ValueError(f"match log {path}: unsupported schema_version "
                          f"{version!r}, this code reads {SCHEMA_VERSION}")
-    if not isinstance(tail, dict) or "outcome" not in tail:
-        raise ValueError(f"match log {path} has no closing outcome line")
+    if len(lines) < 2 or not isinstance(tail, dict):
+        raise ValueError(f"match log {path} has no closing score line")
     index = 0  # the line being read, named if a field is missing or unexpected
     try:
         config = header["config"]
@@ -640,11 +680,12 @@ def load_match_log(path) -> MatchLog:
         if rows > cycles or (tail["valid"] and rows != cycles):
             raise ValueError(f"a log marked valid={tail['valid']} with "
                              f"cycle_count {cycles} holds {rows} cycle rows")
-        log.outcome = tail["outcome"]
         log.score = tuple(tail["score"])
+        log.outcome = _outcome(*log.score)
         log.valid = tail["valid"]
         log.error = tail.get("error")
         states, events = [], log.events
+        agents = frozenset([None, *(aid for aid, _team in log.agents)])
         for index in range(1, len(lines) - 1):
             row = lines[index]
             if not isinstance(row, list) or len(row) != width:
@@ -658,10 +699,20 @@ def load_match_log(path) -> MatchLog:
                                  f"got {v!r:.60}")
             states.append(values)
             for ed in row[-1]:
-                event = MatchEvent(**ed)
-                if event.cycle != index - 1:
-                    raise ValueError(f"event cycle {event.cycle!r} is not its "
-                                     f"row's cycle {index - 1}")
+                event = MatchEvent(index - 1, **ed)
+                # _check_event's tests inline; a kick_cycle, or a list or
+                # object value, which no set can hold, goes to it
+                try:
+                    known = (event.kind in EVENT_KINDS
+                             and event.agent in agents
+                             and event.agent2 in agents
+                             and event.team in _EVENT_TEAMS
+                             and type(event.effective) in _EFFECTIVE_TYPES
+                             and event.kick_cycle is None)
+                except TypeError:
+                    known = False
+                if not known:
+                    _check_event(event, agents)
                 events.append(event)
     except (KeyError, TypeError, ValueError) as err:
         what = f"missing field {err}" if isinstance(err, KeyError) else str(err)

@@ -275,7 +275,7 @@ class TestMineReport:
                 sequences.append((f"s{i}", "".join(rng.choice(letters, size=size))))
             rows, runs = oracle_report(sequences, lo, hi)
             report = mining.mine_report(sequences, PatternQuery(lo, hi))
-            assert report.rows == rows
+            assert list(report.rows) == rows
             assert report.tandem_runs == runs
 
     def test_transient_memory_under_the_report(self):
@@ -331,10 +331,10 @@ class TestChunkedMining:
             query = PatternQuery(lo, hi)
             whole = self.report_at(monkeypatch, 10 ** 9, sequences, query)
             rows, runs = oracle_report(sequences, lo, hi)
-            assert whole.rows == rows and whole.tandem_runs == runs
+            assert list(whole.rows) == rows and whole.tandem_runs == runs
             for bound in (1, 7, 64):
                 report = self.report_at(monkeypatch, bound, sequences, query)
-                assert report.rows == rows, bound
+                assert list(report.rows) == rows, bound
                 assert report.tandem_runs == runs, bound
 
     def test_chunks_hold_whole_sequences(self, monkeypatch):
@@ -347,9 +347,10 @@ class TestChunkedMining:
     def test_patterns_shared_across_chunks(self, monkeypatch):
         report = self.report_at(monkeypatch, 1, [("a", "CAC"), ("b", "CAT")],
                                 PatternQuery(2, 2))
-        assert list(report.rows) == [("AC", 1, "a"), ("CA", 1, "a"),
-                                     ("AT", 1, "b"), ("CA", 1, "b")]
-        assert report.rows[1][0] is report.rows[3][0]
+        rows = list(report.rows)
+        assert rows == [("AC", 1, "a"), ("CA", 1, "a"), ("AT", 1, "b"),
+                        ("CA", 1, "b")]
+        assert rows[1][0] is rows[3][0]
 
     def test_refusal_counts_the_whole_corpus(self, monkeypatch):
         # one string fits 6 ** 24 under 2**63 - 1, two do not, so each
@@ -365,35 +366,13 @@ class TestChunkedMining:
 
 
 class TestPatternRows:
-    """PatternReport.rows is a read-only sequence over three columns."""
+    """PatternReport.rows is a read-only iterable over three columns."""
 
     SEQUENCES = [("g1", "CACACA"), ("g2", "ACG")]
     ROWS = [("AC", 2, "g1"), ("CA", 3, "g1"), ("AC", 1, "g2"), ("CG", 1, "g2")]
 
     def rows(self):
         return mining.mine_report(self.SEQUENCES, PatternQuery(2, 2)).rows
-
-    def test_sequence_protocol(self):
-        rows = self.rows()
-        assert len(rows) == 4
-        assert rows[0] == ("AC", 2, "g1") and rows[-1] == ("CG", 1, "g2")
-        assert rows[-4] == rows[0]
-        with pytest.raises(IndexError):
-            rows[4]
-        assert rows[1:3] == self.ROWS[1:3] and rows[::-1] == self.ROWS[::-1]
-        assert rows[5:] == []
-        assert ("CA", 3, "g1") in rows and ("CA", 3, "g2") not in rows
-        assert list(reversed(rows)) == self.ROWS[::-1]
-        assert rows.index(("AC", 1, "g2")) == 2 and rows.count(rows[0]) == 1
-
-    def test_equality_both_ways(self):
-        rows = self.rows()
-        assert rows == self.ROWS and self.ROWS == rows
-        assert rows == self.rows() and not rows != self.ROWS
-        assert rows != self.ROWS[:-1] and self.ROWS[1:] != rows
-        assert rows != [("AC", 2, "g1")] * 4
-        assert rows != tuple(self.ROWS)
-        assert mining.PatternReport().rows == []
 
     def test_iterates_the_same_each_time(self):
         rows = self.rows()
@@ -415,7 +394,7 @@ class TestPlantedMining:
     def assert_oracle(self, sequences, min_len, max_len):
         report = mining.mine_report(sequences, PatternQuery(min_len, max_len))
         rows, runs = oracle_report(sequences, min_len, max_len)
-        assert report.rows == rows
+        assert list(report.rows) == rows
         assert report.tandem_runs == runs
         return report
 

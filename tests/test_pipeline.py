@@ -65,9 +65,9 @@ SMOKE = {
 # the corpus of TestBuildCorpus.test_pinned_corpus_at_default_cycle_count
 PINNED_CORPUS = {
     "logs/m000.jsonl":
-        "2bc85073f8363a1fc17de1f798817be113bd5d72dc5e177310c781cad2d91363",
+        "40fc4b0c167f28163a9bb11e023d0427f37cdc90e558c7c634c74e4bf74b3113",
     "logs/m001.jsonl":
-        "a0a29879cf57ee7cb9fcdaca30bf3b3c19a3b0b84ea473170d3b547dcf0586ef",
+        "83460935675a59718eb427092d2e59bb0d3e76cddbea331fcc05c19e7c6f68e1",
     "sequences/m000.fasta":
         "820184a0cb192f96dbdc940b6ea17bddb069a572d74953c5f26597698bc3368d",
     "sequences/m001.fasta":
@@ -80,9 +80,9 @@ PINNED_CORPUS = {
 # the same logs' lines after the header (test_simulator.body_digest)
 PINNED_LOG_BODIES = {
     "logs/m000.jsonl":
-        "7e86d4a6c08f3f5cf76dfc22657235455c1556db9b1106ae3a20c7b800de4c6d",
+        "dbda76d39c862bc2d5f9de7d341d1dfa2ee4f8ae15ff46b5afdd4dafde2e89bc",
     "logs/m001.jsonl":
-        "9f2cee30385b8ef62c5f3b7dca7e7d589a1021051dae9f97a32ee90b7be426fb",
+        "c2fe2a56ec9a09985ad2dfd61a0e5d5953de3cb3fb3d923f81f90c3c1596d048",
 }
 # the same logs' values as load_match_log returns them
 # (test_simulator.simulation_digest), which no change of log format moves
@@ -243,6 +243,33 @@ class TestManifest:
         with pytest.raises(ValueError, match="schema_version"):
             load_manifest(tmp_path / "manifest.json")
 
+    @pytest.mark.parametrize("match_id", ["", ".", "..", "../logs/m000",
+                                          "logs/m000", "logs\\m000"])
+    def test_match_id_not_a_plain_name_refused(self, tmp_path, match_id):
+        path = tmp_path / "manifest.json"
+        save_manifest(CorpusManifest(entries=["m000", match_id]), path)
+        with pytest.raises(ValueError) as err:
+            load_manifest(path)
+        assert str(err.value) == (f"{path}: match id {match_id!r} is not a "
+                                  f"plain file name")
+
+    def test_encode_writes_nothing_outside_its_directories(self, tmp_path):
+        # after one encode, an entry ../logs/m000 passed every check, and
+        # encode wrote logs/m000.fasta and logs/m000.json beside the log
+        config = smoke_config(tmp_path)
+        for stage in ("simulate", "encode"):
+            run_stage(stage, config, tmp_path)
+        manifest = load_manifest(tmp_path / "manifest.json")
+        manifest.entries = ["../logs/m000"]
+        save_manifest(manifest, tmp_path / "manifest.json")
+        with pytest.raises(StageError) as err:
+            run_stage("encode", config, tmp_path)
+        assert str(err.value.cause) == (
+            f"{tmp_path / 'manifest.json'}: match id '../logs/m000' is not a "
+            f"plain file name")
+        logs = [p.name for p in (tmp_path / "logs").iterdir()]
+        assert logs == ["m000.jsonl"]
+
 
 class TestAnnotateLog:
     def run_small_match(self, seed=3):
@@ -307,7 +334,7 @@ class TestPipelineRun:
             first = (out / rel).read_text().splitlines()[0]
             assert first == "# schema_version=1", rel
         first = (out / "logs/m000.jsonl").read_text().splitlines()[0]
-        assert json.loads(first)["schema_version"] == 3
+        assert json.loads(first)["schema_version"] == 4
 
     def test_manifest_complete_after_encode(self, pipeline_dir):
         out, _config, _artifacts = pipeline_dir
@@ -1082,15 +1109,15 @@ class TestParallelStages:
             path = match_paths(tmp_path, match_id).log
             lines = path.read_text().splitlines()
             row = json.loads(lines[line - 1])
-            lines[line - 1] = json.dumps(row[:-1] + [[{"cycle": 5000,
-                                                       "kind": "idle"}]])
+            lines[line - 1] = json.dumps(row[:-1] + [[{"kind": "teleport"}]])
             path.write_text("\n".join(lines) + "\n")
         usable_cpus(monkeypatch, count)
         with pytest.raises(StageError) as err:
             run_stage("encode", config, tmp_path)
         assert str(err.value.cause) == (
             f"match log {match_paths(tmp_path, 'm000').log} line 201: "
-            "event cycle 5000 is not its row's cycle 199")
+            "event kind 'teleport' is not one of ['goal', 'idle', 'kick', "
+            "'move', 'pass_completed', 'possession_change', 'turn']")
         assert multiprocessing.active_children() == []
 
 class TestCli:

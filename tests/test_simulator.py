@@ -9,7 +9,7 @@ cycle.
 import hashlib
 import json
 import math
-from dataclasses import asdict
+from dataclasses import asdict, fields
 from decimal import Decimal
 
 import numpy as np
@@ -477,7 +477,7 @@ class TestRunMatch:
     def test_valid_log_tail_has_no_error_field(self):
         log = run_match(None, None, small_config(cycle_count=5))
         tail = log_to_jsonl(log).splitlines()[-1]
-        assert tail == '{"outcome":"draw","score":[0,0],"valid":true}'
+        assert tail == '{"score":[0,0],"valid":true}'
 
     def test_replay_determinism(self):
         cfg = small_config(cycle_count=60, rng_seed=9)
@@ -515,8 +515,7 @@ class TestSerialization:
         assert loaded.score == log.score and loaded.outcome == log.outcome
         assert loaded.agents == log.agents
         assert loaded.per_cycle_states.shape == log.per_cycle_states.shape
-        assert [e.to_dict() for e in loaded.events] == \
-               [e.to_dict() for e in log.events]
+        assert loaded.events == log.events
         # rounded coordinates survive the trip
         assert loaded.per_cycle_states[5, 0] == \
             pytest.approx(log.per_cycle_states[5, 0], abs=1e-6)
@@ -527,21 +526,31 @@ class TestSerialization:
         assert text.splitlines()[0] == (
             '{"agents":[["a","home"],["b","home"],["c","away"],["d","away"]],'
             '"config":{"cycle_count":2,"players_per_team":2,"rng_seed":42},'
-            '"schema_version":3}')
+            '"schema_version":4}')
 
-    def test_schema_2_log_refused_naming_file(self, tmp_path):
-        # a one-cycle idle match as schema 2 wrote it: a dict per cycle
-        path = tmp_path / "old.jsonl"
-        path.write_text(
-            '{"config":{"cycle_count":1,"players_per_team":1,"rng_seed":0},'
+    # a one-cycle idle match as schema 2 wrote it, a dict per cycle, and as
+    # schema 3 did, with the cycle in each event and the outcome at the end
+    @pytest.mark.parametrize("version, text", [
+        (2, '{"config":{"cycle_count":1,"players_per_team":1,"rng_seed":0},'
             '"schema_version":2}\n'
             '{"agents":[{"heading":0.0,"id":"a","speed":0.0,"team":"home",'
             '"x":-26.25,"y":0.0},{"heading":-180.0,"id":"b","speed":0.0,'
             '"team":"away","x":26.25,"y":0.0}],"ball":{"vx":0.0,"vy":0.0,'
             '"x":0.0,"y":0.0},"cycle":0,"events":[{"cycle":0,"kind":"idle"}]}\n'
-            '{"outcome":"draw","score":[0,0],"valid":true}\n')
-        with pytest.raises(ValueError,
-                           match=r"old\.jsonl: unsupported schema_version 2"):
+            '{"outcome":"draw","score":[0,0],"valid":true}\n'),
+        (3, '{"agents":[["a","home"],["b","away"]],"config":{"cycle_count":1,'
+            '"players_per_team":1,"rng_seed":0},"schema_version":3}\n'
+            '[-26.250000,0.000000,0.000000,0.000000,26.250000,0.000000,'
+            '-180.000000,0.000000,0.000000,0.000000,0.000000,0.000000,'
+            '[{"cycle":0,"kind":"idle"}]]\n'
+            '{"outcome":"draw","score":[0,0],"valid":true}\n')],
+        ids=["schema-2", "schema-3"])
+    def test_old_schema_refused_naming_file(self, tmp_path, version, text):
+        path = tmp_path / "old.jsonl"
+        path.write_text(text)
+        with pytest.raises(ValueError, match=rf"old\.jsonl: unsupported "
+                                             rf"schema_version {version}, "
+                                             rf"this code reads 4"):
             load_match_log(path)
 
     def test_cut_mid_line_names_file_and_line(self, tmp_path):
@@ -562,7 +571,8 @@ class TestSerialization:
         path = tmp_path / "cut.jsonl"
         lines = log_to_jsonl(log).splitlines(keepends=True)
         path.write_text("".join(lines[:50]))
-        with pytest.raises(ValueError, match="cut.jsonl has no closing outcome line"):
+        with pytest.raises(ValueError,
+                           match="cut.jsonl has no closing score line"):
             load_match_log(path)
 
     @pytest.mark.parametrize("valid, keep, message", [
@@ -596,7 +606,7 @@ class TestSerialization:
         path = tmp_path / "number.jsonl"
         path.write_text("\n".join(lines[:-1] + ["7"]) + "\n")
         with pytest.raises(ValueError,
-                           match="number.jsonl has no closing outcome line"):
+                           match="number.jsonl has no closing score line"):
             load_match_log(path)
 
     @pytest.mark.parametrize("line, edit, message", [
@@ -605,17 +615,46 @@ class TestSerialization:
         (7, lambda row: row + [[]], "a cycle row must be a list of 21 values"),
         (7, lambda row: dict(enumerate(row)),
          "a cycle row must be a list of 21 values"),
-        (7, lambda row: row[:-1] + [{"cycle": 4, "kind": "idle"}],
+        (7, lambda row: row[:-1] + [{"kind": "idle"}],
          "argument after \\*\\* must be a mapping"),
         (7, lambda row: row[:-1] + [[{**row[-1][0], "foo": 1}]],
          "unexpected keyword argument 'foo'"),
-        # annotate_log indexed the ball's x with the cycle of an event:
-        # past the log it raised a bare IndexError, and at -1 it read the
-        # last row and wrote a threat at window -1
-        (7, lambda row: row[:-1] + [[{**row[-1][0], "cycle": 5000}]],
-         "event cycle 5000 is not its row's cycle 4"),
-        (7, lambda row: row[:-1] + [[{**row[-1][0], "cycle": -1}]],
-         "event cycle -1 is not its row's cycle 4"),
+        # a row's position is its events' cycle; schema 3 wrote it twice
+        (7, lambda row: row[:-1] + [[{**row[-1][0], "cycle": 4}]],
+         "got multiple values for argument 'cycle'"),
+        # events no match writes: each loaded, and annotate_log took any
+        # truthy effective as an effective kick
+        (7, lambda row: row[:-1] + [[{**row[-1][0], "kind": "teleport"}]],
+         "event kind 'teleport' is not one of \\['goal', 'idle', 'kick', "
+         "'move', 'pass_completed', 'possession_change', 'turn'\\]"),
+        (7, lambda row: row[:-1] + [[{"agent": "e", "kind": "turn"}]],
+         "event agent 'e' is not in the roster \\['a', 'b', 'c', 'd'\\]"),
+        (7, lambda row: row[:-1] + [[{"agent": ["a"], "kind": "turn"}]],
+         "event agent \\['a'\\] is not a string, number, bool or null"),
+        (7, lambda row: row[:-1] + [[{"agent": "a", "agent2": "z",
+                                      "kick_cycle": 2,
+                                      "kind": "pass_completed"}]],
+         "event agent2 'z' is not in the roster"),
+        (7, lambda row: row[:-1] + [[{"agent": "a", "effective": "no",
+                                      "kind": "kick"}]],
+         "event effective must be true or false, got 'no'"),
+        (7, lambda row: row[:-1] + [[{"agent": "a", "effective": 1,
+                                      "kind": "kick"}]],
+         "event effective must be true or false, got 1"),
+        (7, lambda row: row[:-1] + [[{"kind": "goal", "team": "left"}]],
+         "event team 'left' is neither 'home' nor 'away'"),
+        (7, lambda row: row[:-1] + [[{"agent": "a", "agent2": "b",
+                                      "kick_cycle": 5,
+                                      "kind": "pass_completed"}]],
+         "event kick_cycle 5 is not an integer in \\[0, 4\\]"),
+        (7, lambda row: row[:-1] + [[{"agent": "a", "agent2": "b",
+                                      "kick_cycle": -1,
+                                      "kind": "pass_completed"}]],
+         "event kick_cycle -1 is not an integer in \\[0, 4\\]"),
+        (7, lambda row: row[:-1] + [[{"agent": "a", "agent2": "b",
+                                      "kick_cycle": 2.0,
+                                      "kind": "pass_completed"}]],
+         "event kick_cycle 2.0 is not an integer in \\[0, 4\\]"),
         (7, lambda row: ["oops"] + row[1:],
          "cycle row value 0 must be a number, got 'oops'"),
         (7, lambda row: row[:3] + [True] + row[4:],
@@ -666,24 +705,16 @@ class TestSerialization:
         (1, lambda head: {**head, "agents": [["a", "home"], ["B", "home"],
                                              ["c", "away"], ["d", "away"]]},
          "header agent id 'B' is not one letter of 'abc"),
-        (53, lambda tail: {"outcome": "banana", "score": [1, 2, 3],
-                           "valid": "yes"},
+        (53, lambda tail: {"score": [1, 2, 3], "valid": "yes"},
          "score must be two non-negative integers, got \\[1, 2, 3\\]"),
         (53, lambda tail: {**tail, "score": [1, -1]},
          "score must be two non-negative integers"),
         (53, lambda tail: {**tail, "score": [0.0, 0]},
          "score must be two non-negative integers"),
-        (53, lambda tail: {**tail, "score": [True, 0], "outcome": "home_win"},
+        (53, lambda tail: {**tail, "score": [True, 0]},
          "score must be two non-negative integers"),
         (53, lambda tail: {**tail, "score": "0-0"},
          "score must be two non-negative integers"),
-        (53, lambda tail: {**tail, "outcome": "banana", "score": [0, 0]},
-         "outcome 'banana' does not match score \\[0, 0\\], which is 'draw'"),
-        (53, lambda tail: {**tail, "outcome": "home_win", "score": [1, 2]},
-         "outcome 'home_win' does not match score \\[1, 2\\], "
-         "which is 'away_win'"),
-        (53, lambda tail: {**tail, "outcome": "draw", "score": [2, 1]},
-         "outcome 'draw' does not match score \\[2, 1\\], which is 'home_win'"),
         (53, lambda tail: {**tail, "valid": "yes"},
          "valid must be true or false, got 'yes'"),
         (53, lambda tail: {**tail, "valid": 1},
@@ -693,8 +724,11 @@ class TestSerialization:
         (53, lambda tail: {**tail, "valid": False, "error": "boom"},
          "an invalid log's error must be an object, got 'boom'")],
         ids=["row-short", "row-no-events", "row-long", "row-not-list",
-             "events-not-list", "event-key", "event-cycle-after-log",
-             "event-cycle-negative", "x-string", "speed-bool",
+             "events-not-list", "event-key", "event-cycle", "event-kind",
+             "event-agent", "event-agent-list", "event-agent2",
+             "event-effective-string", "event-effective-int", "event-team",
+             "kick-cycle-after-event", "kick-cycle-negative",
+             "kick-cycle-float", "x-string", "speed-bool",
              "heading-list", "ball-vy-null", "x-nan", "ball-vy-minus-inf",
              "header-no-agents",
              "agents-short-pair", "agents-team-not-string", "agents-not-list",
@@ -702,15 +736,14 @@ class TestSerialization:
              "config-extra", "config-rng_seed", "tail-score", "tail-valid",
              "id-idle-letter", "id-two-letters", "id-empty", "id-upper",
              "tail-banana", "score-negative", "score-float", "score-bool",
-             "score-string", "outcome-banana", "outcome-not-score",
-             "draw-not-score", "valid-string", "valid-int",
+             "score-string", "valid-string", "valid-int",
              "invalid-no-error", "invalid-error-string"])
     def test_malformed_field_names_file_and_line(self, tmp_path, line, edit,
                                                  message):
         # a 50-cycle log of 2 players a side, so 4 * 4 + 5 = 21 values a
         # row, with a blank line after the header, which the line numbers
         # count: line 1 is the header, 7 the row of cycle 4 and 53 the
-        # closing outcome line, {"outcome": "draw", "score": [0, 0], ...}
+        # closing line, {"score": [0, 0], "valid": true}
         cfg = FieldConfig(cycle_count=50, rng_seed=3)
         lines = log_to_jsonl(run_match(ShootingPolicy(sim.HOME),
                                        ShootingPolicy(sim.AWAY), cfg)).splitlines()
@@ -724,7 +757,7 @@ class TestSerialization:
     def test_integer_values_load_as_numbers(self, tmp_path):
         lines = log_to_jsonl(run_match(None, None, small_config(
             cycle_count=1, players_per_team=1))).splitlines()
-        lines[1] = '[-26,0,0,0,26,0,-180,0,0,0,0,0,[{"cycle":0,"kind":"idle"}]]'
+        lines[1] = '[-26,0,0,0,26,0,-180,0,0,0,0,0,[{"kind":"idle"}]]'
         path = tmp_path / "ints.jsonl"
         path.write_text("\n".join(lines) + "\n")
         row = load_match_log(path).per_cycle_states[0]
@@ -761,7 +794,7 @@ def reference_jsonl(log):
     for cycle, values in enumerate(log.per_cycle_states):
         row = [r6(v) for v in values] + [events_by_cycle.get(cycle, [])]
         lines.append(dumps(row))
-    tail = {"outcome": log.outcome, "score": list(log.score), "valid": log.valid}
+    tail = {"score": list(log.score), "valid": log.valid}
     if not log.valid:
         tail["error"] = log.error
     lines.append(dumps(tail))
@@ -822,6 +855,11 @@ def fuzzed_log(seed, cycles=80, away_id='q"\u00e9'):
     return log
 
 
+def event_fields(event):
+    """Every field of an event, each value as its repr."""
+    return [(f.name, repr(getattr(event, f.name))) for f in fields(event)]
+
+
 def edge_log():
     """A 2-a-side log whose rows step every float field through
     EDGE_VALUES, so each value is written at each position of a row."""
@@ -859,6 +897,12 @@ class TestWriterAgainstReference:
             saved = path.read_text()
             loaded = load_match_log(path)
             assert log_to_jsonl(loaded) == saved, log.config
+            # the file states each event's cycle and the match's outcome
+            # once, in the row's position and the score; every field must
+            # load back as it was, repr telling True from 1
+            assert [event_fields(e) for e in loaded.events] == \
+                [event_fields(e) for e in log.events], log.config
+            assert loaded.outcome == log.outcome == sim._outcome(*loaded.score)
             floats = loaded.per_cycle_states
             assert floats.dtype == np.float64
             assert not (np.signbit(floats) & (floats == 0)).any(), log.config
@@ -924,7 +968,10 @@ def simulation_digest(log):
     of a zero shows; digest a loaded log to pin the values a file holds."""
     events_by_cycle = {}
     for e in log.events:
-        events_by_cycle.setdefault(e.cycle, []).append(e.to_dict())
+        # each event's dict with its cycle first, as the digests were
+        # recorded when the log wrote it so
+        events_by_cycle.setdefault(e.cycle, []).append(
+            {"cycle": e.cycle, **e.to_dict()})
     h = hashlib.sha256()
     for cycle, values in enumerate(log.per_cycle_states.tolist()):
         agents = [(aid, team, *values[4 * i:4 * i + 4])
@@ -959,9 +1006,9 @@ class TestPinnedBytes:
         assert values == \
             "372fc5518fdfd3d2db32c12ec51afb37928ff0f284caf263cc3a6107862b3e4c"
         assert body == \
-            "35f5b70082941220d8c08f6d314fd3aecc0a3b21c1e21b9d504c5fbbd7dd3678"
+            "4851b6d52f3984f0268dff5372027f1f017358996cc941afb7c9f06fa5c402f2"
         assert whole == \
-            "ab126f2ec61b0c36830cec82100502e4719d9af436f08cf5e4bafec7593d9caa"
+            "21abf03144bf589948449cac8e10c454042fb54e58fd14cc48f9c732a533b689"
 
     def test_barrage_match(self, tmp_path):
         # agents start at the ball, so clamped kicks land and goals follow;
@@ -975,23 +1022,23 @@ class TestPinnedBytes:
         assert values == \
             "b5e334cea88693eb66cc4f8e1a63b432a640c99b7d7f89632589b09989c76c42"
         assert body == \
-            "3e4c61d778d853b83c9fd99769728e0acbd44a50ef8c87af50116a0808d007c8"
+            "3af886b74bb28c8f2cf939626050480d26def74a734b0f24f3be16021b68d785"
         assert whole == \
-            "81e23e75291f01f15247406c037cf1fd86fbc9c4951219f65dac7b78983639a5"
+            "597ff79f5c043542ab9cf1da7794bbb42d1bd7c315a3b531e69f29462e766abb"
 
     @pytest.mark.parametrize("players, seed, score, whole", [
         (1, 7, (2, 2),
-         "550e9ddb5812cfe83079ad3136a2f0a82f0bf02bbcccde5019f96a1ea130c2e2"),
+         "e525f5373cf9edfea1eee0c51921aeea5bc830a17acb7c1eb937493f36890ee9"),
         (1, 8, (0, 2),
-         "80b72f8da4313763be6117adf37f92c5aa3a347209c9ce18fd26fe4d5474a898"),
+         "71a95b32341cd29cabead8ac1ff06a580c575055c5e53b6e9669584e67adb790"),
         (1, 9, (1, 2),
-         "26424f6dbbee1bd358ecc57a924ea48b9a50ab368f4fcc12c72b81dba0857fd6"),
+         "6d2de9afb23d857a85843071474f0e4507b1e8f0e92eb3f959c1f65d206beb84"),
         (3, 7, (2, 2),
-         "09974b7c1c47da46cb3b41f61f0dcff2999917d728eb6a4897681fba0bba1d0e"),
+         "7e5e39a53e9b0c5536984d65f8275d2b3b034d5066ed6a3a31f1663145a290ed"),
         (3, 8, (2, 2),
-         "ea8a34624c97283f0dc1ce6ef0e1fbe3381031805e8b3531f3c052d41e2e7947"),
+         "ab46f612f1ab956dc737a7f8a97c16b5b55132ee16812ae9cf911a7c638d2f95"),
         (3, 9, (2, 1),
-         "2274a7ed29ba27270cd14d49562c43313f2261988c0916eb36601f84bfb5e7f6")])
+         "25fcff8e91bab29f7ab10b7b1e12b2d0ec78b3bc4e681f314899758bee17bb72")])
     def test_shooting_match_other_team_sizes(self, players, seed, score, whole):
         # the roster and each agent's view of it change with the team size
         cfg = FieldConfig(cycle_count=300, rng_seed=seed,
